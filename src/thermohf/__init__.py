@@ -16,7 +16,6 @@ from .ensemble import (
     thermal_average,
 )
 from .numdiff import DiffConfig, central_diff, lambda_derivative_of, lambda_derivatives
-from .jacobi import SymmetricEigenDecomposition, jacobi_eigen, JacobiConvergenceError
 
 __all__ = [
     "EnsemblePoint",
@@ -29,7 +28,4 @@ __all__ = [
     "central_diff",
     "lambda_derivative_of",
     "lambda_derivatives",
-    "SymmetricEigenDecomposition",
-    "jacobi_eigen",
-    "JacobiConvergenceError",
 ]

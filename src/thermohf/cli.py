@@ -10,7 +10,8 @@ import argparse
 import os
 import sys
 
-from .jacobi import JacobiConvergenceError
+import numpy as np
+
 from .models.ising import IsingChain
 from .models.lipkin import LipkinModel
 from .numdiff import DiffConfig
@@ -246,7 +247,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (JacobiConvergenceError, FloatingPointError, OverflowError, ValueError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError, OverflowError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

@@ -11,7 +11,8 @@ large beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,18 +28,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted eigenvalues with integer degeneracies.
+    """Sorted eigenvalues with exact integer degeneracies.
 
     Parameters
     ----------
     energies : array_like
         Level energies, ascending.
     degeneracies : array_like, optional
-        Positive integer weight per level. Defaults to all ones.
+        Positive integer weight per level. Defaults to all ones. Weights
+        beyond the int64 range are kept as Python ints in an object array.
+
+    ``log_degeneracies`` holds ln g per level, computed once, so Boltzmann
+    weights never form g itself as a float.
     """
 
     energies: np.ndarray
     degeneracies: np.ndarray = None
+    log_degeneracies: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         e = np.atleast_1d(np.asarray(self.energies, dtype=float))
@@ -54,7 +60,10 @@ class Spectrum:
             g = np.atleast_1d(np.asarray(self.degeneracies))
             if g.shape != e.shape:
                 raise ValueError("degeneracies must align with energies")
-            if not np.issubdtype(g.dtype, np.integer):
+            if g.dtype == object:
+                if not all(isinstance(x, (int, np.integer)) for x in g):
+                    raise ValueError("degeneracies must be integers")
+            elif not np.issubdtype(g.dtype, np.integer):
                 gi = g.astype(np.int64)
                 if not np.array_equal(gi, g):
                     raise ValueError("degeneracies must be integers")
@@ -65,16 +74,20 @@ class Spectrum:
         e.flags.writeable = False
         g = g.copy()
         g.flags.writeable = False
+        # math.log takes integers of any size; np.log only fixed-width ones
+        log_g = np.array([math.log(x) for x in g]) if g.dtype == object else np.log(g)
+        log_g.flags.writeable = False
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "degeneracies", g)
+        object.__setattr__(self, "log_degeneracies", log_g)
 
     def __len__(self):
         return self.energies.size
 
     @property
     def dimension(self) -> int:
-        """Total weighted number of states."""
-        return int(self.degeneracies.sum())
+        """Total weighted number of states, summed exactly as Python ints."""
+        return sum(self.degeneracies.tolist())
 
     def shifted(self, offset: float) -> "Spectrum":
         """Same spectrum with a constant added to every level."""
@@ -113,10 +126,10 @@ class ThermoPotentials:
 
 
 def _weights(spectrum: Spectrum, beta: float):
-    """Ground-state-anchored Boltzmann weights g_n exp(-beta (E_n - E_min))."""
+    """Ground-state-anchored Boltzmann weights exp(ln g_n - beta (E_n - E_min))."""
     e = spectrum.energies
     e_min = e[0]
-    w = spectrum.degeneracies * np.exp(-beta * (e - e_min))
+    w = np.exp(spectrum.log_degeneracies - beta * (e - e_min))
     return w, e_min
 
 

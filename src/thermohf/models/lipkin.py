@@ -3,9 +3,12 @@
 H(lam) = eps*J0 + lam*H1 with H1 = -(V/2)(Jp^2 + Jm^2). The Fock space of
 N particles splits into angular-momentum blocks j = j_min..N/2, each
 occurring with an exact integer multiplicity; the full spectrum is the
-multiplicity-weighted union of the block spectra.
+multiplicity-weighted union of the block spectra. Each block is
+diagonalized with numpy's LAPACK ``eigh``.
 
 Half-integer j is carried as twice-j integers so all bookkeeping is exact.
+Multiplicities stay exact integers at any N: int64 while they fit, Python
+ints from N = 63 on.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ensemble import EnsemblePoint, Spectrum, ThermoPotentials, potentials, thermal_average
-from ..jacobi import jacobi_eigen
 from ..numdiff import DiffConfig, central_diff
 
 __all__ = [
@@ -91,12 +93,10 @@ def _block_eigensystem(two_j: int, epsilon: float, v_coupling: float, lam: float
         idx = np.arange(offset, two_j + 1, 2)
         if idx.size == 0:
             continue
-        sub = h[np.ix_(idx, idx)]
-        dec = jacobi_eigen(sub)
+        values, vectors = np.linalg.eigh(h[np.ix_(idx, idx)])
         sub_h1 = h1[np.ix_(idx, idx)]
-        expectations = np.einsum("ij,jk,ki->i", dec.eigenvectors.T, sub_h1, dec.eigenvectors)
-        energies.append(dec.eigenvalues)
-        h1_values.append(expectations)
+        energies.append(values)
+        h1_values.append(np.einsum("ij,jk,ki->i", vectors.T, sub_h1, vectors))
     energies = np.concatenate(energies)
     h1_values = np.concatenate(h1_values)
     order = np.argsort(energies, kind="stable")
@@ -142,16 +142,18 @@ def lipkin_levels_with_h1(model: LipkinModel, lam: float = 1.0):
     Each block eigenvalue enters once with the block multiplicity as its
     degeneracy; levels are globally sorted ascending.
     """
+    two_js = _block_j_values(model.n_particles)
+    mults = [multiplicity(model.n_particles, two_j) for two_j in two_js]
+    g_dtype = np.int64 if max(mults) <= np.iinfo(np.int64).max else object
     all_e = []
     all_g = []
     all_h1 = []
-    for two_j in _block_j_values(model.n_particles):
-        mult = multiplicity(model.n_particles, two_j)
+    for two_j, mult in zip(two_js, mults):
         energies, h1_values = _block_eigensystem(
             two_j, model.epsilon, model.v_coupling, lam
         )
         all_e.append(energies)
-        all_g.append(np.full(energies.size, mult, dtype=np.int64))
+        all_g.append(np.full(energies.size, mult, dtype=g_dtype))
         all_h1.append(h1_values)
     e = np.concatenate(all_e)
     g = np.concatenate(all_g)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import EnsemblePoint, Spectrum
-from .jacobi import jacobi_eigen
 from .models.ising import IsingChain
 from .models.lipkin import LipkinModel
 
@@ -76,7 +75,9 @@ def lipkin_fock(model: LipkinModel, lam: float = 1.0) -> Spectrum:
 
     Builds the quasi-spin operators site by site (each site a two-state
     system), forms H(lam) = eps*J0 - lam*(V/2)(Jp^2 + Jm^2) and
-    diagonalizes the dense matrix. All 2^N levels carry degeneracy 1.
+    diagonalizes the dense matrix with numpy's LAPACK ``eigvalsh``. All
+    2^N levels carry degeneracy 1. This stays independent of the block
+    route: no angular-momentum structure or multiplicity enters.
     """
     n = model.n_particles
     if n > _MAX_FOCK_PARTICLES:
@@ -94,5 +95,4 @@ def lipkin_fock(model: LipkinModel, lam: float = 1.0) -> Spectrum:
     jm = jp.T
 
     h = model.epsilon * j0 - lam * 0.5 * model.v_coupling * (jp @ jp + jm @ jm)
-    dec = jacobi_eigen(h)
-    return Spectrum(dec.eigenvalues)
+    return Spectrum(np.linalg.eigvalsh(h))

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 
 from thermohf.cli import main
 from thermohf.sweep import CSV_HEADER
@@ -63,6 +64,15 @@ class TestSweepCommand:
         )
         assert code == 0
         assert len(out.splitlines()) == 7  # flag t-steps wins over config
+
+    def test_eigensolver_failure_is_numerical_error(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code, _, err = run(["sweep", "--model", "lipkin", "--t-steps", "3"], capsys)
+        assert code == 3
+        assert "numerical error" in err
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -1,9 +1,15 @@
+"""Accuracy of the dense symmetric eigensolver, numpy's LAPACK ``eigh``.
+
+The Lipkin block path diagonalizes its parity sub-blocks with it, so the
+block-shaped cases go through ``_block_eigensystem`` itself.
+"""
+
 import math
 
 import numpy as np
 import pytest
 
-from thermohf import jacobi_eigen
+from thermohf.models.lipkin import _block_eigensystem
 
 
 def random_symmetric(rng, order):
@@ -13,43 +19,35 @@ def random_symmetric(rng, order):
 
 class TestJacobiEigen:
     def test_identity(self):
-        dec = jacobi_eigen(np.eye(5))
-        assert np.allclose(dec.eigenvalues, np.ones(5))
-        assert np.allclose(dec.eigenvectors, np.eye(5))
+        values, vectors = np.linalg.eigh(np.eye(5))
+        assert np.allclose(values, np.ones(5))
+        assert np.allclose(vectors, np.eye(5))
 
     def test_pauli_x(self):
-        dec = jacobi_eigen([[0.0, 1.0], [1.0, 0.0]])
-        assert dec.eigenvalues == pytest.approx([-1.0, 1.0], abs=1e-14)
+        values = np.linalg.eigvalsh([[0.0, 1.0], [1.0, 0.0]])
+        assert values == pytest.approx([-1.0, 1.0], abs=1e-14)
 
     def test_two_level_interaction_block(self):
-        # 2x2 with diag (-1, 1) and off-diagonal -3: eigenvalues -+sqrt(10)
-        dec = jacobi_eigen([[-1.0, -3.0], [-3.0, 1.0]])
+        # j = 1 block: its m = -1, +1 sub-block is diag (-1, 1) with
+        # off-diagonal -3, eigenvalues -+sqrt(10); m = 0 stays at 0
+        energies, h1_values = _block_eigensystem(2, 1.0, 3.0, 1.0)
         root = math.sqrt(10.0)
-        assert dec.eigenvalues == pytest.approx([-root, root], abs=1e-13)
+        assert energies == pytest.approx([-root, 0.0, root], abs=1e-13)
+        assert h1_values.sum() == pytest.approx(0.0, abs=1e-13)  # trace of H1
 
     def test_order_one(self):
-        dec = jacobi_eigen([[4.0]])
-        assert dec.eigenvalues == pytest.approx([4.0])
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            jacobi_eigen(np.zeros((2, 3)))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            jacobi_eigen([[0.0, 1.0], [2.0, 0.0]])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            jacobi_eigen([[math.nan, 0.0], [0.0, 1.0]])
+        values = np.linalg.eigvalsh([[4.0]])
+        assert values == pytest.approx([4.0])
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         m = random_symmetric(rng, 12)
-        d1 = jacobi_eigen(m)
-        d2 = jacobi_eigen(m)
-        assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
-        assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+        d1 = np.linalg.eigh(m)
+        d2 = np.linalg.eigh(m)
+        assert all(np.array_equal(x, y) for x, y in zip(d1, d2))
+        b1 = _block_eigensystem(24, 1.0, 3.0, 1.0)
+        b2 = _block_eigensystem(24, 1.0, 3.0, 1.0)
+        assert all(np.array_equal(x, y) for x, y in zip(b1, b2))
 
 
 class TestAccuracyProperties:
@@ -58,18 +56,14 @@ class TestAccuracyProperties:
         rng = np.random.default_rng(order)
         for _ in range(4):
             m = random_symmetric(rng, order)
-            dec = jacobi_eigen(m)
+            values, vectors = np.linalg.eigh(m)
             fro = np.linalg.norm(m)
-            assert np.all(np.diff(dec.eigenvalues) >= 0)
-            residual = np.linalg.norm(
-                m @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues, axis=0
-            ).max()
+            assert np.all(np.diff(values) >= 0)
+            residual = np.linalg.norm(m @ vectors - vectors * values, axis=0).max()
             assert residual <= 1e-10 * fro
-            gram = dec.eigenvectors.T @ dec.eigenvectors
+            gram = vectors.T @ vectors
             assert np.max(np.abs(gram - np.eye(order))) <= 1e-12
-            assert dec.eigenvalues.sum() == pytest.approx(
-                np.trace(m), abs=1e-11 * fro
-            )
+            assert values.sum() == pytest.approx(np.trace(m), abs=1e-11 * fro)
 
     def test_permutation_similarity_invariance(self):
         rng = np.random.default_rng(99)
@@ -77,8 +71,8 @@ class TestAccuracyProperties:
         perm = rng.permutation(10)
         p = np.eye(10)[perm]
         m_perm = p @ m @ p.T
-        e1 = jacobi_eigen(m).eigenvalues
-        e2 = jacobi_eigen(m_perm).eigenvalues
+        e1 = np.linalg.eigvalsh(m)
+        e2 = np.linalg.eigvalsh(m_perm)
         assert e1 == pytest.approx(e2, abs=1e-11 * np.linalg.norm(m))
 
     def test_degenerate_eigenvalues(self):
@@ -87,5 +81,5 @@ class TestAccuracyProperties:
         rng = np.random.default_rng(5)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         m = q @ np.diag(v) @ q.T
-        dec = jacobi_eigen(0.5 * (m + m.T))
-        assert dec.eigenvalues == pytest.approx(v, abs=1e-12)
+        values, _ = np.linalg.eigh(0.5 * (m + m.T))
+        assert values == pytest.approx(v, abs=1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from thermohf import EnsemblePoint, central_diff, lambda_derivative_of, potentials
+from thermohf.cli import main as cli_main
 from thermohf.models.lipkin import (
     LipkinModel,
     build_block,
@@ -60,11 +61,9 @@ class TestBlocks:
 
     def test_n2_j1_eigenvalues(self):
         # 3x3 block splits into m=0 and the 2x2 {-1,+1} sector
-        from thermohf.jacobi import jacobi_eigen
-
-        dec = jacobi_eigen(build_block(2, 1.0, 3.0))
+        values = np.linalg.eigvalsh(build_block(2, 1.0, 3.0))
         root = math.sqrt(10.0)
-        assert dec.eigenvalues == pytest.approx([-root, 0.0, root], abs=1e-13)
+        assert values == pytest.approx([-root, 0.0, root], abs=1e-13)
 
     def test_h1_matrix_is_coupling_coefficient(self):
         h_on = build_block(6, 1.0, 3.0, lam=1.0)
@@ -89,6 +88,17 @@ class TestSpectrum:
             s = lipkin_spectrum(LipkinModel(n, 1.0, 3.0))
             assert s.dimension == 2**n
 
+    @pytest.mark.parametrize("n", [63, 64, 70, 200])
+    def test_multiplicities_beyond_int64(self, n, capsys):
+        # from N = 63 the exact multiplicities and their sum outgrow int64
+        assert lipkin_spectrum(LipkinModel(n, 1.0, 3.0)).dimension == 2**n
+        code = cli_main(["sweep", "--model", "lipkin", "--N", str(n), "--t-steps", "5"])
+        out = capsys.readouterr().out
+        assert code == 0
+        rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+        assert len(rows) == 5
+        assert np.all(np.isfinite(rows))
+
     def test_no_interaction_symmetric_about_zero(self):
         s = lipkin_spectrum(LipkinModel(7, 1.0, 0.0))
         expanded = np.repeat(s.energies, s.degeneracies)
@@ -99,10 +109,8 @@ class TestSpectrum:
         down_block = [
             build_block(two_j, -1.0, 2.0) for two_j in range(0, 7, 2)
         ]  # epsilon < 0 rejected by the model type, compare block spectra directly
-        from thermohf.jacobi import jacobi_eigen
-
         down = np.sort(np.concatenate([
-            np.repeat(jacobi_eigen(b).eigenvalues, multiplicity(6, two_j))
+            np.repeat(np.linalg.eigvalsh(b), multiplicity(6, two_j))
             for two_j, b in zip(range(0, 7, 2), down_block)
         ]))
         expanded = np.repeat(up.energies, up.degeneracies)
