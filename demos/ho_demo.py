@@ -9,7 +9,7 @@ Hellmann-Feynman identity dF/dlam = <x^2/2> along the way.
 
 import numpy as np
 
-from thermohf import EnsemblePoint, lambda_derivatives, potentials
+from thermohf import EnsemblePoint, lambda_derivatives
 from thermohf.models.ho import (
     HarmonicOscillator,
     ho_closed_potentials,
@@ -24,28 +24,22 @@ def main():
     t_grid = temperature_grid(0.05, 20.0, 40)
     model = HarmonicOscillator(n_max=truncation_level(float(t_grid[-1])))
 
-    spectra = {}
-
-    def pots(lam, point):
-        if lam not in spectra:
-            spectra[lam] = model.spectrum(lam)
-        return potentials(spectra[lam], point)
+    # The engine takes the whole grid at once.
+    temps = t_grid[::5]
+    point = EnsemblePoint.from_temperature(temps)
+    numeric = model.potentials(1.0, point)
+    closed = ho_closed_potentials(1.0, point)
+    deriv = lambda_derivatives(lambda lam: model.potentials(lam, point))
+    direct = ho_potential_average(point)
+    ds_exact = ho_entropy_lambda_derivative(point)
 
     print(f"{'T':>8} {'F num':>12} {'F exact':>12} {'dF/dlam':>12} "
           f"{'<x^2/2>':>12} {'dS/dlam':>12} {'exact':>12}")
-    worst = 0.0
-    for t in t_grid[::5]:
-        point = EnsemblePoint.from_temperature(float(t))
-        numeric = pots(1.0, point)
-        closed = ho_closed_potentials(1.0, point)
-        deriv = lambda_derivatives(lambda lam: pots(lam, point))
-        direct = ho_potential_average(point)
-        ds_exact = ho_entropy_lambda_derivative(point)
-        worst = max(worst, abs(deriv.free_energy - direct),
-                    abs(deriv.entropy - ds_exact))
-        print(f"{t:8.2f} {numeric.free_energy:12.6f} {closed.free_energy:12.6f} "
-              f"{deriv.free_energy:12.6f} {direct:12.6f} "
-              f"{deriv.entropy:12.6f} {ds_exact:12.6f}")
+    for row in zip(temps, numeric.free_energy, closed.free_energy,
+                   deriv.free_energy, direct, deriv.entropy, ds_exact):
+        print("{:8.2f} {:12.6f} {:12.6f} {:12.6f} {:12.6f} {:12.6f} {:12.6f}".format(*row))
+    worst = max(np.max(np.abs(deriv.free_energy - direct)),
+                np.max(np.abs(deriv.entropy - ds_exact)))
 
     print()
     print(f"worst Hellmann-Feynman residual over the grid: {worst:.3e}")

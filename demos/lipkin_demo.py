@@ -11,14 +11,9 @@ the same grid.
 
 import numpy as np
 
-from thermohf import EnsemblePoint, lambda_derivatives, potentials
-from thermohf.models.lipkin import (
-    LipkinModel,
-    lipkin_h1_average_direct,
-    lipkin_spectrum,
-    multiplicity,
-)
-from thermohf.sweep import lipkin_hf_suite, temperature_grid
+from thermohf import EnsemblePoint, potentials
+from thermohf.models.lipkin import LipkinModel, lipkin_spectrum, multiplicity
+from thermohf.sweep import grid_derivative, sweep, temperature_grid
 
 
 def main():
@@ -33,7 +28,8 @@ def main():
     print(f"  weighted total {total} = 2^10\n")
 
     t_grid = temperature_grid(0.1, 100.0, 120, "geometric")
-    rows, dh1_dt = lipkin_hf_suite(model, t_grid)
+    rows = sweep(model, t_grid)
+    dh1_dt = grid_derivative(t_grid, [r.h1_direct for r in rows])
 
     print(f"{'T':>9} {'dF/dlam':>12} {'<H1>_T':>12} {'HF dev':>10} "
           f"{'dS/dlam':>12} {'-d<H1>/dT':>12}")

@@ -15,7 +15,7 @@ from .ensemble import (
     potentials,
     thermal_average,
 )
-from .numdiff import DiffConfig, central_diff, lambda_derivative_of, lambda_derivatives
+from .numdiff import DiffConfig, central_diff, lambda_derivatives
 
 __all__ = [
     "EnsemblePoint",
@@ -26,6 +26,5 @@ __all__ = [
     "thermal_average",
     "DiffConfig",
     "central_diff",
-    "lambda_derivative_of",
     "lambda_derivatives",
 ]

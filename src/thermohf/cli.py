@@ -12,17 +12,11 @@ import sys
 
 import numpy as np
 
+from .models.ho import HarmonicOscillator, truncation_level
 from .models.ising import IsingChain
 from .models.lipkin import LipkinModel
 from .numdiff import DiffConfig
-from .sweep import (
-    rows_to_csv,
-    rows_to_json,
-    sweep_ho,
-    sweep_ising,
-    sweep_lipkin,
-    temperature_grid,
-)
+from .sweep import rows_to_csv, rows_to_json, sweep, temperature_grid
 from .verify import verify_all, verify_ho, verify_ising, verify_lipkin
 
 __all__ = ["main"]
@@ -154,25 +148,24 @@ def _run_sweep(args) -> int:
             "grid": grid_kind, "lambda_step": config.relative_step,
             "richardson": config.richardson_levels}
     if model == "ho":
-        rows = sweep_ho(t_grid, config)
+        backend = HarmonicOscillator(n_max=truncation_level(float(t_grid.max())))
     elif model == "ising":
-        params = IsingChain(
+        backend = IsingChain(
             coupling_j=_resolve(args.J, file_values, "J", defaults["J"], float),
             field_h=_resolve(args.h, file_values, "h", defaults["h"], float),
             n_spins=_resolve(args.N, file_values, "N", defaults["N"], int),
         )
-        echo.update({"J": params.coupling_j, "h": params.field_h, "N": params.n_spins})
-        rows = sweep_ising(params, t_grid, config)
+        echo.update({"J": backend.coupling_j, "h": backend.field_h, "N": backend.n_spins})
     else:
-        lipkin = LipkinModel(
+        backend = LipkinModel(
             n_particles=_resolve(args.N, file_values, "N", defaults["N"], int),
             epsilon=_resolve(args.epsilon, file_values, "epsilon",
                              defaults["epsilon"], float),
             v_coupling=_resolve(args.V, file_values, "V", defaults["V"], float),
         )
-        echo.update({"N": lipkin.n_particles, "epsilon": lipkin.epsilon,
-                     "V": lipkin.v_coupling})
-        rows = sweep_lipkin(lipkin, t_grid, config)
+        echo.update({"N": backend.n_particles, "epsilon": backend.epsilon,
+                     "V": backend.v_coupling})
+    rows = sweep(backend, t_grid, config)
 
     text = rows_to_csv(rows) if out_format == "csv" else rows_to_json(rows, echo)
     if out_path:
@@ -241,9 +234,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("sweep", "fig"):
-            return _run_sweep(args)
-        return _run_verify(args)
+        # numpy overflow and invalid operations must stop the run, as the
+        # math module's errors do, rather than print warnings and go on
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if args.command in ("sweep", "fig"):
+                return _run_sweep(args)
+            return _run_verify(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,10 @@ Conventions: k_B = 1, beta = 1/T, energies in the model's natural units.
 Numerical stability: every Boltzmann sum is anchored at the ground-state
 energy, so all exponentials are <= 1 and lnZ stays finite for arbitrarily
 large beta.
+
+A point may hold one temperature or a 1-D grid of them. A grid is
+evaluated as one (temperatures x levels) log-sum-exp, formed a block of
+temperatures at a time; a single temperature gives floats, a grid arrays.
 """
 
 from __future__ import annotations
@@ -24,6 +28,10 @@ __all__ = [
     "potentials",
     "thermal_average",
 ]
+
+# Most (temperature, level) weights formed at once; bounds the temporaries
+# of a whole-grid evaluation.
+_BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -89,74 +97,97 @@ class Spectrum:
         """Total weighted number of states, summed exactly as Python ints."""
         return sum(self.degeneracies.tolist())
 
-    def shifted(self, offset: float) -> "Spectrum":
-        """Same spectrum with a constant added to every level."""
-        return Spectrum(self.energies + offset, self.degeneracies)
+
+def _check_positive(name: str, value):
+    v = np.asarray(value, dtype=float)
+    if v.ndim > 1 or not np.all(np.isfinite(v) & (v > 0)):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return v
 
 
 @dataclass(frozen=True)
 class EnsemblePoint:
-    """One point on the temperature axis; beta is the internal variable."""
+    """One temperature or a 1-D grid of them; beta is the internal variable.
 
-    beta: float
+    Every entry must be finite and positive. A grid is stored as a
+    read-only float array.
+    """
+
+    beta: float | np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be finite and positive, got {self.beta}")
+        beta = _check_positive("beta", self.beta)
+        if beta.ndim == 1:
+            beta = beta.copy()
+            beta.flags.writeable = False
+            object.__setattr__(self, "beta", beta)
 
     @classmethod
-    def from_temperature(cls, temperature: float) -> "EnsemblePoint":
-        if not (np.isfinite(temperature) and temperature > 0):
-            raise ValueError(f"temperature must be finite and positive, got {temperature}")
-        return cls(beta=1.0 / temperature)
+    def from_temperature(cls, temperature) -> "EnsemblePoint":
+        t = _check_positive("temperature", temperature)
+        return cls(beta=1.0 / t if t.ndim else 1.0 / float(t))
 
     @property
-    def temperature(self) -> float:
+    def temperature(self):
         return 1.0 / self.beta
 
 
 @dataclass(frozen=True)
 class ThermoPotentials:
-    """Bundle {lnZ, F, E, S} at one (beta, lam) point."""
+    """Bundle {lnZ, F, E, S} at one (beta, lam) point, or arrays over a grid."""
 
-    ln_z: float
-    free_energy: float
-    energy: float
-    entropy: float
-
-
-def _weights(spectrum: Spectrum, beta: float):
-    """Ground-state-anchored Boltzmann weights exp(ln g_n - beta (E_n - E_min))."""
-    e = spectrum.energies
-    e_min = e[0]
-    w = np.exp(spectrum.log_degeneracies - beta * (e - e_min))
-    return w, e_min
+    ln_z: float | np.ndarray
+    free_energy: float | np.ndarray
+    energy: float | np.ndarray
+    entropy: float | np.ndarray
 
 
-def log_partition(spectrum: Spectrum, point: EnsemblePoint) -> float:
-    """ln Z = ln sum_n g_n exp(-beta E_n), evaluated in the log domain."""
-    w, e_min = _weights(spectrum, point.beta)
-    return -point.beta * e_min + float(np.log(w.sum()))
+def _boltzmann_sums(spectrum: Spectrum, point: EnsemblePoint, values):
+    """Per temperature: sum_n w_n and sum_n w_n values_n, as 1-D arrays.
+
+    w_n = exp(ln g_n - beta (E_n - E_min)) is anchored at the ground state.
+    Each temperature's sums depend only on its own beta, so a grid gives
+    the same numbers as its temperatures one at a time.
+    """
+    betas = np.atleast_1d(point.beta)
+    gap = spectrum.energies - spectrum.energies[0]
+    rows = max(1, _BLOCK_ELEMENTS // gap.size)
+    z0 = np.empty(betas.size)
+    total = np.empty(betas.size)
+    for i in range(0, betas.size, rows):
+        w = np.exp(spectrum.log_degeneracies - betas[i:i + rows, None] * gap)
+        z0[i:i + rows] = w.sum(axis=1)
+        total[i:i + rows] = (w * values).sum(axis=1)
+    return z0, total
+
+
+def _like_beta(values: np.ndarray, point: EnsemblePoint):
+    """A float for a single temperature, the array for a grid."""
+    return float(values[0]) if np.ndim(point.beta) == 0 else values
 
 
 def potentials(spectrum: Spectrum, point: EnsemblePoint) -> ThermoPotentials:
-    """Free energy, mean energy and entropy of a spectrum at one temperature.
+    """Free energy, mean energy and entropy of a spectrum at each temperature.
 
     E is the ensemble average sum_n p_n E_n (no differentiation in beta);
     F = -lnZ/beta and S = beta (E - F).
     """
-    beta = point.beta
-    w, e_min = _weights(spectrum, beta)
-    z0 = w.sum()
-    ln_z = -beta * e_min + float(np.log(z0))
-    energy = float(np.dot(w, spectrum.energies) / z0)
+    beta = np.atleast_1d(point.beta)
+    z0, weighted_e = _boltzmann_sums(spectrum, point, spectrum.energies)
+    ln_z = -beta * spectrum.energies[0] + np.log(z0)
+    energy = weighted_e / z0
     free_energy = -ln_z / beta
     entropy = beta * (energy - free_energy)
-    return ThermoPotentials(ln_z=ln_z, free_energy=free_energy, energy=energy, entropy=entropy)
+    return ThermoPotentials(*(_like_beta(x, point) for x in (ln_z, free_energy, energy, entropy)))
 
 
-def thermal_average(per_level_values, spectrum: Spectrum, point: EnsemblePoint) -> float:
-    """Boltzmann average of a per-level observable.
+def log_partition(spectrum: Spectrum, point: EnsemblePoint):
+    """ln Z = ln sum_n g_n exp(-beta E_n), evaluated in the log domain."""
+    return potentials(spectrum, point).ln_z
+
+
+def thermal_average(per_level_values, spectrum: Spectrum, point: EnsemblePoint):
+    """Boltzmann average of a per-level observable at each temperature.
 
     ``per_level_values[n]`` must be the expectation within level n, already
     averaged over the degenerate subspace (trace over the subspace divided
@@ -167,5 +198,5 @@ def thermal_average(per_level_values, spectrum: Spectrum, point: EnsemblePoint) 
         raise ValueError(
             f"per-level values ({v.shape}) must align with spectrum ({spectrum.energies.shape})"
         )
-    w, _ = _weights(spectrum, point.beta)
-    return float(np.dot(w, v) / w.sum())
+    z0, weighted = _boltzmann_sums(spectrum, point, v)
+    return _like_beta(weighted / z0, point)

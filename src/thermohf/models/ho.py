@@ -3,7 +3,8 @@
 The coupling lam multiplies the potential term, which renormalizes the
 frequency by sqrt(lam): E_n(lam) = (n + 1/2) sqrt(lam). Closed forms for
 all potentials exist and serve as the oracle for the generic spectrum +
-finite-difference machinery.
+finite-difference machinery. The closed forms take a single temperature
+or a grid.
 """
 
 from __future__ import annotations
@@ -50,31 +51,31 @@ def ho_closed_potentials(lam: float, point: EnsemblePoint) -> ThermoPotentials:
     w = math.sqrt(lam)
     bw = beta * w
     # lnZ = -bw/2 - ln(1 - e^{-bw})
-    ln_z = -0.5 * bw - math.log1p(-math.exp(-bw))
+    ln_z = -0.5 * bw - np.log1p(-np.exp(-bw))
     free_energy = -ln_z / beta
-    occupation = math.exp(-bw) / (-math.expm1(-bw))  # 1/(e^{bw}-1)
+    occupation = np.exp(-bw) / (-np.expm1(-bw))  # 1/(e^{bw}-1)
     energy = w * (0.5 + occupation)
     entropy = beta * (energy - free_energy)
     return ThermoPotentials(ln_z=ln_z, free_energy=free_energy, energy=energy, entropy=entropy)
 
 
-def ho_potential_average(point: EnsemblePoint) -> float:
+def ho_potential_average(point: EnsemblePoint):
     """Thermal average of the potential term x^2/2 at lam = 1.
 
     Equals dF/dlam at lam = 1: 1/4 + (1/2) e^{-beta}/(1 - e^{-beta}).
     """
     beta = point.beta
-    return 0.25 + 0.5 * math.exp(-beta) / (-math.expm1(-beta))
+    return 0.25 + 0.5 * np.exp(-beta) / (-np.expm1(-beta))
 
 
-def ho_entropy_lambda_derivative(point: EnsemblePoint) -> float:
+def ho_entropy_lambda_derivative(point: EnsemblePoint):
     """dS/dlam at lam = 1: -(beta^2/2) e^{-beta}/(1 - e^{-beta})^2.
 
     Also equals minus the temperature derivative of the potential average.
     """
     beta = point.beta
-    denom = -math.expm1(-beta)
-    return -0.5 * beta * beta * math.exp(-beta) / (denom * denom)
+    denom = -np.expm1(-beta)
+    return -0.5 * beta * beta * np.exp(-beta) / (denom * denom)
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,9 @@ class HarmonicOscillator:
         if self.n_max < 64:
             raise ValueError(f"n_max must be >= 64, got {self.n_max}")
 
-    def spectrum(self, lam: float = 1.0) -> Spectrum:
-        return ho_spectrum(lam, self.n_max)
-
     def potentials(self, lam: float, point: EnsemblePoint) -> ThermoPotentials:
-        return potentials(self.spectrum(lam), point)
+        return potentials(ho_spectrum(lam, self.n_max), point)
+
+    def h1_direct(self, point: EnsemblePoint):
+        """Closed-form thermal average of the potential term at lam = 1."""
+        return ho_potential_average(point)

@@ -7,13 +7,16 @@ brute-force enumeration).
 
 Two independent couplings modulate the Hamiltonian: lambda1 scales the
 bond term, lambda2 the field term. Thermal averages of either term follow
-from the coupling derivative of the free energy.
+from the coupling derivative of the free energy. Every function takes a
+single temperature or a grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from ..ensemble import EnsemblePoint, ThermoPotentials
 from ..numdiff import DiffConfig, central_diff
@@ -23,8 +26,7 @@ __all__ = [
     "ising_log_z",
     "ising_potentials",
     "ising_total_energy",
-    "ising_hj_average",
-    "ising_hh_average",
+    "ising_term_averages",
 ]
 
 
@@ -45,36 +47,51 @@ class IsingChain:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
+    def potentials(self, lam: float, point: EnsemblePoint) -> ThermoPotentials:
+        """Potentials with both couplings scaled by lam, so dF/dlam = E."""
+        scaled = replace(self, lambda1=lam * self.lambda1, lambda2=lam * self.lambda2)
+        return ising_potentials(scaled, point)
 
-def _transfer_terms(params: IsingChain, beta: float):
+    def h1_direct(self, point: EnsemblePoint) -> None:
+        """No derivative-free route to the term averages exists."""
+        return None
+
+
+def _transfer_terms(params: IsingChain, beta):
     """Pieces of the transfer-matrix eigenvalues for the scaled couplings."""
     jj = params.lambda1 * params.coupling_j
     hh = params.lambda2 * params.field_h
     a = beta * hh
-    c = math.cosh(a)
-    s = math.sinh(a)
-    q = math.exp(-4.0 * beta * jj)
-    r = math.sqrt(s * s + q)
-    return jj, hh, a, c, s, q, r
+    c = np.cosh(a)
+    s = np.sinh(a)
+    q = np.exp(-4.0 * beta * jj)
+    r = np.sqrt(s * s + q)
+    return jj, hh, c, s, q, r
 
 
-def _one_plus_ratio_pow(c: float, lam_plus: float, ratio: float, n: int):
+def _one_plus_ratio_pow(c, lam_plus, ratio, n: int):
     """(1 + ratio^n, its log) without cancellation.
 
     For ratio near -1 (negative subdominant eigenvalue, odd n) the naive
     1 + ratio^n loses all precision; factoring the geometric sum,
     1 + r^n = (1 + r) sum_k (-r)^k with 1 + r = 2 cosh(beta h')/lam_+,
-    keeps every factor positive and well conditioned.
+    keeps every factor positive and well conditioned. Each branch sees
+    only the entries it is used for, so neither can overflow or divide
+    by zero on the other's.
     """
-    if ratio >= 0.0 or n % 2 == 0:
-        t = ratio**n
-        return 1.0 + t, math.log1p(t)
-    one_plus_r = 2.0 * c / lam_plus
-    geom = sum((-ratio) ** k for k in range(n))
-    return one_plus_r * geom, math.log(one_plus_r) + math.log(geom)
+    cancel = (ratio < 0.0) & (n % 2 == 1)
+    t = np.power(np.where(cancel, 0.0, ratio), n)
+    value, log_value = 1.0 + t, np.log1p(t)
+    if np.any(cancel):
+        neg = np.where(cancel, -ratio, 0.0)
+        geom = sum(np.power(neg, k) for k in range(n))
+        one_plus_r = 2.0 * c / lam_plus
+        value = np.where(cancel, one_plus_r * geom, value)
+        log_value = np.where(cancel, np.log(one_plus_r) + np.log(geom), log_value)
+    return value, log_value
 
 
-def ising_log_z(params: IsingChain, point: EnsemblePoint) -> float:
+def ising_log_z(params: IsingChain, point: EnsemblePoint):
     """ln Z from the two transfer-matrix eigenvalues, overflow-safe.
 
     Z = e^{N beta J'} (lam_+^N + lam_-^N) with lam_+- = cosh(beta h') +- R
@@ -83,14 +100,14 @@ def ising_log_z(params: IsingChain, point: EnsemblePoint) -> float:
     """
     n = params.n_spins
     beta = point.beta
-    jj, _, _, c, _, _, r = _transfer_terms(params, beta)
+    jj, _, c, _, _, r = _transfer_terms(params, beta)
     lam_plus = c + r
     ratio = (c - r) / lam_plus
     _, log_term = _one_plus_ratio_pow(c, lam_plus, ratio, n)
-    return n * beta * jj + n * math.log(lam_plus) + log_term
+    return n * beta * jj + n * np.log(lam_plus) + log_term
 
 
-def ising_total_energy(params: IsingChain, point: EnsemblePoint) -> float:
+def ising_total_energy(params: IsingChain, point: EnsemblePoint):
     """E = -d lnZ/d beta via the analytic beta-derivative of the transfer form.
 
     Closed form, no numerical differentiation, so the energy curve carries
@@ -98,7 +115,7 @@ def ising_total_energy(params: IsingChain, point: EnsemblePoint) -> float:
     """
     n = params.n_spins
     beta = point.beta
-    jj, hh, _, c, s, q, r = _transfer_terms(params, beta)
+    jj, hh, c, s, q, r = _transfer_terms(params, beta)
     lam_plus = c + r
     lam_minus = c - r
     # d/d beta of cosh, sinh, e^{-4 beta J'} and R
@@ -109,12 +126,12 @@ def ising_total_energy(params: IsingChain, point: EnsemblePoint) -> float:
     dratio = (dlam_minus * lam_plus - lam_minus * dlam_plus) / (lam_plus * lam_plus)
     one_plus, _ = _one_plus_ratio_pow(c, lam_plus, ratio, n)
     dlnz = n * jj + n * dlam_plus / lam_plus
-    dlnz += n * ratio ** (n - 1) * dratio / one_plus
+    dlnz += n * np.power(ratio, n - 1) * dratio / one_plus
     return -dlnz
 
 
 def ising_potentials(params: IsingChain, point: EnsemblePoint) -> ThermoPotentials:
-    """lnZ, F, E, S at one temperature; E from the analytic beta-derivative."""
+    """lnZ, F, E, S at each temperature; E from the analytic beta-derivative."""
     beta = point.beta
     ln_z = ising_log_z(params, point)
     free_energy = -ln_z / beta
@@ -123,30 +140,17 @@ def ising_potentials(params: IsingChain, point: EnsemblePoint) -> ThermoPotentia
     return ThermoPotentials(ln_z=ln_z, free_energy=free_energy, energy=energy, entropy=entropy)
 
 
-def _free_energy(params: IsingChain, point: EnsemblePoint) -> float:
-    return -ising_log_z(params, point) / point.beta
-
-
-def ising_hj_average(params: IsingChain, point: EnsemblePoint,
-                     config: DiffConfig = DiffConfig()) -> float:
-    """Thermal average of the bond term, -J sum s_i s_{i+1}.
-
-    Obtained as dF/dlambda1 at lambda1 = 1.
+def ising_term_averages(params: IsingChain, point: EnsemblePoint,
+                        config: DiffConfig = DiffConfig()):
+    """Thermal averages of the bond term -J sum s_i s_{i+1} and the field
+    term -h sum s_i, as (dF/dlambda1, dF/dlambda2) at lambda1 = lambda2 = 1.
     """
-    if params.lambda1 != 1.0:
-        raise ValueError("bond average is defined at lambda1 = 1")
-    deriv, _ = central_diff(
-        lambda l1: _free_energy(replace(params, lambda1=l1), point), 1.0, config
-    )
-    return deriv
+    if params.lambda1 != 1.0 or params.lambda2 != 1.0:
+        raise ValueError("term averages are defined at lambda1 = lambda2 = 1")
 
+    def free_energy(**coupling):
+        return -ising_log_z(replace(params, **coupling), point) / point.beta
 
-def ising_hh_average(params: IsingChain, point: EnsemblePoint,
-                     config: DiffConfig = DiffConfig()) -> float:
-    """Thermal average of the field term, -h sum s_i, as dF/dlambda2 at 1."""
-    if params.lambda2 != 1.0:
-        raise ValueError("field average is defined at lambda2 = 1")
-    deriv, _ = central_diff(
-        lambda l2: _free_energy(replace(params, lambda2=l2), point), 1.0, config
-    )
-    return deriv
+    h_j, _ = central_diff(lambda l1: free_energy(lambda1=l1), 1.0, config)
+    h_h, _ = central_diff(lambda l2: free_energy(lambda2=l2), 1.0, config)
+    return h_j, h_h

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ensemble import EnsemblePoint, Spectrum, ThermoPotentials, potentials, thermal_average
-from ..numdiff import DiffConfig, central_diff
 
 __all__ = [
     "LipkinModel",
@@ -28,8 +27,6 @@ __all__ = [
     "build_block_h1",
     "lipkin_spectrum",
     "lipkin_levels_with_h1",
-    "lipkin_h1_average_direct",
-    "lipkin_ground_state_h1",
 ]
 
 
@@ -129,11 +126,17 @@ class LipkinModel:
         if self.epsilon <= 0:
             raise ValueError(f"level splitting must be positive, got {self.epsilon}")
 
-    def spectrum(self, lam: float = 1.0) -> Spectrum:
-        return lipkin_spectrum(self, lam)
-
     def potentials(self, lam: float, point: EnsemblePoint) -> ThermoPotentials:
-        return potentials(self.spectrum(lam), point)
+        return potentials(lipkin_spectrum(self, lam), point)
+
+    def h1_direct(self, point: EnsemblePoint):
+        """Thermal average of the interaction term at lam = 1.
+
+        Independent of any coupling derivative: uses v^T H1 v per
+        eigenvector and Boltzmann weights with block multiplicities.
+        """
+        spectrum, h1 = lipkin_levels_with_h1(self, 1.0)
+        return thermal_average(h1, spectrum, point)
 
 
 def lipkin_levels_with_h1(model: LipkinModel, lam: float = 1.0):
@@ -166,21 +169,3 @@ def lipkin_spectrum(model: LipkinModel, lam: float = 1.0) -> Spectrum:
     """Multiplicity-weighted spectrum of H(lam); weighted dimension is 2^N."""
     spectrum, _ = lipkin_levels_with_h1(model, lam)
     return spectrum
-
-
-def lipkin_h1_average_direct(model: LipkinModel, point: EnsemblePoint) -> float:
-    """Thermal average of the interaction term from per-eigenstate expectations.
-
-    Independent of any coupling derivative: uses v^T H1 v per eigenvector
-    and Boltzmann weights with block multiplicities.
-    """
-    spectrum, h1 = lipkin_levels_with_h1(model, lam=1.0)
-    return thermal_average(h1, spectrum, point)
-
-
-def lipkin_ground_state_h1(model: LipkinModel, config: DiffConfig = DiffConfig()) -> float:
-    """Zero-temperature limit: dE0/dlam at lam = 1 by finite differences."""
-    deriv, _ = central_diff(
-        lambda lam: float(lipkin_spectrum(model, lam).energies[0]), 1.0, config
-    )
-    return deriv

@@ -9,9 +9,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ensemble import ThermoPotentials
 
-__all__ = ["DiffConfig", "central_diff", "lambda_derivative_of", "lambda_derivatives"]
+__all__ = ["DiffConfig", "central_diff", "lambda_derivatives"]
 
 
 @dataclass(frozen=True)
@@ -33,21 +35,22 @@ class DiffConfig:
             raise ValueError(f"richardson_levels out of range: {self.richardson_levels}")
 
 
-def central_diff(f, x0: float, config: DiffConfig = DiffConfig()):
+def central_diff(f, x0, config: DiffConfig = DiffConfig()):
     """Derivative of f at x0 by central differences.
 
     Returns (derivative, error_estimate). With richardson_levels > 1 the
     step is halved repeatedly and the results extrapolated; the error
     estimate is the difference between the last two extrapolation levels
-    (nan when only one level is available).
+    (nan when only one level is available). f may return arrays, and x0
+    may be an array, in which case each entry gets its own step.
     """
-    h0 = config.relative_step * max(abs(x0), 1.0)
+    h0 = config.relative_step * np.maximum(np.abs(x0), 1.0)
     levels = config.richardson_levels
 
     def slope(h):
         fp = f(x0 + h)
         fm = f(x0 - h)
-        if not (math.isfinite(fp) and math.isfinite(fm)):
+        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
             raise ValueError(f"function returned non-finite value near x0={x0}")
         return (fp - fm) / (2.0 * h)
 
@@ -67,30 +70,12 @@ def central_diff(f, x0: float, config: DiffConfig = DiffConfig()):
     return diag[-1], abs(diag[-1] - diag[-2])
 
 
-_SELECTORS = {
-    "F": lambda p: p.free_energy,
-    "E": lambda p: p.energy,
-    "S": lambda p: p.entropy,
-}
-
-
-def lambda_derivative_of(selector: str, potentials_of_lambda, x0: float = 1.0,
-                         config: DiffConfig = DiffConfig()) -> float:
-    """Derivative of one potential (F, E or S) with respect to the coupling.
-
-    ``potentials_of_lambda(lam)`` must return a ThermoPotentials bundle.
-    """
-    pick = _SELECTORS[selector]
-    deriv, _ = central_diff(lambda lam: pick(potentials_of_lambda(lam)), x0, config)
-    return deriv
-
-
 def lambda_derivatives(potentials_of_lambda, x0: float = 1.0,
                        config: DiffConfig = DiffConfig()) -> ThermoPotentials:
     """dF/dlam, dE/dlam, dS/dlam (and d lnZ/dlam) from shared evaluations.
 
-    One spectrum evaluation per abscissa serves all four derivatives, so
-    this costs the same as a single lambda_derivative_of call.
+    One evaluation per abscissa serves all four derivatives; with arrays
+    over a temperature grid, all temperatures share it.
     """
     cache = {}
 

@@ -2,34 +2,25 @@
 
 One SweepRow per grid point carries the potentials, the three coupling
 derivatives at lam = 1 and, where the model supports it, the directly
-computed thermal average of the interaction term.
+computed thermal average of the interaction term. A model is any object
+with ``potentials(lam, point)`` and ``h1_direct(point)``; the whole grid
+goes through it at once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsemblePoint, potentials, thermal_average
-from .models.ho import HarmonicOscillator, ho_potential_average, truncation_level
-from .models.ising import (
-    IsingChain,
-    ising_hh_average,
-    ising_hj_average,
-    ising_potentials,
-)
-from .models.lipkin import LipkinModel, lipkin_levels_with_h1
+from .ensemble import EnsemblePoint
 from .numdiff import DiffConfig, lambda_derivatives
 
 __all__ = [
     "SweepRow",
     "temperature_grid",
-    "sweep_ho",
-    "sweep_ising",
-    "sweep_lipkin",
-    "lipkin_hf_suite",
+    "sweep",
     "grid_derivative",
     "rows_to_csv",
     "rows_to_json",
@@ -66,97 +57,24 @@ def temperature_grid(t_min: float, t_max: float, steps: int, kind: str = "linear
     raise ValueError(f"unknown grid kind {kind!r}")
 
 
-def _cached_potentials(spectrum_of_lambda):
-    """Memoize spectra across grid points; the abscissae repeat at every T."""
-    cache = {}
+def sweep(model, t_grid, config: DiffConfig = DiffConfig()) -> list[SweepRow]:
+    """One row per temperature of the grid.
 
-    def at(lam, point):
-        if lam not in cache:
-            cache[lam] = spectrum_of_lambda(lam)
-        return potentials(cache[lam], point)
-
-    return at
-
-
-def sweep_ho(t_grid, config: DiffConfig = DiffConfig(), n_max: int | None = None):
-    """Oscillator sweep using the generic spectrum + finite-difference path."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if n_max is None:
-        n_max = truncation_level(float(t_grid.max()))
-    model = HarmonicOscillator(n_max=n_max)
-    pots_at = _cached_potentials(model.spectrum)
-    rows = []
-    for t in t_grid:
-        point = EnsemblePoint.from_temperature(float(t))
-        pots = pots_at(1.0, point)
-        deriv = lambda_derivatives(lambda lam: pots_at(lam, point), 1.0, config)
-        rows.append(SweepRow(
-            temperature=float(t),
-            energy=pots.energy,
-            free_energy=pots.free_energy,
-            entropy=pots.entropy,
-            df_dlambda=deriv.free_energy,
-            de_dlambda=deriv.energy,
-            ds_dlambda=deriv.entropy,
-            h1_direct=ho_potential_average(point),
-        ))
-    return rows
-
-
-def sweep_ising(params: IsingChain, t_grid, config: DiffConfig = DiffConfig()):
-    """Ising sweep; the coupling derivative columns use a global coupling
-    that scales the whole Hamiltonian, so dF/dlam equals <H_J> + <H_h>.
-
-    No direct (derivative-free) path exists for the term averages, so
-    h1_direct is absent.
+    model.potentials is called once per coupling abscissa, each time on the
+    whole grid. The derivative columns differentiate with respect to the
+    model's lam; h1_direct is the model's derivative-free <H1>_T, or None.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    rows = []
-    for t in t_grid:
-        point = EnsemblePoint.from_temperature(float(t))
-        pots = ising_potentials(params, point)
-        deriv = lambda_derivatives(
-            lambda lam: ising_potentials(
-                replace(params, lambda1=lam * params.lambda1, lambda2=lam * params.lambda2),
-                point,
-            ),
-            1.0,
-            config,
-        )
-        rows.append(SweepRow(
-            temperature=float(t),
-            energy=pots.energy,
-            free_energy=pots.free_energy,
-            entropy=pots.entropy,
-            df_dlambda=deriv.free_energy,
-            de_dlambda=deriv.energy,
-            ds_dlambda=deriv.entropy,
-            h1_direct=None,
-        ))
-    return rows
-
-
-def sweep_lipkin(model: LipkinModel, t_grid, config: DiffConfig = DiffConfig()):
-    """Lipkin sweep with both the derivative and the direct interaction average."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    pots_at = _cached_potentials(model.spectrum)
-    spectrum, h1_values = lipkin_levels_with_h1(model, lam=1.0)
-    rows = []
-    for t in t_grid:
-        point = EnsemblePoint.from_temperature(float(t))
-        pots = pots_at(1.0, point)
-        deriv = lambda_derivatives(lambda lam: pots_at(lam, point), 1.0, config)
-        rows.append(SweepRow(
-            temperature=float(t),
-            energy=pots.energy,
-            free_energy=pots.free_energy,
-            entropy=pots.entropy,
-            df_dlambda=deriv.free_energy,
-            de_dlambda=deriv.energy,
-            ds_dlambda=deriv.entropy,
-            h1_direct=thermal_average(h1_values, spectrum, point),
-        ))
-    return rows
+    point = EnsemblePoint.from_temperature(t_grid)
+    pots = model.potentials(1.0, point)
+    deriv = lambda_derivatives(lambda lam: model.potentials(lam, point), 1.0, config)
+    direct = model.h1_direct(point)
+    columns = np.column_stack([
+        t_grid, pots.energy, pots.free_energy, pots.entropy,
+        deriv.free_energy, deriv.energy, deriv.entropy,
+    ]).tolist()
+    h1 = [None] * len(columns) if direct is None else np.asarray(direct).tolist()
+    return [SweepRow(*values, h1_direct=h) for values, h in zip(columns, h1)]
 
 
 def grid_derivative(t_grid, values) -> np.ndarray:
@@ -179,13 +97,6 @@ def grid_derivative(t_grid, values) -> np.ndarray:
     out[0] = (f[1] - f[0]) / (t[1] - t[0])
     out[-1] = (f[-1] - f[-2]) / (t[-1] - t[-2])
     return out
-
-
-def lipkin_hf_suite(model: LipkinModel, t_grid, config: DiffConfig = DiffConfig()):
-    """Sweep rows plus the on-grid temperature derivative of the direct average."""
-    rows = sweep_lipkin(model, t_grid, config)
-    dh1_dt = grid_derivative(t_grid, [r.h1_direct for r in rows])
-    return rows, dh1_dt
 
 
 def _fmt(x: float | None) -> str:

@@ -19,14 +19,12 @@ from .models.ho import (
     ho_closed_potentials,
     ho_entropy_lambda_derivative,
     ho_potential_average,
-    ho_spectrum,
     truncation_level,
 )
 from .models.ising import (
     IsingChain,
-    ising_hh_average,
-    ising_hj_average,
     ising_log_z,
+    ising_term_averages,
     ising_total_energy,
 )
 from .models.lipkin import (
@@ -35,7 +33,7 @@ from .models.lipkin import (
     lipkin_spectrum,
     multiplicity,
 )
-from .numdiff import DiffConfig, central_diff, lambda_derivative_of, lambda_derivatives
+from .numdiff import DiffConfig, central_diff, lambda_derivatives
 from .oracles import ising_enumerate, lipkin_fock
 from .sweep import temperature_grid
 
@@ -55,34 +53,25 @@ class CheckResult:
         return self.deviation <= self.tolerance
 
 
-def _max_dev(pairs) -> float:
-    return float(max(abs(a - b) for a, b in pairs))
+def _max_abs(values) -> float:
+    return float(np.max(np.abs(values)))
 
 
 def verify_ho(config: DiffConfig = DiffConfig()) -> list[CheckResult]:
     """Oscillator: generic engine vs. closed forms, virial, limits."""
     checks = []
-    t_grid = temperature_grid(0.05, 20.0, 200)
     model = HarmonicOscillator(n_max=truncation_level(50.0))
-    spectra = {}
-
-    def pots(lam, point):
-        if lam not in spectra:
-            spectra[lam] = model.spectrum(lam)
-        return potentials(spectra[lam], point)
-
-    dev_f = dev_e = dev_s = dev_df = dev_ds = dev_virial = 0.0
-    for t in t_grid:
-        point = EnsemblePoint.from_temperature(float(t))
-        numeric = pots(1.0, point)
-        closed = ho_closed_potentials(1.0, point)
-        dev_f = max(dev_f, abs(numeric.free_energy - closed.free_energy))
-        dev_e = max(dev_e, abs(numeric.energy - closed.energy))
-        dev_s = max(dev_s, abs(numeric.entropy - closed.entropy))
-        deriv = lambda_derivatives(lambda lam: pots(lam, point), 1.0, config)
-        dev_df = max(dev_df, abs(deriv.free_energy - ho_potential_average(point)))
-        dev_ds = max(dev_ds, abs(deriv.entropy - ho_entropy_lambda_derivative(point)))
-        dev_virial = max(dev_virial, abs(ho_potential_average(point) - 0.5 * closed.energy))
+    point = EnsemblePoint.from_temperature(temperature_grid(0.05, 20.0, 200))
+    numeric = model.potentials(1.0, point)
+    closed = ho_closed_potentials(1.0, point)
+    deriv = lambda_derivatives(lambda lam: model.potentials(lam, point), 1.0, config)
+    direct = ho_potential_average(point)
+    dev_f = _max_abs(numeric.free_energy - closed.free_energy)
+    dev_e = _max_abs(numeric.energy - closed.energy)
+    dev_s = _max_abs(numeric.entropy - closed.entropy)
+    dev_df = _max_abs(deriv.free_energy - direct)
+    dev_ds = _max_abs(deriv.entropy - ho_entropy_lambda_derivative(point))
+    dev_virial = _max_abs(direct - 0.5 * closed.energy)
 
     checks.append(CheckResult("ho closed-form F agreement", dev_f, 1e-6))
     checks.append(CheckResult("ho closed-form E agreement", dev_e, 1e-6))
@@ -96,7 +85,7 @@ def verify_ho(config: DiffConfig = DiffConfig()) -> list[CheckResult]:
         "ho low-T potential average -> 1/4", abs(ho_potential_average(cold) - 0.25), 1e-12
     ))
     hot = EnsemblePoint.from_temperature(20.0)
-    deriv_f = lambda_derivative_of("F", lambda lam: pots(lam, hot), 1.0, config)
+    deriv_f = lambda_derivatives(lambda lam: model.potentials(lam, hot), 1.0, config).free_energy
     checks.append(CheckResult(
         "ho high-T dF/dlam -> T/2", abs(deriv_f - 10.0) / 10.0, 0.02
     ))
@@ -118,7 +107,6 @@ def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig(),
     rng = np.random.default_rng(seed)
 
     dev_lnz = 0.0
-    dev_terms = 0.0
     for n in range(2, n_spins + 1):
         for _ in range(20):
             params = IsingChain(
@@ -135,19 +123,15 @@ def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig(),
     checks.append(CheckResult("ising lnZ vs enumeration (relative)", dev_lnz, 1e-12))
 
     base = IsingChain(coupling_j=2.0, field_h=1.0, n_spins=10)
-    for t in temperature_grid(0.1, 30.0, 40):
-        point = EnsemblePoint.from_temperature(float(t))
-        hj = ising_hj_average(base, point, config)
-        hh = ising_hh_average(base, point, config)
-        e = ising_total_energy(base, point)
-        dev_terms = max(dev_terms, abs((hj + hh) - e))
+    point = EnsemblePoint.from_temperature(temperature_grid(0.1, 30.0, 40))
+    hj, hh = ising_term_averages(base, point, config)
+    dev_terms = _max_abs(hj + hh - ising_total_energy(base, point))
     checks.append(CheckResult(
         "ising <H_J> + <H_h> = E over sweep", dev_terms, 1e-6 * base.n_spins
     ))
 
     cold = EnsemblePoint.from_temperature(0.1)
-    hj = ising_hj_average(base, cold, config) / base.n_spins
-    hh = ising_hh_average(base, cold, config) / base.n_spins
+    hj, hh = (x / base.n_spins for x in ising_term_averages(base, cold, config))
     e = ising_total_energy(base, cold) / base.n_spins
     checks.append(CheckResult("ising low-T <H_J>/N -> -J", abs(hj + 2.0), 0.01))
     checks.append(CheckResult("ising low-T <H_h>/N -> -h", abs(hh + 1.0), 0.01))
@@ -195,48 +179,31 @@ def verify_lipkin(n_oracle: int = 8, config: DiffConfig = DiffConfig(),
     checks.append(CheckResult(
         f"lipkin block vs Fock spectrum (N={n_oracle})", dev_levels, 1e-8
     ))
-    dev_lnz = 0.0
-    for beta in np.geomspace(0.01, 10.0, 10):
-        point = EnsemblePoint(beta=float(beta))
-        dev_lnz = max(dev_lnz, abs(
-            potentials(block, point).ln_z - potentials(fock, point).ln_z
-        ))
+    betas = EnsemblePoint(beta=np.geomspace(0.01, 10.0, 10))
+    dev_lnz = _max_abs(potentials(block, betas).ln_z - potentials(fock, betas).ln_z)
     checks.append(CheckResult(
         f"lipkin block vs Fock lnZ (N={n_oracle})", dev_lnz, 1e-9
     ))
 
     model = LipkinModel(n_particles=10, epsilon=1.0, v_coupling=3.0)
     spectrum, h1_values = lipkin_levels_with_h1(model, 1.0)
-    spectra = {}
 
-    def h1_direct(temp):
-        return thermal_average(h1_values, spectrum, EnsemblePoint.from_temperature(temp))
-
-    def pots(lam, point):
-        if lam not in spectra:
-            spectra[lam] = model.spectrum(lam)
-        return potentials(spectra[lam], point)
+    def h1_direct(temps):
+        return thermal_average(h1_values, spectrum, EnsemblePoint.from_temperature(temps))
 
     t_grid = temperature_grid(0.1, 100.0, 50, "geometric")
-    dev_hf = 0.0
-    dev_corollary = 0.0
-    de_dlam = []
-    for t in t_grid:
-        point = EnsemblePoint.from_temperature(float(t))
-        deriv = lambda_derivatives(lambda lam: pots(lam, point), 1.0, config)
-        direct = h1_direct(float(t))
-        dev_hf = max(
-            dev_hf, abs(deriv.free_energy - direct) / max(1.0, abs(direct))
-        )
-        dh1_dt, _ = central_diff(h1_direct, float(t), config)
-        dev_corollary = max(dev_corollary, abs(deriv.entropy + dh1_dt))
-        de_dlam.append(deriv.energy)
+    point = EnsemblePoint.from_temperature(t_grid)
+    deriv = lambda_derivatives(lambda lam: model.potentials(lam, point), 1.0, config)
+    direct = h1_direct(t_grid)
+    dev_hf = float(np.max(np.abs(deriv.free_energy - direct) / np.maximum(1.0, np.abs(direct))))
+    dh1_dt, _ = central_diff(h1_direct, t_grid, config)
+    dev_corollary = _max_abs(deriv.entropy + dh1_dt)
     checks.append(CheckResult("lipkin dF/dlam vs direct <H1>", dev_hf, 1e-6))
     checks.append(CheckResult("lipkin dS/dlam = -d<H1>/dT", dev_corollary, 1e-4))
 
-    idx = int(np.argmin(de_dlam))
+    idx = int(np.argmin(deriv.energy))
     t_min_loc = float(t_grid[idx])
-    in_window = 5.0 <= t_min_loc <= 20.0 and 0 < idx < len(de_dlam) - 1
+    in_window = 5.0 <= t_min_loc <= 20.0 and 0 < idx < t_grid.size - 1
     checks.append(CheckResult(
         f"lipkin dE/dlam minimum at T={t_min_loc:.2f} in [5, 20]",
         0.0 if in_window else 1.0,

@@ -25,14 +25,12 @@ from thermohf.models.ho import (
 )
 from thermohf.models.ising import (
     IsingChain,
-    ising_hh_average,
-    ising_hj_average,
     ising_log_z,
+    ising_term_averages,
     ising_total_energy,
 )
 from thermohf.models.lipkin import (
     LipkinModel,
-    lipkin_h1_average_direct,
     lipkin_spectrum,
     multiplicity,
 )
@@ -46,36 +44,25 @@ def report(name, passed, detail=""):
     assert passed, f"{name}: {detail}"
 
 
-def cached_model_potentials(model):
-    spectra = {}
-
-    def pots(lam, point):
-        if lam not in spectra:
-            spectra[lam] = model.spectrum(lam) if hasattr(model, "spectrum") else model(lam)
-        return potentials(spectra[lam], point)
-
-    return pots
+def max_abs(values):
+    return float(np.max(np.abs(values)))
 
 
 def test_criterion_1_ho_closed_form_agreement():
     start = time.perf_counter()
     t_grid = temperature_grid(0.05, 20.0, 200)
     model = HarmonicOscillator(n_max=truncation_level(20.0))
-    pots = cached_model_potentials(model)
-    dev = 0.0
-    for t in t_grid:
-        point = EnsemblePoint.from_temperature(float(t))
-        numeric = pots(1.0, point)
-        closed = ho_closed_potentials(1.0, point)
-        deriv = lambda_derivatives(lambda lam: pots(lam, point))
-        dev = max(
-            dev,
-            abs(numeric.free_energy - closed.free_energy),
-            abs(numeric.energy - closed.energy),
-            abs(numeric.entropy - closed.entropy),
-            abs(deriv.free_energy - ho_potential_average(point)),
-            abs(deriv.entropy - ho_entropy_lambda_derivative(point)),
-        )
+    point = EnsemblePoint.from_temperature(t_grid)
+    numeric = model.potentials(1.0, point)
+    closed = ho_closed_potentials(1.0, point)
+    deriv = lambda_derivatives(lambda lam: model.potentials(lam, point))
+    dev = max(
+        max_abs(numeric.free_energy - closed.free_energy),
+        max_abs(numeric.energy - closed.energy),
+        max_abs(numeric.entropy - closed.entropy),
+        max_abs(deriv.free_energy - ho_potential_average(point)),
+        max_abs(deriv.entropy - ho_entropy_lambda_derivative(point)),
+    )
     elapsed = time.perf_counter() - start
     report(
         "criterion 1: HO generic engine vs closed forms <= 1e-6, < 1 s",
@@ -89,23 +76,16 @@ def test_criterion_2_ho_paper_limits():
     ok_cold = abs(cold - 0.25) < 1e-12
 
     model = HarmonicOscillator(n_max=truncation_level(50.0))
-    pots = cached_model_potentials(model)
     hot = EnsemblePoint.from_temperature(20.0)
-    d_f = lambda_derivatives(lambda lam: pots(lam, hot)).free_energy
+    d_f = lambda_derivatives(lambda lam: model.potentials(lam, hot)).free_energy
     ok_df = abs(d_f - 10.0) / 10.0 <= 0.02
 
     d_s = ho_entropy_lambda_derivative(EnsemblePoint.from_temperature(50.0))
     ok_ds = abs(d_s + 0.5) / 0.5 <= 0.02
 
-    dev_virial = max(
-        abs(
-            ho_potential_average(p)
-            - 0.5 * ho_closed_potentials(1.0, p).energy
-        )
-        for p in (
-            EnsemblePoint.from_temperature(float(t))
-            for t in temperature_grid(0.05, 20.0, 200)
-        )
+    grid = EnsemblePoint.from_temperature(temperature_grid(0.05, 20.0, 200))
+    dev_virial = max_abs(
+        ho_potential_average(grid) - 0.5 * ho_closed_potentials(1.0, grid).energy
     )
     ok_virial = dev_virial <= 1e-10
     report(
@@ -142,16 +122,13 @@ def test_criterion_3_ising_oracle_equivalence():
 
 def test_criterion_4_ising_hf_decomposition():
     params = IsingChain(2.0, 1.0, 10)
-    dev = 0.0
-    for t in temperature_grid(0.1, 30.0, 60):
-        point = EnsemblePoint.from_temperature(float(t))
-        parts = ising_hj_average(params, point) + ising_hh_average(params, point)
-        dev = max(dev, abs(parts - ising_total_energy(params, point)))
+    point = EnsemblePoint.from_temperature(temperature_grid(0.1, 30.0, 60))
+    h_j, h_h = ising_term_averages(params, point)
+    dev = max_abs(h_j + h_h - ising_total_energy(params, point))
     ok_sum = dev <= 1e-6 * params.n_spins
 
     cold = EnsemblePoint.from_temperature(0.1)
-    hj = ising_hj_average(params, cold) / 10
-    hh = ising_hh_average(params, cold) / 10
+    hj, hh = (x / 10 for x in ising_term_averages(params, cold))
     e_cold = ising_total_energy(params, cold) / 10
     ok_cold = abs(hj + 2.0) <= 0.01 and abs(hh + 1.0) <= 0.01 and abs(e_cold + 3.0) <= 0.01
 
@@ -190,13 +167,10 @@ def test_criterion_5_lipkin_fock_cross_validation():
 
 def test_criterion_6_lipkin_hf_theorem():
     model = LipkinModel(10, 1.0, 3.0)
-    pots = cached_model_potentials(model)
-    dev = 0.0
-    for t in temperature_grid(0.1, 100.0, 50, "geometric"):
-        point = EnsemblePoint.from_temperature(float(t))
-        d_f = lambda_derivatives(lambda lam: pots(lam, point)).free_energy
-        direct = lipkin_h1_average_direct(model, point)
-        dev = max(dev, abs(d_f - direct) / max(1.0, abs(direct)))
+    point = EnsemblePoint.from_temperature(temperature_grid(0.1, 100.0, 50, "geometric"))
+    d_f = lambda_derivatives(lambda lam: model.potentials(lam, point)).free_energy
+    direct = model.h1_direct(point)
+    dev = float(np.max(np.abs(d_f - direct) / np.maximum(1.0, np.abs(direct))))
     report(
         "criterion 6: Lipkin dF/dlam vs direct <H1> <= 1e-6",
         dev <= 1e-6,
@@ -206,19 +180,13 @@ def test_criterion_6_lipkin_hf_theorem():
 
 def test_criterion_7_lipkin_entropy_corollary():
     model = LipkinModel(10, 1.0, 3.0)
-    pots = cached_model_potentials(model)
-    t_grid = temperature_grid(0.1, 100.0, 50, "geometric")
-    dev = 0.0
-    for t in t_grid[1:-1]:
-        point = EnsemblePoint.from_temperature(float(t))
-        d_s = lambda_derivatives(lambda lam: pots(lam, point)).entropy
-        dh1_dt, _ = central_diff(
-            lambda temp: lipkin_h1_average_direct(
-                model, EnsemblePoint.from_temperature(temp)
-            ),
-            float(t),
-        )
-        dev = max(dev, abs(d_s + dh1_dt))
+    t_grid = temperature_grid(0.1, 100.0, 50, "geometric")[1:-1]
+    point = EnsemblePoint.from_temperature(t_grid)
+    d_s = lambda_derivatives(lambda lam: model.potentials(lam, point)).entropy
+    dh1_dt, _ = central_diff(
+        lambda temps: model.h1_direct(EnsemblePoint.from_temperature(temps)), t_grid
+    )
+    dev = max_abs(d_s + dh1_dt)
     report(
         "criterion 7: Lipkin dS/dlam = -d<H1>/dT <= 1e-4",
         dev <= 1e-4,
@@ -233,14 +201,9 @@ def test_criterion_8_lipkin_limits():
     ).entropy
     ok_entropy = abs(s_hot - 10 * math.log(2)) <= 1e-3
 
-    pots = cached_model_potentials(model)
     t_grid = temperature_grid(0.5, 100.0, 60, "geometric")
-    de = [
-        lambda_derivatives(
-            lambda lam: pots(lam, EnsemblePoint.from_temperature(float(t)))
-        ).energy
-        for t in t_grid
-    ]
+    point = EnsemblePoint.from_temperature(t_grid)
+    de = lambda_derivatives(lambda lam: model.potentials(lam, point)).energy
     idx = int(np.argmin(de))
     t_min_loc = float(t_grid[idx])
     ok_min = 0 < idx < len(de) - 1 and 5.0 <= t_min_loc <= 20.0

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from thermohf.cli import main
 from thermohf.sweep import CSV_HEADER
@@ -73,6 +74,19 @@ class TestSweepCommand:
         code, _, err = run(["sweep", "--model", "lipkin", "--t-steps", "3"], capsys)
         assert code == 3
         assert "numerical error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--J", "-2", "--t-min", "0.005"],  # exp(-4 beta J') overflows
+        ["--t-min", "0.001"],  # cosh(beta h') overflows
+    ], ids=["antiferro-exp", "field-cosh"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ising_overflow_is_numerical_error(self, argv, capsys):
+        code, out, err = run(["sweep", "--model", "ising", *argv], capsys)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical error:")
+        assert "RuntimeWarning" not in err
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -51,6 +51,25 @@ class TestEnsemblePoint:
         with pytest.raises(ValueError):
             EnsemblePoint(beta=beta)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_entry_in_grid(self, bad):
+        grid = np.array([0.5, 1.0, bad, 2.0])
+        with pytest.raises(ValueError):
+            EnsemblePoint(beta=grid)
+        with pytest.raises(ValueError):
+            EnsemblePoint.from_temperature(grid)
+
+    def test_grid_is_read_only_copy(self):
+        grid = np.array([0.5, 1.0, 2.0])
+        p = EnsemblePoint.from_temperature(grid)
+        assert np.array_equal(p.beta, 1.0 / grid)
+        with pytest.raises(ValueError):
+            p.beta[0] = 3.0
+
+    def test_rejects_two_dimensional_grid(self):
+        with pytest.raises(ValueError):
+            EnsemblePoint(beta=np.ones((2, 2)))
+
 
 class TestLogPartition:
     def test_single_level_at_zero(self):
@@ -84,7 +103,7 @@ class TestLogPartition:
         for beta in (0.1, 1.0, 10.0):
             p = EnsemblePoint(beta=beta)
             base = log_partition(s, p)
-            shifted = log_partition(s.shifted(3.7), p)
+            shifted = log_partition(Spectrum(e + 3.7), p)
             assert shifted == pytest.approx(base - beta * 3.7, abs=1e-13 * max(1, abs(base)))
 
 
@@ -157,3 +176,38 @@ class TestThermalAverage:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             thermal_average([1.0], Spectrum([0.0, 1.0]), EnsemblePoint(beta=1.0))
+
+
+def _assert_close(got, want):
+    assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+class TestGrid:
+    """A temperature grid gives the same numbers as one temperature at a time."""
+
+    def test_scalar_in_scalar_out(self):
+        s = Spectrum([0.0, 1.0, 2.0], [1, 3, 2])
+        p = EnsemblePoint(beta=0.7)
+        assert isinstance(log_partition(s, p), float)
+        assert isinstance(thermal_average([1.0, 2.0, 3.0], s, p), float)
+        assert all(isinstance(x, float) for x in vars(potentials(s, p)).values())
+
+    @pytest.mark.parametrize("n_levels,n_temps", [(30, 60), (1601, 2000)],
+                             ids=["one-block", "several-blocks"])
+    def test_potentials_and_average_match_pointwise(self, n_levels, n_temps):
+        rng = np.random.default_rng(n_levels)
+        s = Spectrum(np.sort(rng.uniform(-3, 40, n_levels)), rng.integers(1, 6, n_levels))
+        obs = rng.standard_normal(n_levels)
+        temps = np.geomspace(0.01, 50.0, n_temps)
+        grid = EnsemblePoint.from_temperature(temps)
+        pots = potentials(s, grid)
+        ln_z = log_partition(s, grid)
+        avg = thermal_average(obs, s, grid)
+        assert avg.shape == ln_z.shape == pots.energy.shape == (n_temps,)
+        for k in range(0, n_temps, 7):
+            point = EnsemblePoint.from_temperature(float(temps[k]))
+            single = potentials(s, point)
+            for field, value in vars(single).items():
+                _assert_close(getattr(pots, field)[k], value)
+            _assert_close(ln_z[k], log_partition(s, point))
+            _assert_close(avg[k], thermal_average(obs, s, point))

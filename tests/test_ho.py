@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thermohf import EnsemblePoint, central_diff, lambda_derivative_of, potentials
+from thermohf import EnsemblePoint, central_diff, lambda_derivatives
 from thermohf.models.ho import (
     HarmonicOscillator,
     ho_closed_potentials,
@@ -63,7 +63,7 @@ class TestClosedForms:
         for t in np.linspace(0.05, 20.0, 50):
             point = EnsemblePoint.from_temperature(float(t))
             for lam in (0.9, 1.0, 1.1):
-                numeric = potentials(model.spectrum(lam), point)
+                numeric = model.potentials(lam, point)
                 closed = ho_closed_potentials(lam, point)
                 assert numeric.free_energy == pytest.approx(closed.free_energy, abs=1e-12)
                 assert numeric.energy == pytest.approx(closed.energy, abs=1e-12)
@@ -116,17 +116,9 @@ class TestEntropyDerivative:
 class TestHellmannFeynman:
     def test_free_energy_derivative_equals_potential_average(self):
         model = HarmonicOscillator(n_max=truncation_level(50.0))
-        spectra = {}
-
-        def pots(lam, point):
-            if lam not in spectra:
-                spectra[lam] = model.spectrum(lam)
-            return potentials(spectra[lam], point)
-
-        for t in np.geomspace(0.02, 50.0, 25):
-            point = EnsemblePoint.from_temperature(float(t))
-            deriv = lambda_derivative_of("F", lambda lam: pots(lam, point))
-            assert deriv == pytest.approx(ho_potential_average(point), abs=1e-7)
+        point = EnsemblePoint.from_temperature(np.geomspace(0.02, 50.0, 25))
+        deriv = lambda_derivatives(lambda lam: model.potentials(lam, point)).free_energy
+        assert deriv == pytest.approx(model.h1_direct(point), abs=1e-7)
 
     def test_zero_temperature_ground_state(self):
         # dE0/dlam at lam=1 is 1/4, the ground-state average of x^2/2

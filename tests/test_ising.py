@@ -6,10 +6,9 @@ import pytest
 from thermohf import EnsemblePoint
 from thermohf.models.ising import (
     IsingChain,
-    ising_hh_average,
-    ising_hj_average,
     ising_log_z,
     ising_potentials,
+    ising_term_averages,
     ising_total_energy,
 )
 from thermohf.oracles import ising_enumerate
@@ -73,36 +72,40 @@ class TestTermAverages:
     def test_zero_bond_coupling(self):
         params = IsingChain(0.0, 1.0, 6)
         for t in (0.2, 1.0, 10.0):
-            got = ising_hj_average(params, EnsemblePoint.from_temperature(t))
+            got, _ = ising_term_averages(params, EnsemblePoint.from_temperature(t))
             assert got == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_field(self):
         params = IsingChain(1.5, 0.0, 6)
         for t in (0.2, 1.0, 10.0):
-            got = ising_hh_average(params, EnsemblePoint.from_temperature(t))
+            _, got = ising_term_averages(params, EnsemblePoint.from_temperature(t))
             assert got == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_enumeration(self):
         params = IsingChain(1.0, 0.5, 4)
         point = EnsemblePoint(beta=1.0)
         exact = ising_enumerate(params, point)
-        assert ising_hj_average(params, point) == pytest.approx(exact.h_j_average, abs=1e-7)
-        assert ising_hh_average(params, point) == pytest.approx(exact.h_h_average, abs=1e-7)
+        h_j, h_h = ising_term_averages(params, point)
+        assert h_j == pytest.approx(exact.h_j_average, abs=1e-7)
+        assert h_h == pytest.approx(exact.h_h_average, abs=1e-7)
 
     def test_low_temperature_per_spin_limits(self):
         params = IsingChain(2.0, 1.0, 10)
-        point = EnsemblePoint.from_temperature(0.05)
-        assert ising_hj_average(params, point) / 10 == pytest.approx(-2.0, abs=1e-3)
-        assert ising_hh_average(params, point) / 10 == pytest.approx(-1.0, abs=1e-3)
+        h_j, h_h = ising_term_averages(params, EnsemblePoint.from_temperature(0.05))
+        assert h_j / 10 == pytest.approx(-2.0, abs=1e-3)
+        assert h_h / 10 == pytest.approx(-1.0, abs=1e-3)
 
     def test_field_average_vanishes_at_high_temperature(self):
         params = IsingChain(2.0, 1.0, 10)
-        got = ising_hh_average(params, EnsemblePoint.from_temperature(500.0)) / 10
+        _, h_h = ising_term_averages(params, EnsemblePoint.from_temperature(500.0))
+        got = h_h / 10
         assert abs(got) < 1e-2
 
     def test_requires_unit_coupling(self):
         with pytest.raises(ValueError):
-            ising_hj_average(IsingChain(1.0, 1.0, 4, lambda1=1.2), EnsemblePoint(beta=1.0))
+            ising_term_averages(IsingChain(1.0, 1.0, 4, lambda1=1.2), EnsemblePoint(beta=1.0))
+        with pytest.raises(ValueError):
+            ising_term_averages(IsingChain(1.0, 1.0, 4, lambda2=0.8), EnsemblePoint(beta=1.0))
 
 
 class TestTotalEnergy:
@@ -134,11 +137,10 @@ class TestTotalEnergy:
 
     def test_equals_sum_of_term_averages(self):
         params = IsingChain(2.0, 1.0, 10)
-        for t in np.geomspace(0.1, 30.0, 12):
-            point = EnsemblePoint.from_temperature(float(t))
-            total = ising_total_energy(params, point)
-            parts = ising_hj_average(params, point) + ising_hh_average(params, point)
-            assert total == pytest.approx(parts, abs=1e-6)
+        point = EnsemblePoint.from_temperature(np.geomspace(0.1, 30.0, 12))
+        total = ising_total_energy(params, point)
+        h_j, h_h = ising_term_averages(params, point)
+        assert total == pytest.approx(h_j + h_h, abs=1e-6)
 
     def test_free_energy_entropy_identity(self):
         params = IsingChain(2.0, 1.0, 10)
@@ -149,3 +151,21 @@ class TestTotalEnergy:
                 pots.energy - t * pots.entropy, rel=1e-12, abs=1e-10
             )
             assert pots.entropy >= -1e-12
+
+
+class TestGrid:
+    """A temperature grid gives the same numbers as one temperature at a time."""
+
+    @pytest.mark.parametrize("params", [
+        IsingChain(2.0, 1.0, 10),
+        IsingChain(-1.5, 0.4, 7),  # odd antiferromagnet: the cancellation branch
+        IsingChain(-0.8, -1.2, 12, lambda1=1.3, lambda2=0.6),
+    ], ids=["ferro", "odd-antiferro", "scaled"])
+    def test_potentials_match_pointwise(self, params):
+        temps = np.geomspace(0.02, 40.0, 300)
+        grid = ising_potentials(params, EnsemblePoint.from_temperature(temps))
+        for k in range(0, temps.size, 11):
+            single = ising_potentials(params, EnsemblePoint.from_temperature(float(temps[k])))
+            for field, value in vars(single).items():
+                got = getattr(grid, field)[k]
+                assert abs(got - value) <= 1e-14 * max(1.0, abs(value))

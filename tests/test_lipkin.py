@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from thermohf import EnsemblePoint, central_diff, lambda_derivative_of, potentials
+from thermohf import EnsemblePoint, central_diff, lambda_derivatives, potentials
 from thermohf.cli import main as cli_main
 from thermohf.models.lipkin import (
     LipkinModel,
     build_block,
     build_block_h1,
-    lipkin_ground_state_h1,
-    lipkin_h1_average_direct,
     lipkin_levels_with_h1,
     lipkin_spectrum,
     multiplicity,
@@ -121,37 +119,33 @@ class TestDirectAverage:
     def test_vanishes_without_interaction(self):
         model = LipkinModel(6, 1.0, 0.0)
         for t in (0.2, 1.0, 50.0):
-            got = lipkin_h1_average_direct(model, EnsemblePoint.from_temperature(t))
+            got = model.h1_direct(EnsemblePoint.from_temperature(t))
             assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_low_temperature_matches_ground_state_derivative(self):
         model = LipkinModel(10, 1.0, 3.0)
         # low-lying parity doublets converge slowly, so go well below the gap
-        cold = lipkin_h1_average_direct(model, EnsemblePoint.from_temperature(0.005))
-        assert cold == pytest.approx(lipkin_ground_state_h1(model), abs=1e-4)
+        cold = model.h1_direct(EnsemblePoint.from_temperature(0.005))
+        ground, _ = central_diff(
+            lambda lam: float(lipkin_spectrum(model, lam).energies[0]), 1.0
+        )  # dE0/dlam at lam = 1
+        assert cold == pytest.approx(ground, abs=1e-4)
 
     def test_matches_free_energy_derivative(self):
         model = LipkinModel(10, 1.0, 3.0)
         for t in (0.5, 2.0, 10.0, 50.0):
             point = EnsemblePoint.from_temperature(t)
-            direct = lipkin_h1_average_direct(model, point)
-            deriv = lambda_derivative_of(
-                "F", lambda lam: potentials(lipkin_spectrum(model, lam), point)
-            )
+            direct = model.h1_direct(point)
+            deriv = lambda_derivatives(lambda lam: model.potentials(lam, point)).free_energy
             assert deriv == pytest.approx(direct, abs=1e-6 * max(1.0, abs(direct)))
 
     def test_entropy_corollary(self):
         model = LipkinModel(8, 1.0, 3.0)
         for t in (1.0, 5.0, 20.0):
             point = EnsemblePoint.from_temperature(t)
-            d_s = lambda_derivative_of(
-                "S", lambda lam: potentials(lipkin_spectrum(model, lam), point)
-            )
+            d_s = lambda_derivatives(lambda lam: model.potentials(lam, point)).entropy
             dh1_dt, _ = central_diff(
-                lambda temp: lipkin_h1_average_direct(
-                    model, EnsemblePoint.from_temperature(temp)
-                ),
-                t,
+                lambda temp: model.h1_direct(EnsemblePoint.from_temperature(temp)), t
             )
             assert d_s == pytest.approx(-dh1_dt, abs=1e-5)
 

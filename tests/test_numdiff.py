@@ -1,9 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
-from thermohf import DiffConfig, EnsemblePoint, central_diff, lambda_derivative_of, potentials
-from thermohf.models.ho import HarmonicOscillator, ho_entropy_lambda_derivative, ho_potential_average
+from thermohf import DiffConfig, EnsemblePoint, central_diff, lambda_derivatives, potentials
+from thermohf.models.ho import (
+    HarmonicOscillator,
+    ho_entropy_lambda_derivative,
+    ho_potential_average,
+    ho_spectrum,
+)
 
 
 class TestDiffConfig:
@@ -38,7 +44,7 @@ class TestCentralDiff:
         model = HarmonicOscillator(n_max=1024)
         point = EnsemblePoint(beta=1.0)
         deriv, _ = central_diff(
-            lambda lam: potentials(model.spectrum(lam), point).free_energy, 1.0
+            lambda lam: model.potentials(lam, point).free_energy, 1.0
         )
         assert deriv == pytest.approx(ho_potential_average(point), abs=1e-8)
 
@@ -62,21 +68,30 @@ class TestCentralDiff:
         with pytest.raises(ValueError):
             central_diff(lambda x: math.inf, 1.0)
 
+    def test_array_argument_matches_elementwise(self):
+        x0 = np.array([-3.0, 0.2, 0.7, 5.0])
+        deriv, err = central_diff(np.sin, x0)
+        for k, x in enumerate(x0):
+            d1, e1 = central_diff(np.sin, float(x))
+            assert deriv[k] == d1 and err[k] == e1
+        assert deriv == pytest.approx(np.cos(x0), abs=1e-9)
+
+    def test_non_finite_entry_propagates(self):
+        with pytest.raises(ValueError):
+            central_diff(lambda x: np.where(x > 0, x, np.inf), np.array([1.0, -2.0]))
+
 
 class TestLambdaDerivative:
     def test_flat_model_gives_zero(self):
-        model = HarmonicOscillator(n_max=128)
         point = EnsemblePoint(beta=1.0)
-        spectrum = model.spectrum(1.0)  # frozen: ignores lam
-        deriv = lambda_derivative_of("F", lambda lam: potentials(spectrum, point))
+        spectrum = ho_spectrum(1.0, 128)  # frozen: ignores lam
+        deriv = lambda_derivatives(lambda lam: potentials(spectrum, point)).free_energy
         assert deriv == pytest.approx(0.0, abs=1e-10)
 
     def test_entropy_derivative_matches_closed_form(self):
         model = HarmonicOscillator(n_max=1024)
         point = EnsemblePoint(beta=1.0)
-        deriv = lambda_derivative_of(
-            "S", lambda lam: potentials(model.spectrum(lam), point)
-        )
+        deriv = lambda_derivatives(lambda lam: model.potentials(lam, point)).entropy
         assert deriv == pytest.approx(ho_entropy_lambda_derivative(point), abs=1e-6)
         # closed form at beta=1: -(1/2) e^-1/(1-e^-1)^2
         assert deriv == pytest.approx(-0.4603367971038962, abs=1e-6)
@@ -86,8 +101,7 @@ class TestLambdaDerivative:
         model = HarmonicOscillator(n_max=2048)
         for temperature in (0.5, 2.0, 10.0):
             point = EnsemblePoint.from_temperature(temperature)
-            pots = lambda lam: potentials(model.spectrum(lam), point)
-            d_f = lambda_derivative_of("F", pots)
-            d_e = lambda_derivative_of("E", pots)
-            d_s = lambda_derivative_of("S", pots)
-            assert d_f == pytest.approx(d_e - temperature * d_s, abs=1e-7)
+            deriv = lambda_derivatives(lambda lam: model.potentials(lam, point))
+            assert deriv.free_energy == pytest.approx(
+                deriv.energy - temperature * deriv.entropy, abs=1e-7
+            )

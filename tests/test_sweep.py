@@ -3,19 +3,22 @@ import json
 import numpy as np
 import pytest
 
+from thermohf.models.ho import HarmonicOscillator, truncation_level
 from thermohf.models.ising import IsingChain
 from thermohf.models.lipkin import LipkinModel
 from thermohf.sweep import (
     CSV_HEADER,
     grid_derivative,
-    lipkin_hf_suite,
     rows_to_csv,
     rows_to_json,
-    sweep_ho,
-    sweep_ising,
-    sweep_lipkin,
+    sweep,
     temperature_grid,
 )
+
+
+def sweep_ho(t_grid):
+    """Oscillator sweep truncated for the grid's largest temperature."""
+    return sweep(HarmonicOscillator(n_max=truncation_level(float(t_grid.max()))), t_grid)
 
 
 class TestTemperatureGrid:
@@ -54,7 +57,7 @@ class TestSweeps:
             assert row.h1_direct == pytest.approx(row.df_dlambda, abs=1e-7)
 
     def test_ising_rows_have_no_direct_path(self):
-        rows = sweep_ising(IsingChain(2.0, 1.0, 6), temperature_grid(0.5, 5.0, 5))
+        rows = sweep(IsingChain(2.0, 1.0, 6), temperature_grid(0.5, 5.0, 5))
         assert all(row.h1_direct is None for row in rows)
         # global coupling derivative of F equals the total energy average
         for row in rows:
@@ -63,7 +66,8 @@ class TestSweeps:
     def test_lipkin_hf_suite(self):
         model = LipkinModel(6, 1.0, 3.0)
         t_grid = temperature_grid(0.5, 50.0, 80, "geometric")
-        rows, dh1_dt = lipkin_hf_suite(model, t_grid)
+        rows = sweep(model, t_grid)
+        dh1_dt = grid_derivative(t_grid, [r.h1_direct for r in rows])
         assert len(rows) == 80 and dh1_dt.shape == (80,)
         for row in rows:
             assert row.free_energy == pytest.approx(
@@ -78,10 +82,27 @@ class TestSweeps:
         for k in range(10, 70):
             assert dh1_dt[k] == pytest.approx(-rows[k].ds_dlambda, rel=0.05, abs=1e-3)
 
+    @pytest.mark.parametrize("model,t_grid", [
+        (HarmonicOscillator(n_max=1600), temperature_grid(0.02, 40.0, 2000)),
+        (IsingChain(-1.3, 0.7, 9), temperature_grid(0.05, 30.0, 300, "geometric")),
+        (IsingChain(2.0, 1.0, 10), temperature_grid(0.1, 30.0, 200)),
+        (LipkinModel(12, 1.0, 3.0), temperature_grid(0.1, 100.0, 200, "geometric")),
+    ], ids=["ho-several-blocks", "ising-odd-antiferro", "ising", "lipkin"])
+    def test_grid_equals_pointwise(self, model, t_grid):
+        rows = sweep(model, t_grid)
+        assert len(rows) == t_grid.size
+        for k in range(0, t_grid.size, 37):
+            (single,) = sweep(model, t_grid[k:k + 1])
+            for got, want in zip(vars(rows[k]).values(), vars(single).values()):
+                if want is None:
+                    assert got is None
+                else:
+                    assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
 
 class TestSerialization:
     def test_csv_header_and_missing_field(self):
-        rows = sweep_ising(IsingChain(2.0, 1.0, 4), temperature_grid(1.0, 2.0, 2))
+        rows = sweep(IsingChain(2.0, 1.0, 4), temperature_grid(1.0, 2.0, 2))
         text = rows_to_csv(rows)
         lines = text.splitlines()
         assert lines[0] == CSV_HEADER
@@ -96,8 +117,8 @@ class TestSerialization:
 
     def test_csv_deterministic(self):
         grid = temperature_grid(0.5, 5.0, 4)
-        a = rows_to_csv(sweep_lipkin(LipkinModel(4, 1.0, 3.0), grid))
-        b = rows_to_csv(sweep_lipkin(LipkinModel(4, 1.0, 3.0), grid))
+        a = rows_to_csv(sweep(LipkinModel(4, 1.0, 3.0), grid))
+        b = rows_to_csv(sweep(LipkinModel(4, 1.0, 3.0), grid))
         assert a == b
 
     def test_json_mirrors_csv(self):
