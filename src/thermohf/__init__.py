@@ -11,9 +11,7 @@ from .ensemble import (
     EnsemblePoint,
     Spectrum,
     ThermoPotentials,
-    log_partition,
     potentials,
-    thermal_average,
 )
 from .numdiff import DiffConfig, central_diff, lambda_derivatives
 
@@ -21,9 +19,7 @@ __all__ = [
     "EnsemblePoint",
     "Spectrum",
     "ThermoPotentials",
-    "log_partition",
     "potentials",
-    "thermal_average",
     "DiffConfig",
     "central_diff",
     "lambda_derivatives",

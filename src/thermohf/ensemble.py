@@ -24,9 +24,7 @@ __all__ = [
     "Spectrum",
     "EnsemblePoint",
     "ThermoPotentials",
-    "log_partition",
     "potentials",
-    "thermal_average",
 ]
 
 # Most (temperature, level) weights formed at once; bounds the temporaries
@@ -134,17 +132,23 @@ class EnsemblePoint:
 
 @dataclass(frozen=True)
 class ThermoPotentials:
-    """Bundle {lnZ, F, E, S} at one (beta, lam) point, or arrays over a grid."""
+    """Bundle {lnZ, F, E, S} at one (beta, lam) point, or arrays over a grid.
+
+    h1 is the derivative-free thermal average <H1>_T where the model has
+    one, else None.
+    """
 
     ln_z: float | np.ndarray
     free_energy: float | np.ndarray
     energy: float | np.ndarray
     entropy: float | np.ndarray
+    h1: float | np.ndarray | None = None
 
 
 def _boltzmann_sums(spectrum: Spectrum, point: EnsemblePoint, values):
-    """Per temperature: sum_n w_n and sum_n w_n values_n, as 1-D arrays.
+    """Per temperature: sum_n w_n, then sum_n w_n v_n for each v in values.
 
+    Returns one row per sum, one column per temperature.
     w_n = exp(ln g_n - beta (E_n - E_min)) is anchored at the ground state.
     Each temperature's sums depend only on its own beta, so a grid gives
     the same numbers as its temperatures one at a time.
@@ -152,13 +156,13 @@ def _boltzmann_sums(spectrum: Spectrum, point: EnsemblePoint, values):
     betas = np.atleast_1d(point.beta)
     gap = spectrum.energies - spectrum.energies[0]
     rows = max(1, _BLOCK_ELEMENTS // gap.size)
-    z0 = np.empty(betas.size)
-    total = np.empty(betas.size)
+    sums = np.empty((1 + len(values), betas.size))
     for i in range(0, betas.size, rows):
         w = np.exp(spectrum.log_degeneracies - betas[i:i + rows, None] * gap)
-        z0[i:i + rows] = w.sum(axis=1)
-        total[i:i + rows] = (w * values).sum(axis=1)
-    return z0, total
+        sums[0, i:i + rows] = w.sum(axis=1)
+        for k, v in enumerate(values, 1):
+            sums[k, i:i + rows] = (w * v).sum(axis=1)
+    return sums
 
 
 def _like_beta(values: np.ndarray, point: EnsemblePoint):
@@ -166,37 +170,31 @@ def _like_beta(values: np.ndarray, point: EnsemblePoint):
     return float(values[0]) if np.ndim(point.beta) == 0 else values
 
 
-def potentials(spectrum: Spectrum, point: EnsemblePoint) -> ThermoPotentials:
+def potentials(spectrum: Spectrum, point: EnsemblePoint, h1=None) -> ThermoPotentials:
     """Free energy, mean energy and entropy of a spectrum at each temperature.
 
     E is the ensemble average sum_n p_n E_n (no differentiation in beta);
-    F = -lnZ/beta and S = beta (E - F).
+    F = -lnZ/beta and S = beta (E - F). Given per-level expectations
+    ``h1[n]`` of the interaction term, each already averaged over level n's
+    degenerate subspace (trace over the subspace divided by the degeneracy),
+    the result's h1 is their average with the same Boltzmann weights.
     """
+    values = [spectrum.energies]
+    if h1 is not None:
+        h1 = np.asarray(h1, dtype=float)
+        if h1.shape != spectrum.energies.shape:
+            raise ValueError(
+                f"per-level H1 values ({h1.shape}) must align with spectrum "
+                f"({spectrum.energies.shape})"
+            )
+        values.append(h1)
     beta = np.atleast_1d(point.beta)
-    z0, weighted_e = _boltzmann_sums(spectrum, point, spectrum.energies)
+    z0, weighted_e, *weighted_h1 = _boltzmann_sums(spectrum, point, values)
     ln_z = -beta * spectrum.energies[0] + np.log(z0)
     energy = weighted_e / z0
     free_energy = -ln_z / beta
     entropy = beta * (energy - free_energy)
-    return ThermoPotentials(*(_like_beta(x, point) for x in (ln_z, free_energy, energy, entropy)))
-
-
-def log_partition(spectrum: Spectrum, point: EnsemblePoint):
-    """ln Z = ln sum_n g_n exp(-beta E_n), evaluated in the log domain."""
-    return potentials(spectrum, point).ln_z
-
-
-def thermal_average(per_level_values, spectrum: Spectrum, point: EnsemblePoint):
-    """Boltzmann average of a per-level observable at each temperature.
-
-    ``per_level_values[n]`` must be the expectation within level n, already
-    averaged over the degenerate subspace (trace over the subspace divided
-    by the degeneracy).
-    """
-    v = np.asarray(per_level_values, dtype=float)
-    if v.shape != spectrum.energies.shape:
-        raise ValueError(
-            f"per-level values ({v.shape}) must align with spectrum ({spectrum.energies.shape})"
-        )
-    z0, weighted = _boltzmann_sums(spectrum, point, v)
-    return _like_beta(weighted / z0, point)
+    h1_average = _like_beta(weighted_h1[0] / z0, point) if weighted_h1 else None
+    return ThermoPotentials(
+        *(_like_beta(x, point) for x in (ln_z, free_energy, energy, entropy)), h1=h1_average
+    )

@@ -10,7 +10,7 @@ or a grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,13 +59,15 @@ def ho_closed_potentials(lam: float, point: EnsemblePoint) -> ThermoPotentials:
     return ThermoPotentials(ln_z=ln_z, free_energy=free_energy, energy=energy, entropy=entropy)
 
 
-def ho_potential_average(point: EnsemblePoint):
-    """Thermal average of the potential term x^2/2 at lam = 1.
+def ho_potential_average(point: EnsemblePoint, lam: float = 1.0):
+    """Thermal average of the potential term x^2/2 at coupling lam.
 
-    Equals dF/dlam at lam = 1: 1/4 + (1/2) e^{-beta}/(1 - e^{-beta}).
+    Equals dF/dlam: (1/2 + 1/(e^{beta w} - 1)) / (2 w) with w = sqrt(lam),
+    which is 1/4 + (1/2) e^{-beta}/(1 - e^{-beta}) at lam = 1.
     """
-    beta = point.beta
-    return 0.25 + 0.5 * np.exp(-beta) / (-np.expm1(-beta))
+    w = math.sqrt(lam)
+    bw = point.beta * w
+    return (0.5 + np.exp(-bw) / (-np.expm1(-bw))) / (2.0 * w)
 
 
 def ho_entropy_lambda_derivative(point: EnsemblePoint):
@@ -93,8 +95,7 @@ class HarmonicOscillator:
             raise ValueError(f"n_max must be >= 64, got {self.n_max}")
 
     def potentials(self, lam: float, point: EnsemblePoint) -> ThermoPotentials:
-        return potentials(ho_spectrum(lam, self.n_max), point)
-
-    def h1_direct(self, point: EnsemblePoint):
-        """Closed-form thermal average of the potential term at lam = 1."""
-        return ho_potential_average(point)
+        """Engine potentials of the truncated spectrum; h1 is the closed-form
+        average of the potential term."""
+        numeric = potentials(ho_spectrum(lam, self.n_max), point)
+        return replace(numeric, h1=ho_potential_average(point, lam))

@@ -48,13 +48,12 @@ class IsingChain:
                 raise ValueError(f"{name} must be finite")
 
     def potentials(self, lam: float, point: EnsemblePoint) -> ThermoPotentials:
-        """Potentials with both couplings scaled by lam, so dF/dlam = E."""
+        """Potentials with both couplings scaled by lam, so dF/dlam = E.
+
+        h1 is None: the term averages have no derivative-free route here.
+        """
         scaled = replace(self, lambda1=lam * self.lambda1, lambda2=lam * self.lambda2)
         return ising_potentials(scaled, point)
-
-    def h1_direct(self, point: EnsemblePoint) -> None:
-        """No derivative-free route to the term averages exists."""
-        return None
 
 
 def _transfer_terms(params: IsingChain, beta):
@@ -118,8 +117,9 @@ def ising_total_energy(params: IsingChain, point: EnsemblePoint):
     jj, hh, c, s, q, r = _transfer_terms(params, beta)
     lam_plus = c + r
     lam_minus = c - r
-    # d/d beta of cosh, sinh, e^{-4 beta J'} and R
-    dr = (s * c * hh - 2.0 * jj * q) / r
+    # d/d beta of cosh, sinh, e^{-4 beta J'} and R. R = 0 only where
+    # s = q = 0 (h' = 0, e^{-4 beta J'} underflowed), where dR -> 0.
+    dr = np.divide(s * c * hh - 2.0 * jj * q, r, out=np.zeros(np.shape(r)), where=r > 0)
     dlam_plus = s * hh + dr
     dlam_minus = s * hh - dr
     ratio = lam_minus / lam_plus

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ensemble import EnsemblePoint, Spectrum, ThermoPotentials, potentials, thermal_average
+from ..ensemble import EnsemblePoint, Spectrum, ThermoPotentials, potentials
 
 __all__ = [
     "LipkinModel",
@@ -61,10 +61,10 @@ def build_block_h1(two_j: int, v_coupling: float) -> np.ndarray:
     dim = two_j + 1
     h1 = np.zeros((dim, dim))
     jj = 0.25 * two_j * (two_j + 2)  # j(j+1)
-    for i in range(dim - 2):
-        m = -0.5 * two_j + i
-        amp = math.sqrt(jj - m * (m + 1)) * math.sqrt(jj - (m + 1) * (m + 2))
-        h1[i, i + 2] = h1[i + 2, i] = -0.5 * v_coupling * amp
+    i = np.arange(dim - 2)
+    m = -0.5 * two_j + i
+    amp = np.sqrt(jj - m * (m + 1)) * np.sqrt(jj - (m + 1) * (m + 2))
+    h1[i, i + 2] = h1[i + 2, i] = -0.5 * v_coupling * amp
     return h1
 
 
@@ -76,40 +76,23 @@ def build_block(two_j: int, epsilon: float, v_coupling: float, lam: float = 1.0)
 
 
 def _block_eigensystem(two_j: int, epsilon: float, v_coupling: float, lam: float):
-    """Eigenvalues and H1 expectations of one block, split by m-parity.
+    """Eigenvalues and H1 expectations of one block, one m-parity sector
+    after the other, each sector in ascending order.
 
     The block couples only m <-> m+2, so even and odd m-offsets decouple
-    and can be diagonalized separately (an internal optimization; outputs
-    are identical to diagonalizing the full block).
+    and are diagonalized separately. H1 conserves that parity too, and the
+    eigenvalues within a sector are simple (a tridiagonal matrix with
+    nonzero off-diagonal), so each eigenvector's <H1> is basis independent.
     """
     h = build_block(two_j, epsilon, v_coupling, lam)
     h1 = build_block_h1(two_j, v_coupling)
     energies = []
     h1_values = []
-    for offset in (0, 1):
-        idx = np.arange(offset, two_j + 1, 2)
-        if idx.size == 0:
-            continue
-        values, vectors = np.linalg.eigh(h[np.ix_(idx, idx)])
-        sub_h1 = h1[np.ix_(idx, idx)]
+    for p in (0, 1):
+        values, vectors = np.linalg.eigh(h[p::2, p::2])
         energies.append(values)
-        h1_values.append(np.einsum("ij,jk,ki->i", vectors.T, sub_h1, vectors))
-    energies = np.concatenate(energies)
-    h1_values = np.concatenate(h1_values)
-    order = np.argsort(energies, kind="stable")
-    energies = energies[order]
-    h1_values = h1_values[order]
-
-    # Within numerically degenerate clusters only the trace is basis
-    # independent; distribute the cluster mean over its members.
-    scale = max(1.0, float(np.abs(energies).max()))
-    cluster_start = 0
-    for k in range(1, energies.size + 1):
-        if k == energies.size or energies[k] - energies[k - 1] > 1e-10 * scale:
-            if k - cluster_start > 1:
-                h1_values[cluster_start:k] = h1_values[cluster_start:k].mean()
-            cluster_start = k
-    return energies, h1_values
+        h1_values.append(np.einsum("ij,jk,ki->i", vectors.T, h1[p::2, p::2], vectors))
+    return np.concatenate(energies), np.concatenate(h1_values)
 
 
 @dataclass(frozen=True)
@@ -127,16 +110,13 @@ class LipkinModel:
             raise ValueError(f"level splitting must be positive, got {self.epsilon}")
 
     def potentials(self, lam: float, point: EnsemblePoint) -> ThermoPotentials:
-        return potentials(lipkin_spectrum(self, lam), point)
+        """Potentials of H(lam), with h1 = <H1>_T from v^T H1 v per eigenvector.
 
-    def h1_direct(self, point: EnsemblePoint):
-        """Thermal average of the interaction term at lam = 1.
-
-        Independent of any coupling derivative: uses v^T H1 v per
-        eigenvector and Boltzmann weights with block multiplicities.
+        h1 takes no coupling derivative: the per-eigenvector values are
+        Boltzmann-averaged with the block multiplicities.
         """
-        spectrum, h1 = lipkin_levels_with_h1(self, 1.0)
-        return thermal_average(h1, spectrum, point)
+        spectrum, h1 = lipkin_levels_with_h1(self, lam)
+        return potentials(spectrum, point, h1)
 
 
 def lipkin_levels_with_h1(model: LipkinModel, lam: float = 1.0):

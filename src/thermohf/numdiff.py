@@ -74,18 +74,14 @@ def lambda_derivatives(potentials_of_lambda, x0: float = 1.0,
                        config: DiffConfig = DiffConfig()) -> ThermoPotentials:
     """dF/dlam, dE/dlam, dS/dlam (and d lnZ/dlam) from shared evaluations.
 
-    One evaluation per abscissa serves all four derivatives; with arrays
-    over a temperature grid, all temperatures share it.
+    One central difference of the stacked (lnZ, F, E, S) serves all four
+    derivatives, so each abscissa is evaluated once; with arrays over a
+    temperature grid, all temperatures share it.
     """
-    cache = {}
 
-    def at(lam):
-        if lam not in cache:
-            cache[lam] = potentials_of_lambda(lam)
-        return cache[lam]
+    def stacked(lam):
+        p = potentials_of_lambda(lam)
+        return np.array([p.ln_z, p.free_energy, p.energy, p.entropy])
 
-    d_lnz, _ = central_diff(lambda lam: at(lam).ln_z, x0, config)
-    d_f, _ = central_diff(lambda lam: at(lam).free_energy, x0, config)
-    d_e, _ = central_diff(lambda lam: at(lam).energy, x0, config)
-    d_s, _ = central_diff(lambda lam: at(lam).entropy, x0, config)
-    return ThermoPotentials(ln_z=d_lnz, free_energy=d_f, energy=d_e, entropy=d_s)
+    derivative, _ = central_diff(stacked, x0, config)
+    return ThermoPotentials(*derivative)

@@ -3,8 +3,8 @@
 One SweepRow per grid point carries the potentials, the three coupling
 derivatives at lam = 1 and, where the model supports it, the directly
 computed thermal average of the interaction term. A model is any object
-with ``potentials(lam, point)`` and ``h1_direct(point)``; the whole grid
-goes through it at once.
+with ``potentials(lam, point)`` whose result carries that average as
+``h1`` (or None); the whole grid goes through it at once.
 """
 
 from __future__ import annotations
@@ -62,18 +62,18 @@ def sweep(model, t_grid, config: DiffConfig = DiffConfig()) -> list[SweepRow]:
 
     model.potentials is called once per coupling abscissa, each time on the
     whole grid. The derivative columns differentiate with respect to the
-    model's lam; h1_direct is the model's derivative-free <H1>_T, or None.
+    model's lam; h1_direct is the model's derivative-free <H1>_T at lam = 1,
+    or None.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     point = EnsemblePoint.from_temperature(t_grid)
     pots = model.potentials(1.0, point)
     deriv = lambda_derivatives(lambda lam: model.potentials(lam, point), 1.0, config)
-    direct = model.h1_direct(point)
     columns = np.column_stack([
         t_grid, pots.energy, pots.free_energy, pots.entropy,
         deriv.free_energy, deriv.energy, deriv.entropy,
     ]).tolist()
-    h1 = [None] * len(columns) if direct is None else np.asarray(direct).tolist()
+    h1 = [None] * len(columns) if pots.h1 is None else np.asarray(pots.h1).tolist()
     return [SweepRow(*values, h1_direct=h) for values, h in zip(columns, h1)]
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsemblePoint, potentials, thermal_average
+from .ensemble import EnsemblePoint, potentials
 from .models.ho import (
     HarmonicOscillator,
     ho_closed_potentials,
@@ -189,7 +189,7 @@ def verify_lipkin(n_oracle: int = 8, config: DiffConfig = DiffConfig(),
     spectrum, h1_values = lipkin_levels_with_h1(model, 1.0)
 
     def h1_direct(temps):
-        return thermal_average(h1_values, spectrum, EnsemblePoint.from_temperature(temps))
+        return potentials(spectrum, EnsemblePoint.from_temperature(temps), h1_values).h1
 
     t_grid = temperature_grid(0.1, 100.0, 50, "geometric")
     point = EnsemblePoint.from_temperature(t_grid)

@@ -169,7 +169,7 @@ def test_criterion_6_lipkin_hf_theorem():
     model = LipkinModel(10, 1.0, 3.0)
     point = EnsemblePoint.from_temperature(temperature_grid(0.1, 100.0, 50, "geometric"))
     d_f = lambda_derivatives(lambda lam: model.potentials(lam, point)).free_energy
-    direct = model.h1_direct(point)
+    direct = model.potentials(1.0, point).h1
     dev = float(np.max(np.abs(d_f - direct) / np.maximum(1.0, np.abs(direct))))
     report(
         "criterion 6: Lipkin dF/dlam vs direct <H1> <= 1e-6",
@@ -184,7 +184,8 @@ def test_criterion_7_lipkin_entropy_corollary():
     point = EnsemblePoint.from_temperature(t_grid)
     d_s = lambda_derivatives(lambda lam: model.potentials(lam, point)).entropy
     dh1_dt, _ = central_diff(
-        lambda temps: model.h1_direct(EnsemblePoint.from_temperature(temps)), t_grid
+        lambda temps: model.potentials(1.0, EnsemblePoint.from_temperature(temps)).h1,
+        t_grid,
     )
     dev = max_abs(d_s + dh1_dt)
     report(

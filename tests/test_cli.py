@@ -1,10 +1,15 @@
 import json
+import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from thermohf.cli import main
 from thermohf.sweep import CSV_HEADER
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(argv, capsys):
@@ -88,6 +93,19 @@ class TestSweepCommand:
         assert len(lines) == 1 and lines[0].startswith("numerical error:")
         assert "RuntimeWarning" not in err
 
+    def test_ising_zero_field_at_low_temperature(self, capsys):
+        # h' = 0 with e^{-4 beta J'} underflowed makes R = 0; E = -N J is finite
+        code, out, _ = run(
+            ["sweep", "--model", "ising", "--N", "8", "--J", "1", "--h", "0",
+             "--t-min", "0.002"],
+            capsys,
+        )
+        assert code == 0
+        t, energy, _, entropy = (float(x) for x in out.splitlines()[1].split(",")[:4])
+        assert t == 0.002
+        assert energy == pytest.approx(-8.0, abs=1e-12)
+        assert entropy == pytest.approx(math.log(2.0), abs=1e-12)
+
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("t-steps = not-a-number\n")
@@ -128,3 +146,26 @@ class TestVerifyCommand:
     def test_bad_tolerance_is_usage_error(self, capsys):
         code, _, err = run(["verify", "--tolerance", "oops"], capsys)
         assert code == 2
+
+
+def readme_cli_commands():
+    """Each `thermohf ...` line of README's CLI block, continuations joined."""
+    section = README.read_text().split("## CLI", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("thermohf ")]
+
+
+class TestReadmeExamples:
+    def test_cli_block_runs(self, tmp_path, capsys):
+        commands = readme_cli_commands()
+        assert commands
+        for argv in commands:
+            if "--out" in argv:
+                k = argv.index("--out") + 1
+                argv[k] = str(tmp_path / argv[k])
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects unknown flags this way
+                code = exc.code
+            assert code == 0, f"{shlex.join(argv)}: {capsys.readouterr().err}"

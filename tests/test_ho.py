@@ -118,7 +118,16 @@ class TestHellmannFeynman:
         model = HarmonicOscillator(n_max=truncation_level(50.0))
         point = EnsemblePoint.from_temperature(np.geomspace(0.02, 50.0, 25))
         deriv = lambda_derivatives(lambda lam: model.potentials(lam, point)).free_energy
-        assert deriv == pytest.approx(model.h1_direct(point), abs=1e-7)
+        assert deriv == pytest.approx(model.potentials(1.0, point).h1, abs=1e-7)
+
+    @pytest.mark.parametrize("lam", [0.4, 2.5])
+    def test_closed_form_h1_off_unit_coupling(self, lam):
+        # truncated for T = 20 at a coupling below every abscissa
+        model = HarmonicOscillator(n_max=truncation_level(20.0, 0.3))
+        point = EnsemblePoint.from_temperature(np.geomspace(0.02, 20.0, 25))
+        deriv = lambda_derivatives(lambda x: model.potentials(x, point), lam).free_energy
+        h1 = model.potentials(lam, point).h1
+        assert np.max(np.abs(deriv - h1) / np.maximum(1.0, np.abs(h1))) <= 1e-7
 
     def test_zero_temperature_ground_state(self):
         # dE0/dlam at lam=1 is 1/4, the ground-state average of x^2/2

@@ -119,23 +119,31 @@ class TestDirectAverage:
     def test_vanishes_without_interaction(self):
         model = LipkinModel(6, 1.0, 0.0)
         for t in (0.2, 1.0, 50.0):
-            got = model.h1_direct(EnsemblePoint.from_temperature(t))
+            got = model.potentials(1.0, EnsemblePoint.from_temperature(t)).h1
             assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_low_temperature_matches_ground_state_derivative(self):
         model = LipkinModel(10, 1.0, 3.0)
         # low-lying parity doublets converge slowly, so go well below the gap
-        cold = model.h1_direct(EnsemblePoint.from_temperature(0.005))
+        cold = model.potentials(1.0, EnsemblePoint.from_temperature(0.005)).h1
         ground, _ = central_diff(
             lambda lam: float(lipkin_spectrum(model, lam).energies[0]), 1.0
         )  # dE0/dlam at lam = 1
         assert cold == pytest.approx(ground, abs=1e-4)
 
+    @pytest.mark.parametrize("n,v", [(12, 3.0), (37, 4.7)])
+    def test_per_level_h1_is_level_slope(self, n, v):
+        # T = 0 Hellmann-Feynman theorem: <n|H1|n> = dE_n/dlam for every level
+        model = LipkinModel(n, 1.0, v)
+        _, h1 = lipkin_levels_with_h1(model, 1.0)
+        slope, _ = central_diff(lambda lam: lipkin_spectrum(model, lam).energies, 1.0)
+        assert np.max(np.abs(slope - h1) / np.maximum(1.0, np.abs(h1))) <= 1e-7
+
     def test_matches_free_energy_derivative(self):
         model = LipkinModel(10, 1.0, 3.0)
         for t in (0.5, 2.0, 10.0, 50.0):
             point = EnsemblePoint.from_temperature(t)
-            direct = model.h1_direct(point)
+            direct = model.potentials(1.0, point).h1
             deriv = lambda_derivatives(lambda lam: model.potentials(lam, point)).free_energy
             assert deriv == pytest.approx(direct, abs=1e-6 * max(1.0, abs(direct)))
 
@@ -145,7 +153,7 @@ class TestDirectAverage:
             point = EnsemblePoint.from_temperature(t)
             d_s = lambda_derivatives(lambda lam: model.potentials(lam, point)).entropy
             dh1_dt, _ = central_diff(
-                lambda temp: model.h1_direct(EnsemblePoint.from_temperature(temp)), t
+                lambda temp: model.potentials(1.0, EnsemblePoint.from_temperature(temp)).h1, t
             )
             assert d_s == pytest.approx(-dh1_dt, abs=1e-5)
 

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from thermohf.models import lipkin
 from thermohf.models.ho import HarmonicOscillator, truncation_level
 from thermohf.models.ising import IsingChain
 from thermohf.models.lipkin import LipkinModel
+from thermohf.numdiff import DiffConfig
 from thermohf.sweep import (
     CSV_HEADER,
     grid_derivative,
@@ -81,6 +83,19 @@ class TestSweeps:
         # coarse-grid temperature derivative tracks -dS/dlam
         for k in range(10, 70):
             assert dh1_dt[k] == pytest.approx(-rows[k].ds_dlambda, rel=0.05, abs=1e-3)
+
+    def test_lipkin_one_spectrum_per_coupling(self, monkeypatch):
+        calls = []
+        build = lipkin.lipkin_levels_with_h1
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(lipkin, "lipkin_levels_with_h1", counted)
+        sweep(LipkinModel(12, 1.0, 3.0), temperature_grid(0.1, 100.0, 50, "geometric"))
+        # lam = 1 once, plus two abscissae per Richardson level
+        assert len(calls) == 1 + 2 * DiffConfig().richardson_levels
 
     @pytest.mark.parametrize("model,t_grid", [
         (HarmonicOscillator(n_max=1600), temperature_grid(0.02, 40.0, 2000)),
