@@ -1,7 +1,7 @@
 """Command-line front end: temperature sweeps, figure-data presets, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-error.
+error. main returns them, argparse's own exits (bad flags, --help) included.
 """
 
 from __future__ import annotations
@@ -232,7 +232,10 @@ def _run_verify(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 for bad flags, 0 after --help
+        return exc.code
     try:
         # numpy overflow and invalid operations must stop the run, as the
         # math module's errors do, rather than print warnings and go on

@@ -134,8 +134,9 @@ class EnsemblePoint:
 class ThermoPotentials:
     """Bundle {lnZ, F, E, S} at one (beta, lam) point, or arrays over a grid.
 
-    h1 is the derivative-free thermal average <H1>_T where the model has
-    one, else None.
+    h1 is the derivative-free thermal average <H1>_T. Every model's
+    ``potentials(lam, point)`` fills it; the engine's ``potentials`` leaves
+    it None when given no per-level H1 values.
     """
 
     ln_z: float | np.ndarray

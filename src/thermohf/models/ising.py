@@ -6,9 +6,11 @@ which is the convention under which the transfer-matrix formula matches
 brute-force enumeration).
 
 Two independent couplings modulate the Hamiltonian: lambda1 scales the
-bond term, lambda2 the field term. Thermal averages of either term follow
-from the coupling derivative of the free energy. Every function takes a
-single temperature or a grid.
+bond term, lambda2 the field term. lnZ and the thermal averages of both
+terms come from one eigensystem of the 2x2 transfer matrix, with no
+derivative in beta or in the couplings; by the Hellmann-Feynman theorem
+the term averages equal dF/dlambda1 and dF/dlambda2, which makes them an
+independent check. Every function takes a single temperature or a grid.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..ensemble import EnsemblePoint, ThermoPotentials
-from ..numdiff import DiffConfig, central_diff
 
 __all__ = [
     "IsingChain",
@@ -50,107 +51,87 @@ class IsingChain:
     def potentials(self, lam: float, point: EnsemblePoint) -> ThermoPotentials:
         """Potentials with both couplings scaled by lam, so dF/dlam = E.
 
-        h1 is None: the term averages have no derivative-free route here.
+        H0 = 0 here, so h1 = <H1> = E(lam)/lam: at lam = 1 it is E itself.
         """
         scaled = replace(self, lambda1=lam * self.lambda1, lambda2=lam * self.lambda2)
-        return ising_potentials(scaled, point)
+        pots = ising_potentials(scaled, point)
+        return replace(pots, h1=pots.energy / lam)
 
 
-def _transfer_terms(params: IsingChain, beta):
-    """Pieces of the transfer-matrix eigenvalues for the scaled couplings."""
+def _transfer(params: IsingChain, beta):
+    """lnZ, <H_J> and <H_h> from the eigenpairs of the transfer matrix.
+
+    With b = beta J' and a = beta |h'|, T = e^b [[e^a, e^{-2b}], [e^{-2b}, e^{-a}]]
+    has eigenvalues lam_+- = e^b (cosh a +- R), R = sqrt(sinh^2 a + e^{-4b}),
+    and eigenvectors at angle phi with cos 2phi = sinh a / R. With
+    rho = lam_-/lam_+: Z = lam_+^N (1 + rho^N), <s> = cos 2phi (1 - rho^N)/(1 + rho^N)
+    and <s s'> = cos^2 2phi + sin^2 2phi rho (1 + rho^{N-2})/(1 + rho^N).
+    e^{b+m}, m = max(a, -2b), is factored out of everything, so no
+    exponential formed exceeds 1, and rho comes from det T, not from a
+    difference. For odd N and rho < -1/2 (antiferromagnets), 1 + rho^k would
+    cancel; it is taken as (1 + rho) sum_{i<k} (-rho)^i, with
+    1 + rho = 2 cosh a / (cosh a + R) in log space.
+    """
+    n = params.n_spins
     jj = params.lambda1 * params.coupling_j
     hh = params.lambda2 * params.field_h
-    a = beta * hh
-    c = np.cosh(a)
-    s = np.sinh(a)
-    q = np.exp(-4.0 * beta * jj)
-    r = np.sqrt(s * s + q)
-    return jj, hh, c, s, q, r
+    a, b = beta * abs(hh), beta * jj
+    m = np.maximum(a, -2.0 * b)
+    ep, em, q = np.exp(a - m), np.exp(-a - m), np.exp(-2.0 * b - m)
+    c = 0.5 * (ep + em)  # e^{-m} cosh a
+    s = -0.5 * ep * np.expm1(-2.0 * a)  # e^{-m} sinh a
+    # e^{-m} R; 0 only where h' = 0 and e^{-2b} underflowed, so that s = 0
+    r = np.maximum(np.hypot(s, q), np.finfo(float).tiny)
+    top = c + r  # e^{-b-m} lam_+ >= 1/2
+    # det T e^{-2b-2m} = e^{-2m} - e^{-4b-2m}, without cancellation at small b
+    rho = np.where(b >= 0.0, ep * em, -q * q) * -np.expm1(-4.0 * np.abs(b)) / top**2
+    cos2 = s / r
 
-
-def _one_plus_ratio_pow(c, lam_plus, ratio, n: int):
-    """(1 + ratio^n, its log) without cancellation.
-
-    For ratio near -1 (negative subdominant eigenvalue, odd n) the naive
-    1 + ratio^n loses all precision; factoring the geometric sum,
-    1 + r^n = (1 + r) sum_k (-r)^k with 1 + r = 2 cosh(beta h')/lam_+,
-    keeps every factor positive and well conditioned. Each branch sees
-    only the entries it is used for, so neither can overflow or divide
-    by zero on the other's.
-    """
-    cancel = (ratio < 0.0) & (n % 2 == 1)
-    t = np.power(np.where(cancel, 0.0, ratio), n)
-    value, log_value = 1.0 + t, np.log1p(t)
+    cancel = (rho < -0.5) & (n % 2 == 1)
+    t = np.where(cancel, 0.0, rho)
+    t_n = t**n
+    log_one_plus = np.log1p(t_n)
+    spin = cos2 * (1.0 - t_n) / (1.0 + t_n)
+    pair = t * (1.0 + t ** (n - 2)) / (1.0 + t_n)
     if np.any(cancel):
-        neg = np.where(cancel, -ratio, 0.0)
-        geom = sum(np.power(neg, k) for k in range(n))
-        one_plus_r = 2.0 * c / lam_plus
-        value = np.where(cancel, one_plus_r * geom, value)
-        log_value = np.where(cancel, np.log(one_plus_r) + np.log(geom), log_value)
-    return value, log_value
+        # with d = 1 + rho and e_k = (-rho)^k - 1: 1 + rho^k = -e_k = d sum_{i<k} (-rho)^i
+        d = np.maximum(np.where(cancel, 2.0 * c / top, 0.5), np.finfo(float).tiny)
+        log_x = np.log1p(-d)
+        e_n, e_n2 = np.expm1(n * log_x), np.expm1((n - 2) * log_x)
+        log_d = a - m + np.log1p(np.exp(-2.0 * a)) - np.log(top)
+        log_one_plus = np.where(cancel, log_d + np.log(-e_n / d), log_one_plus)
+        # cos 2phi = d tanh(a) top / 2r stays exact where s and c underflow
+        spin = np.where(cancel, np.tanh(a) * top * (2.0 + e_n) * d / (-2.0 * r * e_n), spin)
+        pair = np.where(cancel, rho * e_n2 / e_n, pair)
+
+    ln_z = n * (b + m + np.log(top)) + log_one_plus
+    bond = pair + cos2 * cos2 * (1.0 - pair)  # cos^2 2phi + sin^2 2phi pair
+    return ln_z, -jj * n * bond, -abs(hh) * n * spin
 
 
 def ising_log_z(params: IsingChain, point: EnsemblePoint):
-    """ln Z from the two transfer-matrix eigenvalues, overflow-safe.
-
-    Z = e^{N beta J'} (lam_+^N + lam_-^N) with lam_+- = cosh(beta h') +- R
-    and R = sqrt(sinh^2(beta h') + e^{-4 beta J'}); |lam_-| <= lam_+ always,
-    so the subdominant branch enters through a bounded ratio.
-    """
-    n = params.n_spins
-    beta = point.beta
-    jj, _, c, _, _, r = _transfer_terms(params, beta)
-    lam_plus = c + r
-    ratio = (c - r) / lam_plus
-    _, log_term = _one_plus_ratio_pow(c, lam_plus, ratio, n)
-    return n * beta * jj + n * np.log(lam_plus) + log_term
+    """ln Z from the two transfer-matrix eigenvalues, overflow-safe."""
+    return _transfer(params, point.beta)[0]
 
 
 def ising_total_energy(params: IsingChain, point: EnsemblePoint):
-    """E = -d lnZ/d beta via the analytic beta-derivative of the transfer form.
-
-    Closed form, no numerical differentiation, so the energy curve carries
-    no finite-difference noise.
-    """
-    n = params.n_spins
-    beta = point.beta
-    jj, hh, c, s, q, r = _transfer_terms(params, beta)
-    lam_plus = c + r
-    lam_minus = c - r
-    # d/d beta of cosh, sinh, e^{-4 beta J'} and R. R = 0 only where
-    # s = q = 0 (h' = 0, e^{-4 beta J'} underflowed), where dR -> 0.
-    dr = np.divide(s * c * hh - 2.0 * jj * q, r, out=np.zeros(np.shape(r)), where=r > 0)
-    dlam_plus = s * hh + dr
-    dlam_minus = s * hh - dr
-    ratio = lam_minus / lam_plus
-    dratio = (dlam_minus * lam_plus - lam_minus * dlam_plus) / (lam_plus * lam_plus)
-    one_plus, _ = _one_plus_ratio_pow(c, lam_plus, ratio, n)
-    dlnz = n * jj + n * dlam_plus / lam_plus
-    dlnz += n * np.power(ratio, n - 1) * dratio / one_plus
-    return -dlnz
+    """E = <H_J> + <H_h>, in closed form from the transfer eigenpairs."""
+    _, h_j, h_h = _transfer(params, point.beta)
+    return h_j + h_h
 
 
 def ising_potentials(params: IsingChain, point: EnsemblePoint) -> ThermoPotentials:
-    """lnZ, F, E, S at each temperature; E from the analytic beta-derivative."""
+    """lnZ, F, E, S at each temperature, from one transfer eigensystem."""
     beta = point.beta
-    ln_z = ising_log_z(params, point)
+    ln_z, h_j, h_h = _transfer(params, beta)
     free_energy = -ln_z / beta
-    energy = ising_total_energy(params, point)
+    energy = h_j + h_h
     entropy = beta * (energy - free_energy)
     return ThermoPotentials(ln_z=ln_z, free_energy=free_energy, energy=energy, entropy=entropy)
 
 
-def ising_term_averages(params: IsingChain, point: EnsemblePoint,
-                        config: DiffConfig = DiffConfig()):
-    """Thermal averages of the bond term -J sum s_i s_{i+1} and the field
-    term -h sum s_i, as (dF/dlambda1, dF/dlambda2) at lambda1 = lambda2 = 1.
-    """
-    if params.lambda1 != 1.0 or params.lambda2 != 1.0:
-        raise ValueError("term averages are defined at lambda1 = lambda2 = 1")
-
-    def free_energy(**coupling):
-        return -ising_log_z(replace(params, **coupling), point) / point.beta
-
-    h_j, _ = central_diff(lambda l1: free_energy(lambda1=l1), 1.0, config)
-    h_h, _ = central_diff(lambda l2: free_energy(lambda2=l2), 1.0, config)
+def ising_term_averages(params: IsingChain, point: EnsemblePoint):
+    """<H_J> and <H_h> of the scaled terms -lambda1 J sum s_i s_{i+1} and
+    -lambda2 h sum s_i, from the transfer eigenvectors: no derivative taken."""
+    _, h_j, h_h = _transfer(params, point.beta)
     return h_j, h_h

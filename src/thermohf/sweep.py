@@ -1,10 +1,10 @@
 """Temperature sweeps and their CSV/JSON serialization.
 
 One SweepRow per grid point carries the potentials, the three coupling
-derivatives at lam = 1 and, where the model supports it, the directly
-computed thermal average of the interaction term. A model is any object
-with ``potentials(lam, point)`` whose result carries that average as
-``h1`` (or None); the whole grid goes through it at once.
+derivatives at lam = 1 and the directly computed thermal average of the
+interaction term. A model is any object with ``potentials(lam, point)``
+whose result carries that average as ``h1``; the whole grid goes through
+it at once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ CSV_HEADER = "T,E,F,S,dF_dlambda,dE_dlambda,dS_dlambda,H1_direct"
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One temperature grid point; h1_direct is None when no direct path exists."""
+    """One temperature grid point; h1_direct is <H1>_T by a derivative-free route."""
 
     temperature: float
     energy: float
@@ -41,7 +41,7 @@ class SweepRow:
     df_dlambda: float
     de_dlambda: float
     ds_dlambda: float
-    h1_direct: float | None = None
+    h1_direct: float
 
 
 def temperature_grid(t_min: float, t_max: float, steps: int, kind: str = "linear") -> np.ndarray:
@@ -62,8 +62,7 @@ def sweep(model, t_grid, config: DiffConfig = DiffConfig()) -> list[SweepRow]:
 
     model.potentials is called once per coupling abscissa, each time on the
     whole grid. The derivative columns differentiate with respect to the
-    model's lam; h1_direct is the model's derivative-free <H1>_T at lam = 1,
-    or None.
+    model's lam; h1_direct is the model's derivative-free <H1>_T at lam = 1.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     point = EnsemblePoint.from_temperature(t_grid)
@@ -71,10 +70,9 @@ def sweep(model, t_grid, config: DiffConfig = DiffConfig()) -> list[SweepRow]:
     deriv = lambda_derivatives(lambda lam: model.potentials(lam, point), 1.0, config)
     columns = np.column_stack([
         t_grid, pots.energy, pots.free_energy, pots.entropy,
-        deriv.free_energy, deriv.energy, deriv.entropy,
+        deriv.free_energy, deriv.energy, deriv.entropy, pots.h1,
     ]).tolist()
-    h1 = [None] * len(columns) if pots.h1 is None else np.asarray(pots.h1).tolist()
-    return [SweepRow(*values, h1_direct=h) for values, h in zip(columns, h1)]
+    return [SweepRow(*values) for values in columns]
 
 
 def grid_derivative(t_grid, values) -> np.ndarray:
@@ -99,10 +97,6 @@ def grid_derivative(t_grid, values) -> np.ndarray:
     return out
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else format(x, ".17g")
-
-
 def _row_values(row: SweepRow):
     return [
         row.temperature, row.energy, row.free_energy, row.entropy,
@@ -114,7 +108,7 @@ def rows_to_csv(rows) -> str:
     """Deterministic CSV with 17-significant-digit floats."""
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in _row_values(row)))
+        lines.append(",".join(format(v, ".17g") for v in _row_values(row)))
     return "\n".join(lines) + "\n"
 
 

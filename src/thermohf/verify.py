@@ -9,7 +9,7 @@ and the free-energy derivative vs. directly computed thermal averages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,13 +100,24 @@ def verify_ho(config: DiffConfig = DiffConfig()) -> list[CheckResult]:
     return checks
 
 
+def _ising_hf_terms(params: IsingChain, point: EnsemblePoint, config: DiffConfig):
+    """<H_J>, <H_h> of a chain at unit couplings as dF/dlambda1, dF/dlambda2."""
+
+    def free_energy(name, lam):
+        return -ising_log_z(replace(params, **{name: lam}), point) / point.beta
+
+    return [central_diff(lambda lam: free_energy(name, lam), 1.0, config)[0]
+            for name in ("lambda1", "lambda2")]
+
+
 def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig(),
                  seed: int = 20260823) -> list[CheckResult]:
-    """Ising: enumeration oracle, term decomposition, symmetry, limits."""
+    """Ising: enumeration oracle, HF term decomposition, symmetry, limits."""
     checks = []
     rng = np.random.default_rng(seed)
 
     dev_lnz = 0.0
+    dev_avg = 0.0
     for n in range(2, n_spins + 1):
         for _ in range(20):
             params = IsingChain(
@@ -120,18 +131,26 @@ def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig(),
             exact = ising_enumerate(params, point)
             ln_z = ising_log_z(params, point)
             dev_lnz = max(dev_lnz, abs(ln_z - exact.ln_z) / max(abs(exact.ln_z), 1e-300))
+            # scaled by the largest magnitude either term can reach
+            scale = max(1.0, n * (abs(params.lambda1 * params.coupling_j)
+                                  + abs(params.lambda2 * params.field_h)))
+            hj, hh = ising_term_averages(params, point)
+            dev_avg = max(dev_avg, abs(hj - exact.h_j_average) / scale,
+                          abs(hh - exact.h_h_average) / scale)
     checks.append(CheckResult("ising lnZ vs enumeration (relative)", dev_lnz, 1e-12))
+    checks.append(CheckResult("ising <H_J>, <H_h> vs enumeration", dev_avg, 1e-12))
 
+    # the HF side: term averages as coupling derivatives of F
     base = IsingChain(coupling_j=2.0, field_h=1.0, n_spins=10)
     point = EnsemblePoint.from_temperature(temperature_grid(0.1, 30.0, 40))
-    hj, hh = ising_term_averages(base, point, config)
+    hj, hh = _ising_hf_terms(base, point, config)
     dev_terms = _max_abs(hj + hh - ising_total_energy(base, point))
     checks.append(CheckResult(
         "ising <H_J> + <H_h> = E over sweep", dev_terms, 1e-6 * base.n_spins
     ))
 
     cold = EnsemblePoint.from_temperature(0.1)
-    hj, hh = (x / base.n_spins for x in ising_term_averages(base, cold, config))
+    hj, hh = (x / base.n_spins for x in _ising_hf_terms(base, cold, config))
     e = ising_total_energy(base, cold) / base.n_spins
     checks.append(CheckResult("ising low-T <H_J>/N -> -J", abs(hj + 2.0), 0.01))
     checks.append(CheckResult("ising low-T <H_h>/N -> -h", abs(hh + 1.0), 0.01))

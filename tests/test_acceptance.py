@@ -6,6 +6,7 @@ report lines.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from thermohf.models.ho import (
 from thermohf.models.ising import (
     IsingChain,
     ising_log_z,
-    ising_term_averages,
     ising_total_energy,
 )
 from thermohf.models.lipkin import (
@@ -120,15 +120,26 @@ def test_criterion_3_ising_oracle_equivalence():
     )
 
 
+def hf_term_averages(params, point):
+    """<H_J>, <H_h> of a chain at unit couplings as dF/dlambda1, dF/dlambda2."""
+
+    def free_energy(**coupling):
+        return -ising_log_z(replace(params, **coupling), point) / point.beta
+
+    h_j, _ = central_diff(lambda l1: free_energy(lambda1=l1), 1.0)
+    h_h, _ = central_diff(lambda l2: free_energy(lambda2=l2), 1.0)
+    return h_j, h_h
+
+
 def test_criterion_4_ising_hf_decomposition():
     params = IsingChain(2.0, 1.0, 10)
     point = EnsemblePoint.from_temperature(temperature_grid(0.1, 30.0, 60))
-    h_j, h_h = ising_term_averages(params, point)
+    h_j, h_h = hf_term_averages(params, point)
     dev = max_abs(h_j + h_h - ising_total_energy(params, point))
     ok_sum = dev <= 1e-6 * params.n_spins
 
     cold = EnsemblePoint.from_temperature(0.1)
-    hj, hh = (x / 10 for x in ising_term_averages(params, cold))
+    hj, hh = (x / 10 for x in hf_term_averages(params, cold))
     e_cold = ising_total_energy(params, cold) / 10
     ok_cold = abs(hj + 2.0) <= 0.01 and abs(hh + 1.0) <= 0.01 and abs(e_cold + 3.0) <= 0.01
 

@@ -80,18 +80,38 @@ class TestSweepCommand:
         assert code == 3
         assert "numerical error" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["--J", "-2", "--t-min", "0.005"],  # exp(-4 beta J') overflows
-        ["--t-min", "0.001"],  # cosh(beta h') overflows
-    ], ids=["antiferro-exp", "field-cosh"])
+    @pytest.mark.parametrize("argv,ground_energy", [
+        # e^{-4 beta J'} would overflow; Neel ground state, E/N = -|J|
+        (["--J", "-2", "--t-min", "0.005"], -20.0),
+        # cosh(beta h') would overflow; ferromagnet, E/N = -(|J| + |h|)
+        (["--t-min", "0.001"], -30.0),
+        # odd and frustrated: one bond with parallel spins, 5 of 9 spins up
+        (["--J", "-2", "--N", "9", "--h", "0.5", "--t-min", "0.005"], -14.5),
+    ], ids=["antiferro-exp", "field-cosh", "odd-antiferro-field"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_ising_overflow_is_numerical_error(self, argv, capsys):
+    def test_ising_overflow_is_numerical_error(self, argv, ground_energy, capsys):
+        # these once exited 3 on overflow; every row is now finite
         code, out, err = run(["sweep", "--model", "ising", *argv], capsys)
-        assert code == 3
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("numerical error:")
-        assert "RuntimeWarning" not in err
+        assert code == 0 and err == ""
+        rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+        assert len(rows) == 200
+        assert all(math.isfinite(x) for row in rows for x in row)
+        assert rows[0][1] == pytest.approx(ground_energy, abs=1e-9)
+
+    def test_ising_odd_antiferromagnet_ground_state(self, capsys):
+        # N = 7, J = -2, h = 0: one frustrated bond, so E0 = J (N - 2) = -10,
+        # 14-fold degenerate; the beta-derivative route once printed E = -14
+        code, out, _ = run(
+            ["sweep", "--model", "ising", "--J", "-2", "--h", "0", "--N", "7",
+             "--t-min", "0.05", "--t-max", "1", "--t-steps", "6"],
+            capsys,
+        )
+        assert code == 0
+        t, energy, _, entropy = (float(x) for x in out.splitlines()[1].split(",")[:4])
+        assert t == 0.05
+        assert energy == pytest.approx(-10.0, abs=1e-9)
+        assert entropy >= -1e-9
+        assert entropy == pytest.approx(math.log(14.0), abs=1e-9)
 
     def test_ising_zero_field_at_low_temperature(self, capsys):
         # h' = 0 with e^{-4 beta J'} underflowed makes R = 0; E = -N J is finite
@@ -105,6 +125,14 @@ class TestSweepCommand:
         assert t == 0.002
         assert energy == pytest.approx(-8.0, abs=1e-12)
         assert entropy == pytest.approx(math.log(2.0), abs=1e-12)
+
+    def test_unknown_flag_is_usage_error(self, capsys):
+        assert main(["sweep", "--t-grid", "x"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["sweep", "--help"]) == 0
+        assert "--model" in capsys.readouterr().out
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -164,8 +192,5 @@ class TestReadmeExamples:
             if "--out" in argv:
                 k = argv.index("--out") + 1
                 argv[k] = str(tmp_path / argv[k])
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects unknown flags this way
-                code = exc.code
+            code = main(argv)
             assert code == 0, f"{shlex.join(argv)}: {capsys.readouterr().err}"

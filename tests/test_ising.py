@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermohf import EnsemblePoint
 from thermohf.models.ising import (
@@ -86,8 +89,8 @@ class TestTermAverages:
         point = EnsemblePoint(beta=1.0)
         exact = ising_enumerate(params, point)
         h_j, h_h = ising_term_averages(params, point)
-        assert h_j == pytest.approx(exact.h_j_average, abs=1e-7)
-        assert h_h == pytest.approx(exact.h_h_average, abs=1e-7)
+        assert h_j == pytest.approx(exact.h_j_average, abs=1e-13)
+        assert h_h == pytest.approx(exact.h_h_average, abs=1e-13)
 
     def test_low_temperature_per_spin_limits(self):
         params = IsingChain(2.0, 1.0, 10)
@@ -100,12 +103,6 @@ class TestTermAverages:
         _, h_h = ising_term_averages(params, EnsemblePoint.from_temperature(500.0))
         got = h_h / 10
         assert abs(got) < 1e-2
-
-    def test_requires_unit_coupling(self):
-        with pytest.raises(ValueError):
-            ising_term_averages(IsingChain(1.0, 1.0, 4, lambda1=1.2), EnsemblePoint(beta=1.0))
-        with pytest.raises(ValueError):
-            ising_term_averages(IsingChain(1.0, 1.0, 4, lambda2=0.8), EnsemblePoint(beta=1.0))
 
 
 class TestTotalEnergy:
@@ -163,12 +160,61 @@ class TestGrid:
     ], ids=["ferro", "odd-antiferro", "scaled"])
     def test_potentials_match_pointwise(self, params):
         temps = np.geomspace(0.02, 40.0, 300)
-        grid = ising_potentials(params, EnsemblePoint.from_temperature(temps))
+        grid = params.potentials(1.0, EnsemblePoint.from_temperature(temps))
         for k in range(0, temps.size, 11):
-            single = ising_potentials(params, EnsemblePoint.from_temperature(float(temps[k])))
+            single = params.potentials(1.0, EnsemblePoint.from_temperature(float(temps[k])))
             for field, value in vars(single).items():
                 got = getattr(grid, field)
-                if value is None:
-                    assert got is None
-                else:
-                    assert abs(got[k] - value) <= 1e-14 * max(1.0, abs(value))
+                assert abs(got[k] - value) <= 1e-14 * max(1.0, abs(value))
+
+
+def chains(max_spins):
+    """Both signs of J and h (and h = 0), odd and even N."""
+    return st.builds(
+        IsingChain,
+        coupling_j=st.floats(-2.5, 2.5),
+        field_h=st.one_of(st.just(0.0), st.floats(-2.5, 2.5)),
+        n_spins=st.integers(2, max_spins),
+        lambda1=st.floats(0.5, 1.5),
+        lambda2=st.floats(0.5, 1.5),
+    )
+
+
+betas = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+properties = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def energy_scale(params):
+    """Largest magnitude either term average can reach, at least 1."""
+    n = params.n_spins
+    return max(1.0, n * (abs(params.lambda1 * params.coupling_j)
+                         + abs(params.lambda2 * params.field_h)))
+
+
+class TestTransferProperties:
+    """Properties of the closed-form transfer eigensystem at any temperature."""
+
+    @properties
+    @given(params=chains(41), beta=betas)
+    def test_finite_even_in_field_and_consistent(self, params, beta):
+        point = EnsemblePoint(beta=beta)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            pots = ising_potentials(params, point)
+            h_j, h_h = ising_term_averages(params, point)
+            flipped = ising_log_z(replace(params, field_h=-params.field_h), point)
+        values = (pots.ln_z, pots.free_energy, pots.energy, pots.entropy, h_j, h_h)
+        assert all(math.isfinite(x) for x in values)
+        assert flipped == pytest.approx(pots.ln_z, rel=1e-15, abs=1e-15)
+        assert h_j + h_h == pytest.approx(pots.energy, abs=1e-13 * energy_scale(params))
+        assert pots.entropy >= -1e-9
+
+    @properties
+    @given(params=chains(12), beta=betas)
+    def test_matches_enumeration(self, params, beta):
+        point = EnsemblePoint(beta=beta)
+        exact = ising_enumerate(params, point)
+        h_j, h_h = ising_term_averages(params, point)
+        scale = energy_scale(params)
+        assert ising_log_z(params, point) == pytest.approx(exact.ln_z, rel=1e-12, abs=1e-12)
+        assert abs(h_j - exact.h_j_average) <= 1e-12 * scale
+        assert abs(h_h - exact.h_h_average) <= 1e-12 * scale
