@@ -13,7 +13,8 @@ import numpy as np
 
 from thermohf import EnsemblePoint, potentials
 from thermohf.models.lipkin import LipkinModel, lipkin_spectrum, multiplicity
-from thermohf.sweep import grid_derivative, sweep, temperature_grid
+from thermohf.numdiff import central_diff
+from thermohf.sweep import sweep, temperature_grid
 
 
 def main():
@@ -29,7 +30,11 @@ def main():
 
     t_grid = temperature_grid(0.1, 100.0, 120, "geometric")
     rows = sweep(model, t_grid)
-    dh1_dt = grid_derivative(t_grid, [r.h1_direct for r in rows])
+
+    def h1_average(temps):
+        return model.potentials(1.0, EnsemblePoint.from_temperature(temps)).h1
+
+    dh1_dt, _ = central_diff(h1_average, t_grid)
 
     print(f"{'T':>9} {'dF/dlam':>12} {'<H1>_T':>12} {'HF dev':>10} "
           f"{'dS/dlam':>12} {'-d<H1>/dT':>12}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -17,26 +18,26 @@ from .models.ising import IsingChain
 from .models.lipkin import LipkinModel
 from .numdiff import DiffConfig
 from .sweep import rows_to_csv, rows_to_json, sweep, temperature_grid
-from .verify import verify_all, verify_ho, verify_ising, verify_lipkin
+from .verify import check_oracle_size, verify_all, verify_ho, verify_ising, verify_lipkin
 
 __all__ = ["main"]
 
+# grid defaults per model; model parameters default in the model classes
 _MODEL_DEFAULTS = {
-    "ho": {"t-min": 0.05, "t-max": 20.0, "t-steps": 200, "grid": "linear"},
-    "ising": {"t-min": 0.1, "t-max": 30.0, "t-steps": 200, "grid": "linear",
-              "J": 2.0, "h": 1.0, "N": 10},
-    "lipkin": {"t-min": 0.1, "t-max": 100.0, "t-steps": 200, "grid": "geometric",
-               "N": 10, "epsilon": 1.0, "V": 3.0},
+    "ho": {"t_min": 0.05, "t_max": 20.0, "t_steps": 200, "grid": "linear"},
+    "ising": {"t_min": 0.1, "t_max": 30.0, "t_steps": 200, "grid": "linear"},
+    "lipkin": {"t_min": 0.1, "t_max": 100.0, "t_steps": 200, "grid": "geometric"},
 }
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
 class UsageError(Exception):
     pass
 
 
-def _read_config_file(path: str) -> dict:
-    """Flat key/value file; keys are the flag names without leading dashes."""
-    values = {}
+def _read_config_file(path: str) -> list[str]:
+    """Flat key/value file as `--key=value` flags; keys are flag names without dashes."""
+    flags = []
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -50,22 +51,32 @@ def _read_config_file(path: str) -> dict:
                     if len(parts) != 2:
                         raise UsageError(f"{path}:{lineno}: expected 'key = value'")
                     key, val = parts
-                values[key.strip()] = val.strip()
+                flags.append(f"--{key.strip()}={val.strip()}")
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
-    return values
+    return flags
 
 
-def _resolve(flag_value, file_values: dict, key: str, default, cast):
-    """Flags override config-file values override per-model defaults."""
-    if flag_value is not None:
-        return flag_value
-    if key in file_values:
-        try:
-            return cast(file_values[key])
-        except ValueError as exc:
-            raise UsageError(f"config key {key!r}: {exc}") from exc
-    return default
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """A negative number after a flag joined to it, `--J -1e-3` as `--J=-1e-3`:
+    argparse takes `-1e-3` for an option string, not for the flag's value."""
+    joined = []
+    for token in argv:
+        if (_NEGATIVE_NUMBER.fullmatch(token) and joined
+                and joined[-1].startswith("--") and "=" not in joined[-1]):
+            joined[-1] = f"{joined[-1]}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
+def _tolerance_override(item: str) -> tuple[str, float]:
+    """NAME=VALUE of --tolerance as (NAME, VALUE)."""
+    name, sep, value = item.partition("=")
+    try:
+        return name, float(value if sep else "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {item!r}") from None
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser):
@@ -79,11 +90,11 @@ def _add_sweep_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--N", type=int, help="particle / spin count")
     parser.add_argument("--epsilon", type=float, help="Lipkin level splitting")
     parser.add_argument("--V", type=float, help="Lipkin interaction strength")
-    parser.add_argument("--lambda-step", type=float,
+    parser.add_argument("--lambda-step", type=float, default=DiffConfig.relative_step,
                         help="relative step of the coupling derivatives")
-    parser.add_argument("--richardson", type=int,
+    parser.add_argument("--richardson", type=int, default=DiffConfig.richardson_levels,
                         help="Richardson extrapolation levels (1-5)")
-    parser.add_argument("--format", choices=("csv", "json"))
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--config", help="flat key/value config file")
 
@@ -107,70 +118,71 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--scope", choices=("all", "ho", "ising", "lipkin"),
                         default="all")
     verify.add_argument("--N", type=int, help="system size for the oracles")
-    verify.add_argument("--lambda-step", type=float)
-    verify.add_argument("--richardson", type=int)
+    verify.add_argument("--lambda-step", type=float, default=DiffConfig.relative_step)
+    verify.add_argument("--richardson", type=int, default=DiffConfig.richardson_levels)
     verify.add_argument("--tolerance", action="append", default=[],
-                        metavar="NAME=VALUE",
+                        type=_tolerance_override, metavar="NAME=VALUE",
                         help="override the tolerance of checks whose name "
                              "contains NAME (repeatable)")
     verify.add_argument("--config", help="flat key/value config file")
     return parser
 
 
-def _diff_config(args, file_values) -> DiffConfig:
-    step = _resolve(args.lambda_step, file_values, "lambda-step", 1e-5, float)
-    levels = _resolve(args.richardson, file_values, "richardson", 2, int)
-    return DiffConfig(relative_step=step, richardson_levels=levels)
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse the command line; with --config, parse again with the file's
+    flags in front of the command line's, so the command line wins."""
+    parser = _build_parser()
+    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
+    args = parser.parse_args(argv)
+    if args.config:
+        file_flags = _read_config_file(args.config)
+        args, unknown = parser.parse_known_args([args.command, *file_flags, *argv[1:]])
+        if unknown:  # the command line alone parsed cleanly, so the file has it
+            key = unknown[0][2:].partition("=")[0]
+            raise UsageError(f"{args.config}: {key!r} is not a {args.command} setting")
+    return args
+
+
+def _given(**params) -> dict:
+    """The parameters that were given; the others keep the callee's defaults."""
+    return {name: value for name, value in params.items() if value is not None}
 
 
 def _run_sweep(args) -> int:
-    file_values = _read_config_file(args.config) if args.config else {}
-    model = getattr(args, "figure", None) or _resolve(
-        args.model, file_values, "model", None, str
-    )
-    if model not in _MODEL_DEFAULTS:
+    model = getattr(args, "figure", None) or args.model
+    if model is None:
         raise UsageError("--model is required (ho, ising or lipkin)")
-    defaults = _MODEL_DEFAULTS[model]
+    for key, value in _MODEL_DEFAULTS[model].items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
-    t_min = _resolve(args.t_min, file_values, "t-min", defaults["t-min"], float)
-    t_max = _resolve(args.t_max, file_values, "t-max", defaults["t-max"], float)
-    t_steps = _resolve(args.t_steps, file_values, "t-steps", defaults["t-steps"], int)
-    grid_kind = _resolve(args.grid, file_values, "grid", defaults["grid"], str)
-    out_format = _resolve(args.format, file_values, "format", "csv", str)
-    out_path = _resolve(args.out, file_values, "out", None, str)
+    echo = {"model": model, "t_min": args.t_min, "t_max": args.t_max,
+            "t_steps": args.t_steps, "grid": args.grid,
+            "lambda_step": args.lambda_step, "richardson": args.richardson}
     try:
-        config = _diff_config(args, file_values)
-        t_grid = temperature_grid(t_min, t_max, t_steps, grid_kind)
+        config = DiffConfig(args.lambda_step, args.richardson)
+        t_grid = temperature_grid(args.t_min, args.t_max, args.t_steps, args.grid)
+        if model == "ho":
+            backend = HarmonicOscillator(n_max=truncation_level(float(t_grid.max())))
+        elif model == "ising":
+            backend = IsingChain(**_given(coupling_j=args.J, field_h=args.h, n_spins=args.N))
+            echo.update({"J": backend.coupling_j, "h": backend.field_h, "N": backend.n_spins})
+        else:
+            backend = LipkinModel(**_given(n_particles=args.N, epsilon=args.epsilon,
+                                           v_coupling=args.V))
+            echo.update({"N": backend.n_particles, "epsilon": backend.epsilon,
+                         "V": backend.v_coupling})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-    echo = {"model": model, "t_min": t_min, "t_max": t_max, "t_steps": t_steps,
-            "grid": grid_kind, "lambda_step": config.relative_step,
-            "richardson": config.richardson_levels}
-    if model == "ho":
-        backend = HarmonicOscillator(n_max=truncation_level(float(t_grid.max())))
-    elif model == "ising":
-        backend = IsingChain(
-            coupling_j=_resolve(args.J, file_values, "J", defaults["J"], float),
-            field_h=_resolve(args.h, file_values, "h", defaults["h"], float),
-            n_spins=_resolve(args.N, file_values, "N", defaults["N"], int),
-        )
-        echo.update({"J": backend.coupling_j, "h": backend.field_h, "N": backend.n_spins})
-    else:
-        backend = LipkinModel(
-            n_particles=_resolve(args.N, file_values, "N", defaults["N"], int),
-            epsilon=_resolve(args.epsilon, file_values, "epsilon",
-                             defaults["epsilon"], float),
-            v_coupling=_resolve(args.V, file_values, "V", defaults["V"], float),
-        )
-        echo.update({"N": backend.n_particles, "epsilon": backend.epsilon,
-                     "V": backend.v_coupling})
     rows = sweep(backend, t_grid, config)
 
-    text = rows_to_csv(rows) if out_format == "csv" else rows_to_json(rows, echo)
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+    text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows, echo)
+    if args.out:
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0
@@ -181,34 +193,19 @@ def _use_color() -> bool:
 
 
 def _run_verify(args) -> int:
-    file_values = _read_config_file(args.config) if args.config else {}
     try:
-        config = _diff_config(args, file_values)
+        config = DiffConfig(args.lambda_step, args.richardson)
+        if args.N is not None and args.scope in ("ising", "lipkin"):
+            check_oracle_size(args.scope, args.N)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-    overrides = []
-    for item in args.tolerance:
-        key, sep, val = item.partition("=")
-        if not sep:
-            raise UsageError(f"--tolerance expects NAME=VALUE, got {item!r}")
-        try:
-            overrides.append((key, float(val)))
-        except ValueError as exc:
-            raise UsageError(f"--tolerance {item!r}: {exc}") from exc
 
     if args.scope == "ho":
         checks = verify_ho(config)
     elif args.scope == "ising":
-        kwargs = {"config": config}
-        if args.N is not None:
-            kwargs["n_spins"] = args.N
-        checks = verify_ising(**kwargs)
+        checks = verify_ising(config=config, **_given(n_spins=args.N))
     elif args.scope == "lipkin":
-        kwargs = {"config": config}
-        if args.N is not None:
-            kwargs["n_oracle"] = args.N
-        checks = verify_lipkin(**kwargs)
+        checks = verify_lipkin(config=config, **_given(n_oracle=args.N))
     else:
         checks = verify_all(config)
 
@@ -216,7 +213,7 @@ def _run_verify(args) -> int:
     n_passed = 0
     for check in checks:
         tolerance = check.tolerance
-        for key, val in overrides:
+        for key, val in args.tolerance:
             if key in check.name:
                 tolerance = val
         passed = check.deviation <= tolerance
@@ -231,18 +228,16 @@ def _run_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse: 2 for bad flags, 0 after --help
-        return exc.code
-    try:
+        args = _parse_args(argv)
         # numpy overflow and invalid operations must stop the run, as the
         # math module's errors do, rather than print warnings and go on
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             if args.command in ("sweep", "fig"):
                 return _run_sweep(args)
             return _run_verify(args)
+    except SystemExit as exc:  # argparse: 2 for bad flags, 0 after --help
+        return exc.code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -106,8 +106,10 @@ class LipkinModel:
     def __post_init__(self):
         if self.n_particles < 1:
             raise ValueError(f"need at least one particle, got {self.n_particles}")
-        if self.epsilon <= 0:
-            raise ValueError(f"level splitting must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"level splitting must be positive and finite, got {self.epsilon}")
+        if not math.isfinite(self.v_coupling):
+            raise ValueError(f"v_coupling must be finite, got {self.v_coupling}")
 
     def potentials(self, lam: float, point: EnsemblePoint) -> ThermoPotentials:
         """Potentials of H(lam), with h1 = <H1>_T from v^T H1 v per eigenvector.

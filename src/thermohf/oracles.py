@@ -17,8 +17,8 @@ from .models.lipkin import LipkinModel
 
 __all__ = ["EnumerationResult", "ising_enumerate", "lipkin_fock"]
 
-_MAX_ENUM_SPINS = 20
-_MAX_FOCK_PARTICLES = 12
+MAX_ENUM_SPINS = 20
+MAX_FOCK_PARTICLES = 12
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ def ising_enumerate(params: IsingChain, point: EnsemblePoint) -> EnumerationResu
     bond once) and ground-state-anchored weights so large beta is safe.
     """
     n = params.n_spins
-    if n > _MAX_ENUM_SPINS:
-        raise ValueError(f"enumeration capped at {_MAX_ENUM_SPINS} spins, got {n}")
+    if n > MAX_ENUM_SPINS:
+        raise ValueError(f"enumeration capped at {MAX_ENUM_SPINS} spins, got {n}")
     beta = point.beta
 
     states = np.arange(2**n, dtype=np.uint32)
@@ -80,8 +80,8 @@ def lipkin_fock(model: LipkinModel, lam: float = 1.0) -> Spectrum:
     route: no angular-momentum structure or multiplicity enters.
     """
     n = model.n_particles
-    if n > _MAX_FOCK_PARTICLES:
-        raise ValueError(f"Fock oracle capped at {_MAX_FOCK_PARTICLES} particles, got {n}")
+    if n > MAX_FOCK_PARTICLES:
+        raise ValueError(f"Fock oracle capped at {MAX_FOCK_PARTICLES} particles, got {n}")
 
     sz_half = np.array([[0.5, 0.0], [0.0, -0.5]])
     sp = np.array([[0.0, 1.0], [0.0, 0.0]])  # raises bottom -> top

@@ -21,7 +21,6 @@ __all__ = [
     "SweepRow",
     "temperature_grid",
     "sweep",
-    "grid_derivative",
     "rows_to_csv",
     "rows_to_json",
     "CSV_HEADER",
@@ -46,8 +45,8 @@ class SweepRow:
 
 def temperature_grid(t_min: float, t_max: float, steps: int, kind: str = "linear") -> np.ndarray:
     """Strictly increasing temperature grid, linear or geometric."""
-    if not (0.0 < t_min < t_max):
-        raise ValueError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
+    if not (0.0 < t_min < t_max < np.inf):
+        raise ValueError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
     if steps < 2:
         raise ValueError(f"need at least 2 grid points, got {steps}")
     if kind == "linear":
@@ -73,28 +72,6 @@ def sweep(model, t_grid, config: DiffConfig = DiffConfig()) -> list[SweepRow]:
         deriv.free_energy, deriv.energy, deriv.entropy, pots.h1,
     ]).tolist()
     return [SweepRow(*values) for values in columns]
-
-
-def grid_derivative(t_grid, values) -> np.ndarray:
-    """Derivative of tabulated values on a (possibly nonuniform) grid.
-
-    Three-point stencils exact for quadratics; one-sided at the endpoints.
-    """
-    t = np.asarray(t_grid, dtype=float)
-    f = np.asarray(values, dtype=float)
-    if t.size != f.size or t.size < 3:
-        raise ValueError("need aligned grids with at least 3 points")
-    out = np.empty_like(f)
-    h_prev = t[1:-1] - t[:-2]
-    h_next = t[2:] - t[1:-1]
-    out[1:-1] = (
-        -h_next / (h_prev * (h_prev + h_next)) * f[:-2]
-        + (h_next - h_prev) / (h_prev * h_next) * f[1:-1]
-        + h_prev / (h_next * (h_prev + h_next)) * f[2:]
-    )
-    out[0] = (f[1] - f[0]) / (t[1] - t[0])
-    out[-1] = (f[-1] - f[-2]) / (t[-1] - t[-2])
-    return out
 
 
 def _row_values(row: SweepRow):

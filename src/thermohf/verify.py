@@ -34,10 +34,11 @@ from .models.lipkin import (
     multiplicity,
 )
 from .numdiff import DiffConfig, central_diff, lambda_derivatives
-from .oracles import ising_enumerate, lipkin_fock
+from .oracles import MAX_ENUM_SPINS, MAX_FOCK_PARTICLES, ising_enumerate, lipkin_fock
 from .sweep import temperature_grid
 
-__all__ = ["CheckResult", "verify_ho", "verify_ising", "verify_lipkin", "verify_all"]
+__all__ = ["CheckResult", "check_oracle_size", "verify_ho", "verify_ising", "verify_lipkin",
+           "verify_all"]
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,14 @@ class CheckResult:
 
 def _max_abs(values) -> float:
     return float(np.max(np.abs(values)))
+
+
+def check_oracle_size(scope: str, n: int) -> None:
+    """Raise ValueError unless the scope's oracle runs at size n: from the
+    smallest chain or particle number the model allows up to the oracle's cap."""
+    low, high = {"ising": (2, MAX_ENUM_SPINS), "lipkin": (1, MAX_FOCK_PARTICLES)}[scope]
+    if not low <= n <= high:
+        raise ValueError(f"{scope} oracle size must be in [{low}, {high}], got {n}")
 
 
 def verify_ho(config: DiffConfig = DiffConfig()) -> list[CheckResult]:
@@ -113,6 +122,7 @@ def _ising_hf_terms(params: IsingChain, point: EnsemblePoint, config: DiffConfig
 def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig(),
                  seed: int = 20260823) -> list[CheckResult]:
     """Ising: enumeration oracle, HF term decomposition, symmetry, limits."""
+    check_oracle_size("ising", n_spins)
     checks = []
     rng = np.random.default_rng(seed)
 
@@ -180,6 +190,7 @@ def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig(),
 def verify_lipkin(n_oracle: int = 8, config: DiffConfig = DiffConfig(),
                   seed: int = 20260823) -> list[CheckResult]:
     """Lipkin: dimension identity, Fock oracle, HF identity, corollary, limits."""
+    check_oracle_size("lipkin", n_oracle)
     checks = []
 
     dev_dim = 0

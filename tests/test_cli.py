@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from thermohf import cli
 from thermohf.cli import main
 from thermohf.sweep import CSV_HEADER
 
@@ -139,6 +140,113 @@ class TestSweepCommand:
         cfg.write_text("t-steps = not-a-number\n")
         code, _, err = run(["sweep", "--model", "ho", "--config", str(cfg)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("flag,value,model", [
+        ("--J", "-1e-3", "ising"),
+        ("--h", "-2.5E-1", "ising"),
+        ("--V", "-3e0", "lipkin"),
+    ])
+    def test_negative_exponent_value(self, flag, value, model, capsys):
+        base = ["sweep", "--model", model, "--t-steps", "4"]
+        spaced = run([*base, flag, value], capsys)
+        joined = run([*base, f"{flag}={value}"], capsys)
+        assert spaced[0] == 0 and spaced == joined
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--model", "ising", "--N", "1"],
+        ["sweep", "--model", "lipkin", "--N", "0"],
+        ["sweep", "--model", "lipkin", "--epsilon", "-1"],
+        ["sweep", "--model", "lipkin", "--V", "nan"],
+        ["sweep", "--model", "ising", "--J", "nan"],
+        ["sweep", "--model", "ho", "--t-max", "inf"],
+        ["verify", "--scope", "lipkin", "--N", "13"],
+        ["verify", "--scope", "ising", "--N", "21"],
+        ["verify", "--scope", "ising", "--N", "1"],
+    ], ids=["ising-N1", "lipkin-N0", "lipkin-negative-epsilon", "lipkin-V-nan",
+            "ising-J-nan", "t-max-inf", "verify-lipkin-N13", "verify-ising-N21",
+            "verify-ising-N1"])
+    def test_invalid_parameter_is_usage_error(self, argv, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("computation started before the parameters were checked")
+
+        for name in ("sweep", "verify_ising", "verify_lipkin"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("target", ["missing-dir/x.csv", "."], ids=["no-dir", "is-dir"])
+    def test_unwritable_out_is_usage_error(self, target, tmp_path, capsys):
+        out_path = tmp_path / target
+        code, out, err = run(["sweep", "--model", "ho", "--t-steps", "3",
+                              "--out", str(out_path)], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot write")
+
+
+def write_config(path, settings: dict):
+    path.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    return str(path)
+
+
+class TestConfigFile:
+    # every sweep flag but --config, with model, format and out added per case;
+    # each model ignores the parameters it does not have
+    SETTINGS = {"t-min": "0.2", "t-max": "3", "t-steps": "5", "grid": "geometric",
+                "J": "-1.5", "h": "0.25", "N": "6", "epsilon": "1.5", "V": "-2.5e-1",
+                "lambda-step": "2e-5", "richardson": "3"}
+
+    @pytest.mark.parametrize("command", ["sweep", "fig"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("model", ["ho", "ising", "lipkin"])
+    def test_file_equals_flags(self, command, fmt, model, tmp_path, capsys):
+        settings = {"model": model, **self.SETTINGS, "format": fmt,
+                    "out": tmp_path / "from-file.out"}
+        cfg = write_config(tmp_path / "run.cfg", settings)
+        settings["out"] = tmp_path / "from-flags.out"
+        flags = [f"--{key}={value}" for key, value in settings.items()]
+        head = [command] if command == "sweep" else [command, model]
+        assert run([*head, "--config", cfg], capsys)[0] == 0
+        assert run([*head, *flags], capsys)[0] == 0
+        assert (tmp_path / "from-file.out").read_bytes() == (
+            tmp_path / "from-flags.out").read_bytes()
+
+    def test_flags_override_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.cfg", {"model": "lipkin", "format": "json",
+                                                  "V": "1", "t-steps": "4"})
+        from_file = run(["sweep", "--config", cfg, "--format", "csv", "--V", "2"], capsys)
+        from_flags = run(["sweep", "--model", "lipkin", "--t-steps", "4", "--V", "2"], capsys)
+        assert from_file[0] == 0 and from_file == from_flags
+
+    @pytest.mark.parametrize("command,line,message", [
+        ("sweep", "t_steps = 4", "'t_steps' is not a sweep setting"),
+        ("verify", "t-min = 0.5", "'t-min' is not a verify setting"),
+        ("sweep", "format = xml", "invalid choice: 'xml'"),
+        ("sweep", "grid = bogus", "invalid choice: 'bogus'"),
+        ("verify", "N = six", "invalid int value: 'six'"),
+    ], ids=["unknown-key", "other-command-key", "bad-format", "bad-grid", "bad-int"])
+    def test_bad_setting_is_usage_error(self, command, line, message, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"model = ho\n{line}\n" if command == "sweep" else f"{line}\n")
+        code, out, err = run([command, "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("settings,argv,expected_code", [
+        ({"scope": "lipkin", "N": "6"}, ["--scope", "lipkin", "--N", "6"], 0),
+        ({"scope": "ising", "N": "5"}, ["--scope", "ising", "--N", "5"], 0),
+        ({"scope": "ho", "tolerance": "dF/dlam=1e-30"},
+         ["--scope", "ho", "--tolerance", "dF/dlam=1e-30"], 1),
+    ], ids=["lipkin-N", "ising-N", "tolerance"])
+    def test_verify_honours_file(self, settings, argv, expected_code, tmp_path, capsys):
+        cfg = write_config(tmp_path / "verify.cfg", settings)
+        from_file = run(["verify", "--config", cfg], capsys)
+        assert from_file[0] == expected_code
+        assert from_file == run(["verify", *argv], capsys)
+        if "N" in settings and settings["scope"] == "lipkin":
+            assert "block vs Fock spectrum (N=6)" in from_file[1]
 
 
 class TestFigCommand:

@@ -6,11 +6,11 @@ import pytest
 from thermohf.models import lipkin
 from thermohf.models.ho import HarmonicOscillator, truncation_level
 from thermohf.models.ising import IsingChain
+from thermohf.ensemble import EnsemblePoint
 from thermohf.models.lipkin import LipkinModel
-from thermohf.numdiff import DiffConfig
+from thermohf.numdiff import DiffConfig, central_diff
 from thermohf.sweep import (
     CSV_HEADER,
-    grid_derivative,
     rows_to_csv,
     rows_to_json,
     sweep,
@@ -41,14 +41,6 @@ class TestTemperatureGrid:
             temperature_grid(1.0, 2.0, 1)
 
 
-class TestGridDerivative:
-    def test_exact_for_quadratic_nonuniform(self):
-        t = np.geomspace(1.0, 10.0, 20)
-        f = 3 * t * t - 2 * t + 1
-        d = grid_derivative(t, f)
-        assert np.allclose(d[1:-1], 6 * t[1:-1] - 2, rtol=1e-10)
-
-
 class TestSweeps:
     def test_ho_rows_consistent(self):
         rows = sweep_ho(temperature_grid(0.1, 5.0, 10))
@@ -70,7 +62,10 @@ class TestSweeps:
         model = LipkinModel(6, 1.0, 3.0)
         t_grid = temperature_grid(0.5, 50.0, 80, "geometric")
         rows = sweep(model, t_grid)
-        dh1_dt = grid_derivative(t_grid, [r.h1_direct for r in rows])
+        dh1_dt, _ = central_diff(
+            lambda temps: model.potentials(1.0, EnsemblePoint.from_temperature(temps)).h1,
+            t_grid,
+        )
         assert len(rows) == 80 and dh1_dt.shape == (80,)
         for row in rows:
             assert row.free_energy == pytest.approx(
@@ -81,8 +76,8 @@ class TestSweeps:
         assert all(b < a for a, b in zip(free_energies, free_energies[1:]))
         for row in rows:
             assert row.df_dlambda == pytest.approx(row.h1_direct, abs=1e-6)
-        # coarse-grid temperature derivative tracks -dS/dlam
-        for k in range(10, 70):
+        # entropy corollary: d<H1>/dT = -dS/dlam at every grid point
+        for k in range(80):
             assert dh1_dt[k] == pytest.approx(-rows[k].ds_dlambda, rel=0.05, abs=1e-3)
 
     def test_lipkin_one_spectrum_per_coupling(self, monkeypatch):
