@@ -137,9 +137,12 @@ def _parse_args(argv) -> argparse.Namespace:
     if args.config:
         file_flags = _read_config_file(args.config)
         args, unknown = parser.parse_known_args([args.command, *file_flags, *argv[1:]])
-        if unknown:  # the command line alone parsed cleanly, so the file has it
-            key = unknown[0][2:].partition("=")[0]
-            raise UsageError(f"{args.config}: {key!r} is not a {args.command} setting")
+        for flag in file_flags:
+            key = flag[2:].partition("=")[0]
+            # the command line alone parsed cleanly, so an unknown flag is the
+            # file's; a key that argparse took for a prefix of a flag is no dest
+            if flag in unknown or key.replace("-", "_") not in vars(args):
+                raise UsageError(f"{args.config}: {key!r} is not a {args.command} setting")
     return args
 
 

@@ -6,7 +6,13 @@ Conventions: k_B = 1, beta = 1/T, energies in the model's natural units.
 
 Numerical stability: every Boltzmann sum is anchored at the ground-state
 energy, so all exponentials are <= 1 and lnZ stays finite for arbitrarily
-large beta.
+large beta. np.exp is exactly 0.0 below about -745.14 and slow to get
+there (as for results in the subnormal band). So a weight whose exponent
+lies below -746 for every temperature of a block is left as an exact 0.0
+without calling exp; the sums still run over full rows, since numpy's
+pairwise summation groups its operands by row length and a shorter row
+would round differently. Results are bit for bit those of exp on every
+weight.
 
 A point may hold one temperature or a 1-D grid of them. A grid is
 evaluated as one (temperatures x levels) log-sum-exp, formed a block of
@@ -30,6 +36,9 @@ __all__ = [
 # Most (temperature, level) weights formed at once; bounds the temporaries
 # of a whole-grid evaluation.
 _BLOCK_ELEMENTS = 2**16
+# np.exp is exactly 0.0 below about -745.14; the margin covers the rounding
+# of ln g - beta * gap and of the cutoff itself.
+_EXP_ZERO_BELOW = -746.0
 
 
 @dataclass(frozen=True)
@@ -151,18 +160,35 @@ def _boltzmann_sums(spectrum: Spectrum, point: EnsemblePoint, values):
 
     Returns one row per sum, one column per temperature.
     w_n = exp(ln g_n - beta (E_n - E_min)) is anchored at the ground state.
-    Each temperature's sums depend only on its own beta, so a grid gives
-    the same numbers as its temperatures one at a time.
+    In each block of temperatures, exp runs only on the levels with
+    gap <= (max ln g - _EXP_ZERO_BELOW) / min(beta); past them every w_n is
+    exactly 0.0 and is stored as such. The rows are summed in full, so each
+    temperature's sums depend only on its own beta, and a grid gives the
+    same numbers as its temperatures one at a time. The two block buffers
+    are allocated once per call.
     """
     betas = np.atleast_1d(point.beta)
+    log_g = spectrum.log_degeneracies
     gap = spectrum.energies - spectrum.energies[0]
+    # beyond gap > reach / beta every exponent is below _EXP_ZERO_BELOW
+    reach = float(log_g.max()) - _EXP_ZERO_BELOW
     rows = max(1, _BLOCK_ELEMENTS // gap.size)
+    w_buf = np.empty((min(rows, betas.size), gap.size))
+    wv_buf = np.empty_like(w_buf)
     sums = np.empty((1 + len(values), betas.size))
     for i in range(0, betas.size, rows):
-        w = np.exp(spectrum.log_degeneracies - betas[i:i + rows, None] * gap)
+        block = betas[i:i + rows]
+        w, wv = w_buf[:block.size], wv_buf[:block.size]
+        # Python float division: a tiny beta gives inf, not an overflow error
+        cut = np.searchsorted(gap, reach / float(block.min()), side="right")
+        head = w[:, :cut]
+        np.multiply(block[:, None], gap[:cut], out=head)
+        np.subtract(log_g[:cut], head, out=head)
+        np.exp(head, out=head)
+        w[:, cut:] = 0.0
         sums[0, i:i + rows] = w.sum(axis=1)
         for k, v in enumerate(values, 1):
-            sums[k, i:i + rows] = (w * v).sum(axis=1)
+            sums[k, i:i + rows] = np.multiply(w, v, out=wv).sum(axis=1)
     return sums
 
 

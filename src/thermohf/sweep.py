@@ -74,26 +74,38 @@ def sweep(model, t_grid, config: DiffConfig = DiffConfig()) -> list[SweepRow]:
     return [SweepRow(*values) for values in columns]
 
 
-def _row_values(row: SweepRow):
-    return [
-        row.temperature, row.energy, row.free_energy, row.entropy,
-        row.df_dlambda, row.de_dlambda, row.ds_dlambda, row.h1_direct,
-    ]
+def _flat_values(rows) -> tuple:
+    """Every row's values in CSV_HEADER order, row after row."""
+    return tuple([
+        v for row in rows for v in (
+            row.temperature, row.energy, row.free_energy, row.entropy,
+            row.df_dlambda, row.de_dlambda, row.ds_dlambda, row.h1_direct,
+        )
+    ])
 
 
 def rows_to_csv(rows) -> str:
-    """Deterministic CSV with 17-significant-digit floats."""
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(format(v, ".17g") for v in _row_values(row)))
-    return "\n".join(lines) + "\n"
+    """Deterministic CSV with 17-significant-digit floats.
+
+    One %-format call over all rows; "%.17g" % v is format(v, ".17g").
+    """
+    row_format = ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
+    return "\n".join([CSV_HEADER, *[row_format] * len(rows)]) % _flat_values(rows) + "\n"
 
 
 def rows_to_json(rows, config_echo: dict) -> str:
-    """Same rows as JSON objects, plus an echo of the run configuration."""
-    keys = CSV_HEADER.split(",")
-    payload = {
-        "config": config_echo,
-        "rows": [dict(zip(keys, _row_values(row))) for row in rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """Same rows as JSON objects, plus an echo of the run configuration.
+
+    The text is json.dumps(payload, indent=2). The float tokens come from
+    one json.dumps of all values (same repr, NaN and Infinity spellings)
+    and fill a fixed per-row layout after the config, which is dumped as is.
+    """
+    text = json.dumps({"config": config_echo, "rows": []}, indent=2)
+    if not rows:
+        return text + "\n"
+    row_format = "    {\n" + ",\n".join(
+        f"      {json.dumps(key)}: %s" for key in CSV_HEADER.split(",")
+    ) + "\n    }"
+    tokens = tuple(json.dumps(_flat_values(rows))[1:-1].split(", "))
+    body = ",\n".join([row_format] * len(rows)) % tokens
+    return text[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"

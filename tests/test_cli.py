@@ -226,13 +226,21 @@ class TestConfigFile:
         ("sweep", "format = xml", "invalid choice: 'xml'"),
         ("sweep", "grid = bogus", "invalid choice: 'bogus'"),
         ("verify", "N = six", "invalid int value: 'six'"),
-    ], ids=["unknown-key", "other-command-key", "bad-format", "bad-grid", "bad-int"])
+        ("sweep", "t-st = 4", "'t-st' is not a sweep setting"),
+    ], ids=["unknown-key", "other-command-key", "bad-format", "bad-grid", "bad-int",
+            "abbreviated-key"])
     def test_bad_setting_is_usage_error(self, command, line, message, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"model = ho\n{line}\n" if command == "sweep" else f"{line}\n")
         code, out, err = run([command, "--config", str(cfg)], capsys)
         assert code == 2 and out == ""
         assert message in err
+
+    def test_abbreviated_flag_on_command_line(self, capsys):
+        # argparse's prefix matching stays for flags; only file keys must be whole
+        abbreviated = run(["sweep", "--model", "ho", "--t-st", "4"], capsys)
+        assert abbreviated[0] == 0
+        assert abbreviated == run(["sweep", "--model", "ho", "--t-steps", "4"], capsys)
 
     @pytest.mark.parametrize("settings,argv,expected_code", [
         ({"scope": "lipkin", "N": "6"}, ["--scope", "lipkin", "--N", "6"], 0),

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermohf import EnsemblePoint, Spectrum, potentials
+from thermohf.ensemble import _EXP_ZERO_BELOW
 
 
 class TestSpectrum:
@@ -201,3 +204,90 @@ class TestGrid:
             single = potentials(s, point, obs)
             for field, value in vars(single).items():
                 _assert_close(getattr(pots, field)[k], value)
+
+
+def naive_potentials(spectrum, beta, h1):
+    """One temperature at a time: every weight by np.exp, full-row sums."""
+    e0 = spectrum.energies[0]
+    gap = spectrum.energies - e0
+    fields = []
+    for b in np.atleast_1d(beta):
+        w = np.exp(spectrum.log_degeneracies - b * gap)
+        z0 = w.sum()
+        ln_z = -b * e0 + np.log(z0)
+        energy = (w * spectrum.energies).sum() / z0
+        free_energy = -ln_z / b
+        entropy = b * (energy - free_energy)
+        fields.append((ln_z, free_energy, energy, entropy, (w * h1).sum() / z0))
+    return np.array(fields).T
+
+
+@st.composite
+def spectra(draw):
+    """Sorted levels from one to three clusters, each with gaps up to between
+    1e-3 and 1e4; the ground state sometimes at exactly 0 and its H1 value
+    sometimes 0, so that tiny weights decide E and <H1>. Degeneracies are all
+    one, int64 up to 1e18, or Lipkin N = 70 multiplicities (beyond int64)."""
+    n = draw(st.integers(1, 1200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    widths = 10.0 ** rng.uniform(-3.0, 4.0, draw(st.integers(1, 3)))
+    gaps = np.sort(rng.uniform(0.0, rng.choice(widths, n)))
+    energies = draw(st.one_of(st.just(0.0), st.floats(-50.0, 50.0))) + gaps - gaps[0]
+    kind = draw(st.sampled_from(["one", "int64", "object"]))
+    if kind == "one":
+        degeneracies = None
+    elif kind == "int64":
+        degeneracies = rng.integers(1, 10**18, n)
+    else:
+        degeneracies = np.array([math.comb(70, k) for k in rng.integers(0, 71, n)],
+                                dtype=object)
+    h1 = rng.standard_normal(n)
+    if draw(st.booleans()):
+        h1[0] = 0.0
+    return Spectrum(energies, degeneracies), h1
+
+
+@st.composite
+def betas(draw):
+    """A scalar beta or an unsorted 1-D grid, beta from 1e-2 to 10."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return 10.0 ** draw(st.floats(-2.0, 1.0))
+    return 10.0 ** rng.uniform(-2.0, 1.0, draw(st.integers(1, 300)))
+
+
+properties = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+class TestExactBoltzmannSums:
+    """The grid engine gives the naive per-temperature sums bit for bit,
+    including where beta * gap puts weights in the exact-zero region and the
+    subnormal band."""
+
+    def test_cutoff_is_in_the_exact_zero_region(self):
+        assert np.exp(_EXP_ZERO_BELOW) == 0.0
+        assert np.exp(np.nextafter(_EXP_ZERO_BELOW, -np.inf)) == 0.0
+
+    @properties
+    @given(case=spectra(), beta=betas())
+    # one level; the last subnormal weight, 5e-324; a first excited level
+    # swept through the subnormal band; many oscillator levels over several
+    # blocks of a geometric grid; Lipkin-sized ln g with zeros past the cutoff
+    @example(case=(Spectrum([-3.0]), np.array([0.5])), beta=2.0)
+    @example(case=(Spectrum([0.0, 1.0]), np.array([0.0, 1.0])), beta=745.0)
+    @example(case=(Spectrum([0.0, 1.0, 1.5]), np.array([0.0, -1.0, 1.0])),
+             beta=np.linspace(760.0, 709.0, 200))
+    @example(case=(Spectrum(np.arange(1201) + 0.5), np.arange(1201.0)),
+             beta=1.0 / np.geomspace(0.02, 40, 300)[::-1])
+    @example(case=(Spectrum(np.linspace(0.0, 1e3, 800), [math.comb(70, 35)] * 800),
+                   np.ones(800)), beta=np.geomspace(10.0, 1e-2, 250))
+    def test_matches_naive_sums(self, case, beta):
+        spectrum, h1 = case
+        point = EnsemblePoint(beta=beta)
+        got = potentials(spectrum, point, h1)
+        want = naive_potentials(spectrum, beta, h1)
+        fields = (got.ln_z, got.free_energy, got.energy, got.entropy, got.h1)
+        if np.ndim(beta) == 0:
+            assert all(isinstance(x, float) for x in fields)
+        for value, expected in zip(fields, want):
+            assert np.array_equal(np.atleast_1d(value), expected)

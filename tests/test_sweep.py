@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from thermohf.models.lipkin import LipkinModel
 from thermohf.numdiff import DiffConfig, central_diff
 from thermohf.sweep import (
     CSV_HEADER,
+    SweepRow,
     rows_to_csv,
     rows_to_json,
     sweep,
@@ -139,3 +141,63 @@ class TestSerialization:
         assert len(payload["rows"]) == 3
         assert set(payload["rows"][0]) == set(CSV_HEADER.split(","))
         assert payload["rows"][0]["T"] == rows[0].temperature
+
+
+def reference_values(row):
+    return [
+        row.temperature, row.energy, row.free_energy, row.entropy,
+        row.df_dlambda, row.de_dlambda, row.ds_dlambda, row.h1_direct,
+    ]
+
+
+def reference_csv(rows):
+    """One format() call per value, one join per row."""
+    lines = [CSV_HEADER]
+    for row in rows:
+        lines.append(",".join(format(v, ".17g") for v in reference_values(row)))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(rows, config_echo):
+    """The whole payload through json.dumps with indent=2."""
+    keys = CSV_HEADER.split(",")
+    payload = {
+        "config": config_echo,
+        "rows": [dict(zip(keys, reference_values(row))) for row in rows],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestSerializationBytes:
+    """rows_to_csv and rows_to_json write the reference serializers' bytes."""
+
+    SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308]
+    # nested values and a "rows" key of its own
+    ECHO = {"model": "lipkin", "rows": [1, {"rows": []}], "nested": {"a": [0.1, None]},
+            "t_min": 1e-3, "grid": "geometric", "N": 70}
+
+    def rows(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal((n, 8)) * 10.0 ** rng.integers(-300, 300, (n, 8))
+        flat = values.ravel()
+        flat[: min(flat.size, 64)] = np.resize(self.SPECIAL, min(flat.size, 64))
+        return [SweepRow(*row) for row in values.tolist()]
+
+    @pytest.mark.parametrize("n", [0, 1, 2000])
+    def test_csv(self, n):
+        rows = self.rows(n)
+        assert rows_to_csv(rows) == reference_csv(rows)
+
+    @pytest.mark.parametrize("echo", [ECHO, {}], ids=["nested-echo", "empty-echo"])
+    @pytest.mark.parametrize("n", [0, 1, 2000])
+    def test_json(self, n, echo):
+        rows = self.rows(n)
+        assert rows_to_json(rows, echo) == reference_json(rows, echo)
+
+    def test_every_special_value_is_written(self):
+        text = rows_to_csv(self.rows(1)) + rows_to_json(self.rows(1), {})
+        for token in ("nan", "inf", "-inf", "-0", "4.9406564584124654e-324",
+                      "1.7976931348623157e+308", "NaN", "Infinity", "-Infinity",
+                      "-0.0", "5e-324", "1.7976931348623157e+308"):
+            assert token in text
