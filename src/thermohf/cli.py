@@ -7,6 +7,7 @@ error. main returns them, argparse's own exits (bad flags, --help) included.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -99,7 +100,10 @@ def _add_sweep_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="flat key/value config file")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first main call and reused:
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="thermohf",
         description="Canonical-ensemble sweeps and Hellmann-Feynman checks "

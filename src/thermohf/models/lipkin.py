@@ -3,8 +3,15 @@
 H(lam) = eps*J0 + lam*H1 with H1 = -(V/2)(Jp^2 + Jm^2). The Fock space of
 N particles splits into angular-momentum blocks j = j_min..N/2, each
 occurring with an exact integer multiplicity; the full spectrum is the
-multiplicity-weighted union of the block spectra. Each block is
-diagonalized with numpy's LAPACK ``eigh``.
+multiplicity-weighted union of the block spectra.
+
+A block couples only m <-> m+2, so it falls into two tridiagonal m-parity
+sectors. All sectors are formed in one numpy pass and diagonalized by one
+stacked LAPACK ``eigh`` per batch: each sector is padded to the batch's
+largest with decoupled diagonal entries above the batch's Gershgorin bound,
+so its eigenvalues come out bit for bit as from its own ``eigh``. A batch
+holds at most _BATCH_ELEMENTS matrix elements. Each eigenvector's <H1> is
+2 sum_i o_i v_i v_i+1 over the sector's off-diagonal o, O(n) per vector.
 
 Half-integer j is carried as twice-j integers so all bookkeeping is exact.
 Multiplicities stay exact integers at any N: int64 while they fit, Python
@@ -29,6 +36,9 @@ __all__ = [
     "lipkin_levels_with_h1",
 ]
 
+# Most matrix elements in one stacked eigh; bounds its memory at large N.
+_BATCH_ELEMENTS = 2**18
+
 
 def multiplicity(n_particles: int, two_j: int) -> int:
     """Number of SU(2) blocks with angular momentum j = two_j/2 for N spins.
@@ -52,6 +62,13 @@ def _block_j_values(n_particles: int):
     return range(start, n_particles + 1, 2)
 
 
+def _h1_amplitudes(two_j, m):
+    """sqrt(j(j+1)-m(m+1)) * sqrt(j(j+1)-(m+1)(m+2)): the m <-> m+2 amplitude
+    of Jp^2 + Jm^2; two_j and m broadcast."""
+    jj = 0.25 * two_j * (two_j + 2)  # j(j+1)
+    return np.sqrt(jj - m * (m + 1)) * np.sqrt(jj - (m + 1) * (m + 2))
+
+
 def build_block_h1(two_j: int, v_coupling: float) -> np.ndarray:
     """Matrix of H1 = -(V/2)(Jp^2 + Jm^2) in the ordered m-basis of one block.
 
@@ -60,11 +77,8 @@ def build_block_h1(two_j: int, v_coupling: float) -> np.ndarray:
     """
     dim = two_j + 1
     h1 = np.zeros((dim, dim))
-    jj = 0.25 * two_j * (two_j + 2)  # j(j+1)
     i = np.arange(dim - 2)
-    m = -0.5 * two_j + i
-    amp = np.sqrt(jj - m * (m + 1)) * np.sqrt(jj - (m + 1) * (m + 2))
-    h1[i, i + 2] = h1[i + 2, i] = -0.5 * v_coupling * amp
+    h1[i, i + 2] = h1[i + 2, i] = -0.5 * v_coupling * _h1_amplitudes(two_j, -0.5 * two_j + i)
     return h1
 
 
@@ -75,24 +89,67 @@ def build_block(two_j: int, epsilon: float, v_coupling: float, lam: float = 1.0)
     return np.diag(epsilon * m) + lam * build_block_h1(two_j, v_coupling)
 
 
-def _block_eigensystem(two_j: int, epsilon: float, v_coupling: float, lam: float):
-    """Eigenvalues and H1 expectations of one block, one m-parity sector
-    after the other, each sector in ascending order.
+def _sectors(model: LipkinModel):
+    """Sizes, diagonals eps*m and H1 off-diagonals of every m-parity sector.
 
-    The block couples only m <-> m+2, so even and odd m-offsets decouple
-    and are diagonalized separately. H1 conserves that parity too, and the
-    eigenvalues within a sector are simple (a tridiagonal matrix with
-    nonzero off-diagonal), so each eigenvector's <H1> is basis independent.
+    A block couples only m <-> m+2, so its even and odd m-offsets form two
+    tridiagonal sectors; H1 conserves that parity too. Sectors come by
+    ascending j, even offset before odd. Row r of a sector is the block's
+    m-index p + 2r; rows past a sector's size hold zeros.
     """
-    h = build_block(two_j, epsilon, v_coupling, lam)
-    h1 = build_block_h1(two_j, v_coupling)
-    energies = []
-    h1_values = []
-    for p in (0, 1):
-        values, vectors = np.linalg.eigh(h[p::2, p::2])
-        energies.append(values)
-        h1_values.append(np.einsum("ij,jk,ki->i", vectors.T, h1[p::2, p::2], vectors))
-    return np.concatenate(energies), np.concatenate(h1_values)
+    n = model.n_particles
+    two_j = np.repeat(_block_j_values(n), 2)[:, None]
+    parity = np.tile([0, 1], two_j.size // 2)[:, None]
+    sizes = (two_j[:, 0] + 2 - parity[:, 0]) // 2
+    m = -0.5 * two_j + (parity + 2 * np.arange(sizes.max()))
+    rows = np.arange(sizes.max()) < sizes[:, None]
+    diagonal = np.zeros(m.shape)
+    diagonal[rows] = model.epsilon * m[rows]
+    coupled = rows[:, 1:] & rows[:, :-1]
+    off = np.zeros((m.shape[0], m.shape[1] - 1))
+    off[coupled] = -0.5 * model.v_coupling * _h1_amplitudes(
+        np.broadcast_to(two_j, m.shape)[:, :-1][coupled], m[:, :-1][coupled]
+    )
+    return sizes, diagonal, off
+
+
+def _batches(sizes: np.ndarray):
+    """(start, stop) runs of consecutive sectors whose stack, padded to the
+    run's largest sector, holds at most _BATCH_ELEMENTS (one sector at least)."""
+    widths = np.maximum.accumulate(sizes)
+    start = 0
+    while start < sizes.size:
+        cost = np.arange(1, sizes.size - start + 1) * widths[start:] ** 2
+        stop = start + max(1, int(np.searchsorted(cost, _BATCH_ELEMENTS, side="right")))
+        yield start, stop
+        start = stop
+
+
+def _sector_eigensystems(sizes, diagonal, off, lam: float):
+    """Eigenvalues and per-eigenvector <H1> of a run of sectors, sector after
+    sector, each ascending, from one stacked eigh.
+
+    Each sector is padded to the run's largest with distinct diagonal entries
+    above the run's Gershgorin bound and zero coupling, so its lowest `size`
+    eigenvalues are the sector's own, bit for bit: LAPACK's tridiagonal
+    reduction leaves a tridiagonal matrix as it is, and its tridiagonal
+    solver splits at the exact zeros. The eigenvalues within a sector are
+    simple (nonzero off-diagonal), so <v|H1|v> = 2 sum_i o_i v_i v_i+1 is
+    basis independent.
+    """
+    k = sizes.max()
+    i = np.arange(k)
+    rows = i < sizes[:, None]
+    diagonal, off = diagonal[:, :k], off[:, :k - 1]
+    coupling = lam * off
+    bound = np.abs(diagonal).max() + 2 * np.abs(coupling).max(initial=0.0)
+    pad = bound * (1.0 + (i + 1) / k)
+    stack = np.zeros((sizes.size, k, k))
+    stack[:, i, i] = np.where(rows, diagonal, pad)
+    stack[:, i[1:], i[:-1]] = stack[:, i[:-1], i[1:]] = coupling
+    values, vectors = np.linalg.eigh(stack)
+    h1_values = 2 * np.einsum("si,sij,sij->sj", off, vectors[:, :-1], vectors[:, 1:])
+    return values[rows], h1_values[rows]
 
 
 @dataclass(frozen=True)
@@ -124,25 +181,20 @@ class LipkinModel:
 def lipkin_levels_with_h1(model: LipkinModel, lam: float = 1.0):
     """(Spectrum, aligned per-level H1 expectations) over all blocks.
 
-    Each block eigenvalue enters once with the block multiplicity as its
-    degeneracy; levels are globally sorted ascending.
+    Each sector eigenvalue enters once with its block's multiplicity as the
+    degeneracy; levels are globally sorted ascending (stable, so ties keep
+    the sector order).
     """
-    two_js = _block_j_values(model.n_particles)
-    mults = [multiplicity(model.n_particles, two_j) for two_j in two_js]
+    mults = [multiplicity(model.n_particles, two_j) for two_j in _block_j_values(model.n_particles)]
     g_dtype = np.int64 if max(mults) <= np.iinfo(np.int64).max else object
-    all_e = []
-    all_g = []
-    all_h1 = []
-    for two_j, mult in zip(two_js, mults):
-        energies, h1_values = _block_eigensystem(
-            two_j, model.epsilon, model.v_coupling, lam
-        )
-        all_e.append(energies)
-        all_g.append(np.full(energies.size, mult, dtype=g_dtype))
-        all_h1.append(h1_values)
-    e = np.concatenate(all_e)
-    g = np.concatenate(all_g)
-    h1 = np.concatenate(all_h1)
+    sizes, diagonal, off = _sectors(model)
+    parts = [
+        _sector_eigensystems(sizes[start:stop], diagonal[start:stop], off[start:stop], lam)
+        for start, stop in _batches(sizes)
+    ]
+    e = np.concatenate([values for values, _ in parts])
+    h1 = np.concatenate([h1_values for _, h1_values in parts])
+    g = np.repeat(np.repeat(np.array(mults, dtype=g_dtype), 2), sizes)
     order = np.argsort(e, kind="stable")
     return Spectrum(e[order], g[order]), h1[order]
 

@@ -9,8 +9,9 @@ it at once.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,9 +30,11 @@ __all__ = [
 CSV_HEADER = "T,E,F,S,dF_dlambda,dE_dlambda,dS_dlambda,H1_direct"
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One temperature grid point; h1_direct is <H1>_T by a derivative-free route."""
+class SweepRow(NamedTuple):
+    """One temperature grid point; h1_direct is <H1>_T by a derivative-free route.
+
+    The fields are in CSV_HEADER order, so a row is its CSV values as a tuple.
+    """
 
     temperature: float
     energy: float
@@ -71,17 +74,12 @@ def sweep(model, t_grid, config: DiffConfig = DiffConfig()) -> list[SweepRow]:
         t_grid, pots.energy, pots.free_energy, pots.entropy,
         deriv.free_energy, deriv.energy, deriv.entropy, pots.h1,
     ]).tolist()
-    return [SweepRow(*values) for values in columns]
+    return list(map(SweepRow._make, columns))
 
 
 def _flat_values(rows) -> tuple:
     """Every row's values in CSV_HEADER order, row after row."""
-    return tuple([
-        v for row in rows for v in (
-            row.temperature, row.energy, row.free_energy, row.entropy,
-            row.df_dlambda, row.de_dlambda, row.ds_dlambda, row.h1_direct,
-        )
-    ])
+    return tuple(itertools.chain.from_iterable(rows))
 
 
 def rows_to_csv(rows) -> str:

@@ -292,6 +292,32 @@ class TestVerifyCommand:
         assert code == 2
 
 
+class TestParserReuse:
+    """main builds its parser once; consecutive calls share no settings."""
+
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_tolerance_override_does_not_persist(self, capsys):
+        assert run(["verify", "--scope", "ho", "--tolerance", "dF/dlam=1e-30"], capsys)[0] == 1
+        code, out, _ = run(["verify", "--scope", "ho"], capsys)
+        assert code == 0 and "FAIL" not in out and "1.000e-30" not in out
+
+    def test_config_settings_do_not_persist(self, tmp_path, capsys):
+        argv = ["sweep", "--model", "lipkin", "--t-steps", "4"]
+        default = run(argv, capsys)
+        cfg = write_config(tmp_path / "run.cfg", {"N": "6", "V": "1", "format": "json",
+                                                  "richardson": "3"})
+        configured = run([*argv, "--config", cfg], capsys)
+        assert configured[0] == 0 and configured[1] != default[1]
+        assert run(argv, capsys) == default
+
+    def test_help_twice(self, capsys):
+        first = run(["--help"], capsys)
+        assert first[0] == 0 and "sweep" in first[1]
+        assert run(["--help"], capsys) == first
+
+
 def readme_cli_commands():
     """Each `thermohf ...` line of README's CLI block, continuations joined."""
     section = README.read_text().split("## CLI", 1)[1]

@@ -1,7 +1,7 @@
 """Accuracy of the dense symmetric eigensolver, numpy's LAPACK ``eigh``.
 
-The Lipkin block path diagonalizes its parity sub-blocks with it, so the
-block-shaped cases go through ``_block_eigensystem`` itself.
+The Lipkin model diagonalizes its stacked parity sectors with it, so the
+block-shaped cases go through ``lipkin_levels_with_h1`` itself.
 """
 
 import math
@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from thermohf.models.lipkin import _block_eigensystem
+from thermohf.models.lipkin import LipkinModel, lipkin_levels_with_h1
 
 
 def random_symmetric(rng, order):
@@ -28,11 +28,12 @@ class TestJacobiEigen:
         assert values == pytest.approx([-1.0, 1.0], abs=1e-14)
 
     def test_two_level_interaction_block(self):
-        # j = 1 block: its m = -1, +1 sub-block is diag (-1, 1) with
-        # off-diagonal -3, eigenvalues -+sqrt(10); m = 0 stays at 0
-        energies, h1_values = _block_eigensystem(2, 1.0, 3.0, 1.0)
+        # N = 2: the j = 0 singlet at 0, and the j = 1 block, whose m = -1, +1
+        # sector is diag (-1, 1) with off-diagonal -3, eigenvalues -+sqrt(10);
+        # its m = 0 sector stays at 0
+        spectrum, h1_values = lipkin_levels_with_h1(LipkinModel(2, 1.0, 3.0), 1.0)
         root = math.sqrt(10.0)
-        assert np.sort(energies) == pytest.approx([-root, 0.0, root], abs=1e-13)
+        assert spectrum.energies == pytest.approx([-root, 0.0, 0.0, root], abs=1e-13)
         assert h1_values.sum() == pytest.approx(0.0, abs=1e-13)  # trace of H1
 
     def test_order_one(self):
@@ -45,9 +46,11 @@ class TestJacobiEigen:
         d1 = np.linalg.eigh(m)
         d2 = np.linalg.eigh(m)
         assert all(np.array_equal(x, y) for x, y in zip(d1, d2))
-        b1 = _block_eigensystem(24, 1.0, 3.0, 1.0)
-        b2 = _block_eigensystem(24, 1.0, 3.0, 1.0)
-        assert all(np.array_equal(x, y) for x, y in zip(b1, b2))
+        (s1, h1), (s2, h2) = (lipkin_levels_with_h1(LipkinModel(24, 1.0, 3.0), 1.0)
+                              for _ in range(2))
+        assert np.array_equal(s1.energies, s2.energies)
+        assert np.array_equal(s1.degeneracies, s2.degeneracies)
+        assert np.array_equal(h1, h2)
 
 
 class TestAccuracyProperties:

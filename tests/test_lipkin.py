@@ -5,6 +5,7 @@ import pytest
 
 from thermohf import EnsemblePoint, central_diff, lambda_derivatives, potentials
 from thermohf.cli import main as cli_main
+from thermohf.models import lipkin
 from thermohf.models.lipkin import (
     LipkinModel,
     build_block,
@@ -113,6 +114,86 @@ class TestSpectrum:
         ]))
         expanded = np.repeat(up.energies, up.degeneracies)
         assert np.allclose(np.sort(-expanded), down)
+
+
+def reference_levels_with_h1(model: LipkinModel, lam: float):
+    """The per-sector loop: one eigh per m-parity sector of each dense block,
+    and <v|H1|v> from the dense sector matrix."""
+    n = model.n_particles
+    energies, degeneracies, h1_values = [], [], []
+    for two_j in range(n % 2, n + 1, 2):
+        h = build_block(two_j, model.epsilon, model.v_coupling, lam)
+        h1 = build_block_h1(two_j, model.v_coupling)
+        for p in (0, 1):
+            values, vectors = np.linalg.eigh(h[p::2, p::2])
+            energies.append(values)
+            degeneracies.append(np.full(values.size, multiplicity(n, two_j), dtype=object))
+            h1_values.append(np.einsum("ij,jk,ki->i", vectors.T, h1[p::2, p::2], vectors))
+    e = np.concatenate(energies)
+    order = np.argsort(e, kind="stable")
+    return e[order], np.concatenate(degeneracies)[order], np.concatenate(h1_values)[order]
+
+
+# lam = 1 and the derivative abscissae of the default DiffConfig
+LAMBDAS = (1.0, 1.0 + 1e-5, 1.0 - 1e-5, 1.0 + 5e-6, 1.0 - 5e-6)
+
+
+def assert_matches_sector_loop(model: LipkinModel, lam: float):
+    spectrum, h1 = lipkin_levels_with_h1(model, lam)
+    energies, degeneracies, h1_ref = reference_levels_with_h1(model, lam)
+    assert np.array_equal(spectrum.energies, energies)
+    assert np.array_equal(spectrum.degeneracies, degeneracies)
+    assert np.max(np.abs(h1 - h1_ref)) <= 1e-14 * max(1.0, np.max(np.abs(h1_ref)))
+
+
+class TestStackedSectors:
+    """One stacked eigh per batch of sectors gives the per-sector loop's
+    eigenvalues bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 81))
+    def test_matches_sector_loop(self, n):
+        # every V at each N, eps and lam in turn, so that every (V, eps, lam)
+        # occurs across the N; N = 1, 2 have one-row sectors, and even N the
+        # empty odd sector at j = 0
+        for i, v in enumerate((-3.0, 0.0, 4.7)):
+            eps = (1e-3, 1.0, 1e3)[(n + i) % 3]
+            assert_matches_sector_loop(LipkinModel(n, eps, v), LAMBDAS[(n // 3 + i) % 5])
+
+    @pytest.mark.parametrize("v", [-3.0, 4.7])
+    def test_matches_sector_loop_large_sectors(self, v):
+        # N = 260: sectors past 25 rows (divide and conquer) and past 128
+        # (blocked tridiagonal reduction)
+        assert_matches_sector_loop(LipkinModel(260, 1.0, v), 1.0 - 5e-6)
+
+    def test_matches_sector_loop_in_small_batches(self, monkeypatch):
+        monkeypatch.setattr(lipkin, "_BATCH_ELEMENTS", 50)
+        for n in (8, 37):  # several sectors per batch, and one per batch
+            for lam in LAMBDAS:
+                assert_matches_sector_loop(LipkinModel(n, 1.0, -3.0), lam)
+
+    def count_eigh(self, monkeypatch):
+        stacks = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            stacks.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return stacks
+
+    def test_one_eigh_per_spectrum(self, monkeypatch):
+        stacks = self.count_eigh(monkeypatch)
+        lipkin_levels_with_h1(LipkinModel(37, 1.0, 3.0), 1.0)
+        assert stacks == [(38, 19, 19)]
+
+    def test_batches_within_element_budget(self, monkeypatch):
+        stacks = self.count_eigh(monkeypatch)
+        spectrum, _ = lipkin_levels_with_h1(LipkinModel(400, 1.0, 3.0), 1.0)
+        assert len(stacks) > 1
+        assert all(math.prod(shape) <= lipkin._BATCH_ELEMENTS for shape in stacks)
+        assert sum(shape[0] for shape in stacks) == 2 * 201  # every sector once
+        assert spectrum.energies.size == 201**2  # sum of block dimensions
 
 
 class TestDirectAverage:

@@ -106,7 +106,7 @@ class TestSweeps:
         assert len(rows) == t_grid.size
         for k in range(0, t_grid.size, 37):
             (single,) = sweep(model, t_grid[k:k + 1])
-            for got, want in zip(vars(rows[k]).values(), vars(single).values()):
+            for got, want in zip(rows[k], single):
                 assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
 
