@@ -8,11 +8,11 @@ Numerical stability: every Boltzmann sum is anchored at the ground-state
 energy, so all exponentials are <= 1 and lnZ stays finite for arbitrarily
 large beta. np.exp is exactly 0.0 below about -745.14 and slow to get
 there (as for results in the subnormal band). So a weight whose exponent
-lies below -746 for every temperature of a block is left as an exact 0.0
-without calling exp; the sums still run over full rows, since numpy's
-pairwise summation groups its operands by row length and a shorter row
-would round differently. Results are bit for bit those of exp on every
-weight.
+lies below -746 is left as an exact 0.0 without calling exp, weight by
+weight; results in the subnormal band still go through exp. The sums
+still run over full rows, since numpy's pairwise summation groups its
+operands by row length and a shorter row would round differently.
+Results are bit for bit those of exp on every weight.
 
 A point may hold one temperature or a 1-D grid of them. A grid is
 evaluated as one (temperatures x levels) log-sum-exp, formed a block of
@@ -96,6 +96,19 @@ class Spectrum:
         object.__setattr__(self, "degeneracies", g)
         object.__setattr__(self, "log_degeneracies", log_g)
 
+    @classmethod
+    def _from_valid_levels(cls, energies, degeneracies, log_degeneracies) -> "Spectrum":
+        """A spectrum from arrays that are valid by construction: energies
+        finite and ascending, degeneracies positive integers (int64 or Python
+        ints), log_degeneracies their logarithms. Nothing is checked; the
+        arrays are made read-only and kept without a copy."""
+        spectrum = object.__new__(cls)
+        for name, value in (("energies", energies), ("degeneracies", degeneracies),
+                            ("log_degeneracies", log_degeneracies)):
+            value.flags.writeable = False
+            object.__setattr__(spectrum, name, value)
+        return spectrum
+
     def __len__(self):
         return self.energies.size
 
@@ -144,8 +157,9 @@ class ThermoPotentials:
     """Bundle {lnZ, F, E, S} at one (beta, lam) point, or arrays over a grid.
 
     h1 is the derivative-free thermal average <H1>_T. Every model's
-    ``potentials(lam, point)`` fills it; the engine's ``potentials`` leaves
-    it None when given no per-level H1 values.
+    ``potentials(lam, point)`` fills it, and leaves it None when called with
+    ``h1=False``; the engine's ``potentials`` leaves it None when given no
+    per-level H1 values.
     """
 
     ln_z: float | np.ndarray
@@ -160,9 +174,12 @@ def _boltzmann_sums(spectrum: Spectrum, point: EnsemblePoint, values):
 
     Returns one row per sum, one column per temperature.
     w_n = exp(ln g_n - beta (E_n - E_min)) is anchored at the ground state.
-    In each block of temperatures, exp runs only on the levels with
-    gap <= (max ln g - _EXP_ZERO_BELOW) / min(beta); past them every w_n is
-    exactly 0.0 and is stored as such. The rows are summed in full, so each
+    exp runs only on the weights whose exponent is at least _EXP_ZERO_BELOW;
+    every other weight is exactly 0.0 and is stored as such. In each block
+    of temperatures the levels fall into three runs: up to
+    gap <= (min ln g - _EXP_ZERO_BELOW) / max(beta) every row needs exp, past
+    gap > (max ln g - _EXP_ZERO_BELOW) / min(beta) none does, and in between
+    exp is masked weight by weight. The rows are summed in full, so each
     temperature's sums depend only on its own beta, and a grid gives the
     same numbers as its temperatures one at a time. The two block buffers
     are allocated once per call.
@@ -170,7 +187,9 @@ def _boltzmann_sums(spectrum: Spectrum, point: EnsemblePoint, values):
     betas = np.atleast_1d(point.beta)
     log_g = spectrum.log_degeneracies
     gap = spectrum.energies - spectrum.energies[0]
-    # beyond gap > reach / beta every exponent is below _EXP_ZERO_BELOW
+    # an exponent is above _EXP_ZERO_BELOW for gap <= floor / beta (every
+    # level) and below it for gap > reach / beta (every level)
+    floor = float(log_g.min()) - _EXP_ZERO_BELOW
     reach = float(log_g.max()) - _EXP_ZERO_BELOW
     rows = max(1, _BLOCK_ELEMENTS // gap.size)
     w_buf = np.empty((min(rows, betas.size), gap.size))
@@ -181,11 +200,14 @@ def _boltzmann_sums(spectrum: Spectrum, point: EnsemblePoint, values):
         w, wv = w_buf[:block.size], wv_buf[:block.size]
         # Python float division: a tiny beta gives inf, not an overflow error
         cut = np.searchsorted(gap, reach / float(block.min()), side="right")
-        head = w[:, :cut]
-        np.multiply(block[:, None], gap[:cut], out=head)
-        np.subtract(log_g[:cut], head, out=head)
-        np.exp(head, out=head)
-        w[:, cut:] = 0.0
+        full = min(cut, np.searchsorted(gap, floor / float(block.max()), side="right"))
+        exponent = wv[:, :cut]
+        np.multiply(block[:, None], gap[:cut], out=exponent)
+        np.subtract(log_g[:cut], exponent, out=exponent)
+        np.exp(exponent[:, :full], out=w[:, :full])
+        w[:, full:] = 0.0
+        straddle = exponent[:, full:]
+        np.exp(straddle, out=w[:, full:cut], where=straddle >= _EXP_ZERO_BELOW)
         sums[0, i:i + rows] = w.sum(axis=1)
         for k, v in enumerate(values, 1):
             sums[k, i:i + rows] = np.multiply(w, v, out=wv).sum(axis=1)

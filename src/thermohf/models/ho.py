@@ -25,14 +25,23 @@ __all__ = [
     "truncation_level",
 ]
 
+# Largest truncation level: bounds the level arrays (8 MB each) and the
+# per-temperature work; the truncation rule reaches it at T_max = 26214.4.
+MAX_LEVELS = 2**20
+
 
 def truncation_level(t_max: float, lam_min: float = 1.0) -> int:
     """Truncation level keeping the neglected Boltzmann tail below 1e-16.
 
     n_max = max(64, ceil(40 T_max / sqrt(lam_min))) gives tail weight
-    exp(-beta sqrt(lam) n_max) < 1e-16 for every beta >= 1/T_max.
+    exp(-beta sqrt(lam) n_max) < 1e-16 for every beta >= 1/T_max. Raises
+    ValueError where that is more than MAX_LEVELS.
     """
-    return max(64, math.ceil(40.0 * t_max / math.sqrt(lam_min)))
+    levels = 40.0 * t_max / math.sqrt(lam_min)
+    if not levels <= MAX_LEVELS:  # also inf and nan
+        raise ValueError(f"T_max = {t_max:g} needs {levels:.3g} oscillator levels, "
+                         f"more than the {MAX_LEVELS} allowed")
+    return max(64, math.ceil(levels))
 
 
 def ho_spectrum(lam: float, n_max: int) -> Spectrum:
@@ -85,17 +94,17 @@ class HarmonicOscillator:
     """Truncated-spectrum oscillator backend.
 
     n_max must satisfy the truncation_level bound for every temperature the
-    model is evaluated at.
+    model is evaluated at, and lie in [64, MAX_LEVELS].
     """
 
     n_max: int = 1024
 
     def __post_init__(self):
-        if self.n_max < 64:
-            raise ValueError(f"n_max must be >= 64, got {self.n_max}")
+        if not 64 <= self.n_max <= MAX_LEVELS:
+            raise ValueError(f"n_max must be in [64, {MAX_LEVELS}], got {self.n_max}")
 
-    def potentials(self, lam: float, point: EnsemblePoint) -> ThermoPotentials:
+    def potentials(self, lam: float, point: EnsemblePoint, *, h1: bool = True) -> ThermoPotentials:
         """Engine potentials of the truncated spectrum; h1 is the closed-form
-        average of the potential term."""
+        average of the potential term, or None with h1=False."""
         numeric = potentials(ho_spectrum(lam, self.n_max), point)
-        return replace(numeric, h1=ho_potential_average(point, lam))
+        return replace(numeric, h1=ho_potential_average(point, lam)) if h1 else numeric

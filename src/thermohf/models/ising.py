@@ -48,14 +48,15 @@ class IsingChain:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
-    def potentials(self, lam: float, point: EnsemblePoint) -> ThermoPotentials:
+    def potentials(self, lam: float, point: EnsemblePoint, *, h1: bool = True) -> ThermoPotentials:
         """Potentials with both couplings scaled by lam, so dF/dlam = E.
 
         H0 = 0 here, so h1 = <H1> = E(lam)/lam: at lam = 1 it is E itself.
+        With h1=False the result's h1 is None.
         """
         scaled = replace(self, lambda1=lam * self.lambda1, lambda2=lam * self.lambda2)
         pots = ising_potentials(scaled, point)
-        return replace(pots, h1=pots.energy / lam)
+        return replace(pots, h1=pots.energy / lam) if h1 else pots
 
 
 def _transfer(params: IsingChain, beta):

@@ -6,12 +6,15 @@ occurring with an exact integer multiplicity; the full spectrum is the
 multiplicity-weighted union of the block spectra.
 
 A block couples only m <-> m+2, so it falls into two tridiagonal m-parity
-sectors. All sectors are formed in one numpy pass and diagonalized by one
-stacked LAPACK ``eigh`` per batch: each sector is padded to the batch's
-largest with decoupled diagonal entries above the batch's Gershgorin bound,
-so its eigenvalues come out bit for bit as from its own ``eigh``. A batch
-holds at most _BATCH_ELEMENTS matrix elements. Each eigenvector's <H1> is
-2 sum_i o_i v_i v_i+1 over the sector's off-diagonal o, O(n) per vector.
+sectors. All sectors are formed in one numpy pass, once per model (with the
+per-level multiplicities and their logarithms, kept read-only on the model),
+and diagonalized by one stacked LAPACK call per batch: each sector is padded
+to the batch's largest with decoupled diagonal entries above the batch's
+Gershgorin bound, so its eigenvalues come out bit for bit as from its own
+call. A batch holds at most _BATCH_ELEMENTS matrix elements.
+``lipkin_levels_with_h1`` calls ``eigh``, and each eigenvector's <H1> is
+2 sum_i o_i v_i v_i+1 over the sector's off-diagonal o, O(n) per vector;
+``lipkin_spectrum`` calls ``eigvalsh`` and forms no eigenvectors.
 
 Half-integer j is carried as twice-j integers so all bookkeeping is exact.
 Multiplicities stay exact integers at any N: int64 while they fit, Python
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,6 +94,24 @@ def build_block(two_j: int, epsilon: float, v_coupling: float, lam: float = 1.0)
     return np.diag(epsilon * m) + lam * build_block_h1(two_j, v_coupling)
 
 
+class _SectorLayout(NamedTuple):
+    """The lam-independent arrays of a model's spectrum, read-only.
+
+    sizes, diagonal and off: every m-parity sector's size, diagonal eps*m and
+    H1 off-diagonal, a row per sector (rows past a sector's size hold zeros).
+    batches: the (start, stop) runs of sectors diagonalized together.
+    degeneracies and log_degeneracies: each sector level's block multiplicity
+    g and ln g, sector after sector.
+    """
+
+    sizes: np.ndarray
+    diagonal: np.ndarray
+    off: np.ndarray
+    batches: tuple
+    degeneracies: np.ndarray
+    log_degeneracies: np.ndarray
+
+
 def _sectors(model: LipkinModel):
     """Sizes, diagonals eps*m and H1 off-diagonals of every m-parity sector.
 
@@ -125,31 +148,81 @@ def _batches(sizes: np.ndarray):
         start = stop
 
 
-def _sector_eigensystems(sizes, diagonal, off, lam: float):
-    """Eigenvalues and per-eigenvector <H1> of a run of sectors, sector after
-    sector, each ascending, from one stacked eigh.
+def _sector_layout(model: LipkinModel) -> _SectorLayout:
+    n = model.n_particles
+    mults = [multiplicity(n, two_j) for two_j in _block_j_values(n)]
+    g_dtype = np.int64 if max(mults) <= np.iinfo(np.int64).max else object
+    sizes, diagonal, off = _sectors(model)
+    level_block = np.repeat(np.arange(sizes.size) // 2, sizes)  # two sectors per block
+    layout = _SectorLayout(
+        sizes, diagonal, off, tuple(_batches(sizes)),
+        np.array(mults, dtype=g_dtype)[level_block],
+        # math.log takes integers of any size; one call per block
+        np.array([math.log(x) for x in mults])[level_block],
+    )
+    for array in (*layout[:3], *layout[4:]):
+        array.flags.writeable = False
+    return layout
 
-    Each sector is padded to the run's largest with distinct diagonal entries
-    above the run's Gershgorin bound and zero coupling, so its lowest `size`
-    eigenvalues are the sector's own, bit for bit: LAPACK's tridiagonal
-    reduction leaves a tridiagonal matrix as it is, and its tridiagonal
-    solver splits at the exact zeros. The eigenvalues within a sector are
-    simple (nonzero off-diagonal), so <v|H1|v> = 2 sum_i o_i v_i v_i+1 is
-    basis independent.
+
+def _padded_stack(sizes, diagonal, off, lam: float):
+    """A run of sectors as one (sectors, k, k) stack of H(lam), k the largest
+    size, and the (sectors, k) mask of each sector's own rows.
+
+    Each sector is padded with distinct diagonal entries above the run's
+    Gershgorin bound and zero coupling, so its lowest `size` eigenvalues are
+    the sector's own, bit for bit: LAPACK's tridiagonal reduction leaves a
+    tridiagonal matrix as it is, and its tridiagonal solvers (with and without
+    eigenvectors) split at the exact zeros.
     """
     k = sizes.max()
     i = np.arange(k)
     rows = i < sizes[:, None]
-    diagonal, off = diagonal[:, :k], off[:, :k - 1]
-    coupling = lam * off
+    diagonal = diagonal[:, :k]
+    coupling = lam * off[:, :k - 1]
     bound = np.abs(diagonal).max() + 2 * np.abs(coupling).max(initial=0.0)
     pad = bound * (1.0 + (i + 1) / k)
     stack = np.zeros((sizes.size, k, k))
     stack[:, i, i] = np.where(rows, diagonal, pad)
     stack[:, i[1:], i[:-1]] = stack[:, i[:-1], i[1:]] = coupling
+    return stack, rows
+
+
+def _sector_eigensystems(sizes, diagonal, off, lam: float):
+    """Eigenvalues and per-eigenvector <H1> of a run of sectors, sector after
+    sector, each ascending, from one stacked eigh.
+
+    The eigenvalues within a sector are simple (nonzero off-diagonal), so
+    <v|H1|v> = 2 sum_i o_i v_i v_i+1 is basis independent.
+    """
+    stack, rows = _padded_stack(sizes, diagonal, off, lam)
     values, vectors = np.linalg.eigh(stack)
+    off = off[:, :stack.shape[1] - 1]
     h1_values = 2 * np.einsum("si,sij,sij->sj", off, vectors[:, :-1], vectors[:, 1:])
     return values[rows], h1_values[rows]
+
+
+def _sector_eigenvalues(sizes, diagonal, off, lam: float):
+    """Eigenvalues of a run of sectors, as _sector_eigensystems gives them but
+    from one stacked eigvalsh (which rounds differently from eigh)."""
+    stack, rows = _padded_stack(sizes, diagonal, off, lam)
+    return np.linalg.eigvalsh(stack)[rows]
+
+
+def _per_batch(layout: _SectorLayout, solve, lam: float) -> list:
+    return [solve(layout.sizes[start:stop], layout.diagonal[start:stop],
+                  layout.off[start:stop], lam)
+            for start, stop in layout.batches]
+
+
+def _sorted_spectrum(layout: _SectorLayout, energies: np.ndarray):
+    """(Spectrum, order): sector levels sorted ascending, stable, so ties keep
+    the sector order, each with its block multiplicity."""
+    order = np.argsort(energies, kind="stable")
+    spectrum = Spectrum._from_valid_levels(
+        energies[order], layout.degeneracies[order], layout.log_degeneracies[order]
+    )
+    return spectrum, order
 
 
 @dataclass(frozen=True)
@@ -168,14 +241,22 @@ class LipkinModel:
         if not math.isfinite(self.v_coupling):
             raise ValueError(f"v_coupling must be finite, got {self.v_coupling}")
 
-    def potentials(self, lam: float, point: EnsemblePoint) -> ThermoPotentials:
+    @cached_property
+    def _layout(self) -> _SectorLayout:
+        """The sector arrays and level multiplicities, built once per model."""
+        return _sector_layout(self)
+
+    def potentials(self, lam: float, point: EnsemblePoint, *, h1: bool = True) -> ThermoPotentials:
         """Potentials of H(lam), with h1 = <H1>_T from v^T H1 v per eigenvector.
 
         h1 takes no coupling derivative: the per-eigenvector values are
-        Boltzmann-averaged with the block multiplicities.
+        Boltzmann-averaged with the block multiplicities. With h1=False the
+        result's h1 is None and the spectrum comes from eigenvalues alone.
         """
-        spectrum, h1 = lipkin_levels_with_h1(self, lam)
-        return potentials(spectrum, point, h1)
+        if not h1:
+            return potentials(lipkin_spectrum(self, lam), point)
+        spectrum, h1_values = lipkin_levels_with_h1(self, lam)
+        return potentials(spectrum, point, h1_values)
 
 
 def lipkin_levels_with_h1(model: LipkinModel, lam: float = 1.0):
@@ -185,21 +266,18 @@ def lipkin_levels_with_h1(model: LipkinModel, lam: float = 1.0):
     degeneracy; levels are globally sorted ascending (stable, so ties keep
     the sector order).
     """
-    mults = [multiplicity(model.n_particles, two_j) for two_j in _block_j_values(model.n_particles)]
-    g_dtype = np.int64 if max(mults) <= np.iinfo(np.int64).max else object
-    sizes, diagonal, off = _sectors(model)
-    parts = [
-        _sector_eigensystems(sizes[start:stop], diagonal[start:stop], off[start:stop], lam)
-        for start, stop in _batches(sizes)
-    ]
-    e = np.concatenate([values for values, _ in parts])
-    h1 = np.concatenate([h1_values for _, h1_values in parts])
-    g = np.repeat(np.repeat(np.array(mults, dtype=g_dtype), 2), sizes)
-    order = np.argsort(e, kind="stable")
-    return Spectrum(e[order], g[order]), h1[order]
+    parts = _per_batch(model._layout, _sector_eigensystems, lam)
+    spectrum, order = _sorted_spectrum(
+        model._layout, np.concatenate([values for values, _ in parts])
+    )
+    return spectrum, np.concatenate([h1_values for _, h1_values in parts])[order]
 
 
 def lipkin_spectrum(model: LipkinModel, lam: float = 1.0) -> Spectrum:
-    """Multiplicity-weighted spectrum of H(lam); weighted dimension is 2^N."""
-    spectrum, _ = lipkin_levels_with_h1(model, lam)
-    return spectrum
+    """Multiplicity-weighted spectrum of H(lam); weighted dimension is 2^N.
+
+    The levels of lipkin_levels_with_h1, from eigenvalues alone (one stacked
+    eigvalsh per batch), so they may differ from its levels by rounding.
+    """
+    energies = np.concatenate(_per_batch(model._layout, _sector_eigenvalues, lam))
+    return _sorted_spectrum(model._layout, energies)[0]

@@ -2,9 +2,9 @@
 
 One SweepRow per grid point carries the potentials, the three coupling
 derivatives at lam = 1 and the directly computed thermal average of the
-interaction term. A model is any object with ``potentials(lam, point)``
-whose result carries that average as ``h1``; the whole grid goes through
-it at once.
+interaction term. A model is any object with
+``potentials(lam, point, *, h1=True)`` whose result carries that average as
+``h1``, and None with ``h1=False``; the whole grid goes through it at once.
 """
 
 from __future__ import annotations
@@ -64,12 +64,13 @@ def sweep(model, t_grid, config: DiffConfig = DiffConfig()) -> list[SweepRow]:
 
     model.potentials is called once per coupling abscissa, each time on the
     whole grid. The derivative columns differentiate with respect to the
-    model's lam; h1_direct is the model's derivative-free <H1>_T at lam = 1.
+    model's lam, from abscissae evaluated without <H1>; h1_direct is the
+    model's derivative-free <H1>_T at lam = 1.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     point = EnsemblePoint.from_temperature(t_grid)
     pots = model.potentials(1.0, point)
-    deriv = lambda_derivatives(lambda lam: model.potentials(lam, point), 1.0, config)
+    deriv = lambda_derivatives(lambda lam: model.potentials(lam, point, h1=False), 1.0, config)
     columns = np.column_stack([
         t_grid, pots.energy, pots.free_energy, pots.entropy,
         deriv.free_energy, deriv.energy, deriv.entropy, pots.h1,

@@ -73,7 +73,7 @@ def verify_ho(config: DiffConfig = DiffConfig()) -> list[CheckResult]:
     point = EnsemblePoint.from_temperature(temperature_grid(0.05, 20.0, 200))
     numeric = model.potentials(1.0, point)
     closed = ho_closed_potentials(1.0, point)
-    deriv = lambda_derivatives(lambda lam: model.potentials(lam, point), 1.0, config)
+    deriv = lambda_derivatives(lambda lam: model.potentials(lam, point, h1=False), 1.0, config)
     direct = ho_potential_average(point)
     dev_f = _max_abs(numeric.free_energy - closed.free_energy)
     dev_e = _max_abs(numeric.energy - closed.energy)
@@ -94,7 +94,8 @@ def verify_ho(config: DiffConfig = DiffConfig()) -> list[CheckResult]:
         "ho low-T potential average -> 1/4", abs(ho_potential_average(cold) - 0.25), 1e-12
     ))
     hot = EnsemblePoint.from_temperature(20.0)
-    deriv_f = lambda_derivatives(lambda lam: model.potentials(lam, hot), 1.0, config).free_energy
+    deriv_f = lambda_derivatives(lambda lam: model.potentials(lam, hot, h1=False), 1.0,
+                                 config).free_energy
     checks.append(CheckResult(
         "ho high-T dF/dlam -> T/2", abs(deriv_f - 10.0) / 10.0, 0.02
     ))
@@ -223,7 +224,7 @@ def verify_lipkin(n_oracle: int = 8, config: DiffConfig = DiffConfig(),
 
     t_grid = temperature_grid(0.1, 100.0, 50, "geometric")
     point = EnsemblePoint.from_temperature(t_grid)
-    deriv = lambda_derivatives(lambda lam: model.potentials(lam, point), 1.0, config)
+    deriv = lambda_derivatives(lambda lam: model.potentials(lam, point, h1=False), 1.0, config)
     direct = h1_direct(t_grid)
     dev_hf = float(np.max(np.abs(deriv.free_energy - direct) / np.maximum(1.0, np.abs(direct))))
     dh1_dt, _ = central_diff(h1_direct, t_grid, config)

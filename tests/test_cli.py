@@ -164,9 +164,11 @@ class TestUsageErrors:
         ["verify", "--scope", "lipkin", "--N", "13"],
         ["verify", "--scope", "ising", "--N", "21"],
         ["verify", "--scope", "ising", "--N", "1"],
+        ["sweep", "--model", "ho", "--t-max", "1e7"],
+        ["sweep", "--model", "ho", "--t-max", "1e308"],
     ], ids=["ising-N1", "lipkin-N0", "lipkin-negative-epsilon", "lipkin-V-nan",
             "ising-J-nan", "t-max-inf", "verify-lipkin-N13", "verify-ising-N21",
-            "verify-ising-N1"])
+            "verify-ising-N1", "ho-t-max-1e7", "ho-t-max-1e308"])
     def test_invalid_parameter_is_usage_error(self, argv, monkeypatch, capsys):
         def must_not_run(*args, **kwargs):
             raise AssertionError("computation started before the parameters were checked")

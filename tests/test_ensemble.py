@@ -272,7 +272,11 @@ class TestExactBoltzmannSums:
     @given(case=spectra(), beta=betas())
     # one level; the last subnormal weight, 5e-324; a first excited level
     # swept through the subnormal band; many oscillator levels over several
-    # blocks of a geometric grid; Lipkin-sized ln g with zeros past the cutoff
+    # blocks of a geometric grid; Lipkin-sized ln g with zeros past the cutoff;
+    # non-monotone Lipkin-sized ln g, where in one block levels 2 and 3 each
+    # cross the cutoff between adjacent rows and level 2 is 0.0 in rows where
+    # level 3 is not; the same kind of ln g over several blocks of an
+    # unsorted grid
     @example(case=(Spectrum([-3.0]), np.array([0.5])), beta=2.0)
     @example(case=(Spectrum([0.0, 1.0]), np.array([0.0, 1.0])), beta=745.0)
     @example(case=(Spectrum([0.0, 1.0, 1.5]), np.array([0.0, -1.0, 1.0])),
@@ -281,6 +285,11 @@ class TestExactBoltzmannSums:
              beta=1.0 / np.geomspace(0.02, 40, 300)[::-1])
     @example(case=(Spectrum(np.linspace(0.0, 1e3, 800), [math.comb(70, 35)] * 800),
                    np.ones(800)), beta=np.geomspace(10.0, 1e-2, 250))
+    @example(case=(Spectrum([0.0, 1.0, 2.0, 2.05], [1, 1, 1, math.comb(70, 35)]),
+                   np.array([0.0, 1.0, -1.0, 1.0])), beta=np.linspace(368.0, 392.0, 49))
+    @example(case=(Spectrum(np.linspace(0.0, 1e3, 800), [1, math.comb(70, 35)] * 400),
+                   np.cos(np.arange(800.0))),
+             beta=np.geomspace(1e-2, 10.0, 250)[np.arange(250) * 97 % 250])
     def test_matches_naive_sums(self, case, beta):
         spectrum, h1 = case
         point = EnsemblePoint(beta=beta)

@@ -5,6 +5,7 @@ import pytest
 
 from thermohf import EnsemblePoint, central_diff, lambda_derivatives
 from thermohf.models.ho import (
+    MAX_LEVELS,
     HarmonicOscillator,
     ho_closed_potentials,
     ho_entropy_lambda_derivative,
@@ -37,6 +38,15 @@ class TestSpectrumConstruction:
         # tail weight below 1e-16 at the largest temperature
         n = truncation_level(20.0)
         assert math.exp(-(1.0 / 20.0) * n) < 1e-16
+
+    def test_level_cap(self):
+        assert truncation_level(MAX_LEVELS / 40.0) == MAX_LEVELS == 2**20
+        HarmonicOscillator(n_max=MAX_LEVELS)
+        for t_max in (math.nextafter(MAX_LEVELS / 40.0, math.inf), 1e7, 1e308):
+            with pytest.raises(ValueError, match="oscillator levels"):
+                truncation_level(t_max)
+        with pytest.raises(ValueError, match="n_max"):
+            HarmonicOscillator(n_max=MAX_LEVELS + 1)
 
 
 class TestClosedForms:

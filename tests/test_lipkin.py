@@ -14,6 +14,7 @@ from thermohf.models.lipkin import (
     lipkin_spectrum,
     multiplicity,
 )
+from thermohf.sweep import sweep, temperature_grid
 
 
 class TestMultiplicity:
@@ -194,6 +195,80 @@ class TestStackedSectors:
         assert all(math.prod(shape) <= lipkin._BATCH_ELEMENTS for shape in stacks)
         assert sum(shape[0] for shape in stacks) == 2 * 201  # every sector once
         assert spectrum.energies.size == 201**2  # sum of block dimensions
+
+
+def reference_eigenvalues(model: LipkinModel, lam: float):
+    """The per-sector loop with eigenvalues alone: one unpadded eigvalsh per
+    m-parity sector of each dense block."""
+    n = model.n_particles
+    energies, degeneracies = [], []
+    for two_j in range(n % 2, n + 1, 2):
+        h = build_block(two_j, model.epsilon, model.v_coupling, lam)
+        for p in (0, 1):
+            values = np.linalg.eigvalsh(h[p::2, p::2])
+            energies.append(values)
+            degeneracies.append(np.full(values.size, multiplicity(n, two_j), dtype=object))
+    e = np.concatenate(energies)
+    order = np.argsort(e, kind="stable")
+    return e[order], np.concatenate(degeneracies)[order]
+
+
+def eigenvalue_cases(n):
+    """Every V at each N, eps and lam in turn, as in TestStackedSectors."""
+    for i, v in enumerate((-3.0, 0.0, 4.7)):
+        yield LipkinModel(n, (1e-3, 1.0, 1e3)[(n + i) % 3], v), LAMBDAS[(n // 3 + i) % 5]
+
+
+class TestEigenvalueSpectrum:
+    """lipkin_spectrum: one stacked eigvalsh per batch, bit for bit the
+    per-sector eigvalsh, and within rounding of the eigh levels."""
+
+    @pytest.mark.parametrize("n", [*range(1, 81), 150, 260])
+    def test_matches_sector_eigvalsh(self, n):
+        for model, lam in eigenvalue_cases(n):
+            spectrum = lipkin_spectrum(model, lam)
+            energies, degeneracies = reference_eigenvalues(model, lam)
+            assert np.array_equal(spectrum.energies, energies)
+            assert np.array_equal(spectrum.degeneracies, degeneracies)
+
+    def test_matches_sector_eigvalsh_in_small_batches(self, monkeypatch):
+        monkeypatch.setattr(lipkin, "_BATCH_ELEMENTS", 50)
+        for n in (8, 37):
+            for lam in LAMBDAS:
+                model = LipkinModel(n, 1.0, -3.0)
+                energies, _ = reference_eigenvalues(model, lam)
+                assert np.array_equal(lipkin_spectrum(model, lam).energies, energies)
+
+    @pytest.mark.parametrize("n", [*range(1, 81, 3), 150, 260])
+    def test_agrees_with_eigh_levels(self, n):
+        # measured over these cases and all N up to 80: at most 4.4e-15 of
+        # the largest |E|; the bound leaves a margin of 2.3
+        for model, lam in eigenvalue_cases(n):
+            levels, _ = lipkin_levels_with_h1(model, lam)
+            energies = lipkin_spectrum(model, lam).energies
+            assert np.max(np.abs(energies - levels.energies)) <= 1e-14 * np.max(
+                np.abs(levels.energies))
+
+    def test_sweep_one_eigh_and_eigvalsh_per_abscissa(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(a, _name=name, _solve=getattr(np.linalg, name)):
+                calls.append(_name)
+                return _solve(a)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        sweep(LipkinModel(37, 1.0, 3.0), temperature_grid(0.1, 100.0, 200, "geometric"))
+        assert sorted(calls) == ["eigh"] + ["eigvalsh"] * 4
+
+    def test_layout_built_once_and_read_only(self, monkeypatch):
+        model = LipkinModel(37, 1.0, 3.0)
+        lipkin_spectrum(model, 1.0)
+        monkeypatch.setattr(lipkin, "_sectors", None)  # a rebuild would fail
+        levels, _ = lipkin_levels_with_h1(model, 1.0 + 1e-5)
+        spectrum = lipkin_spectrum(model, 1.0 - 1e-5)
+        layout = model._layout
+        for array in (*layout[:3], *layout[4:], *vars(levels).values(), *vars(spectrum).values()):
+            assert not array.flags.writeable
 
 
 class TestDirectAverage:

@@ -7,7 +7,7 @@ import pytest
 from thermohf.models import lipkin
 from thermohf.models.ho import HarmonicOscillator, truncation_level
 from thermohf.models.ising import IsingChain
-from thermohf.ensemble import EnsemblePoint
+from thermohf.ensemble import EnsemblePoint, potentials
 from thermohf.models.lipkin import LipkinModel
 from thermohf.numdiff import DiffConfig, central_diff
 from thermohf.sweep import (
@@ -84,16 +84,19 @@ class TestSweeps:
 
     def test_lipkin_one_spectrum_per_coupling(self, monkeypatch):
         calls = []
-        build = lipkin.lipkin_levels_with_h1
+        for name in ("lipkin_levels_with_h1", "lipkin_spectrum"):
+            def counted(model, lam, _name=name, _build=getattr(lipkin, name)):
+                calls.append((_name, lam))
+                return _build(model, lam)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(lipkin, "lipkin_levels_with_h1", counted)
+            monkeypatch.setattr(lipkin, name, counted)
         sweep(LipkinModel(12, 1.0, 3.0), temperature_grid(0.1, 100.0, 50, "geometric"))
-        # lam = 1 once, plus two abscissae per Richardson level
+        # lam = 1 once with <H1>, plus two eigenvalue-only abscissae per
+        # Richardson level, each lam once
         assert len(calls) == 1 + 2 * DiffConfig().richardson_levels
+        assert calls[0] == ("lipkin_levels_with_h1", 1.0)
+        assert all(name == "lipkin_spectrum" for name, _ in calls[1:])
+        assert len({lam for _, lam in calls}) == len(calls)
 
     @pytest.mark.parametrize("model,t_grid", [
         (HarmonicOscillator(n_max=1600), temperature_grid(0.02, 40.0, 2000)),
@@ -108,6 +111,41 @@ class TestSweeps:
             (single,) = sweep(model, t_grid[k:k + 1])
             for got, want in zip(rows[k], single):
                 assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+class TestPotentialsWithoutH1:
+    """potentials(lam, point, h1=False), which sweep uses at the derivative
+    abscissae, gives h1 = None and the potentials of the default call."""
+
+    POINT = EnsemblePoint.from_temperature(temperature_grid(0.05, 30.0, 300, "geometric"))
+
+    @pytest.mark.parametrize("model", [
+        HarmonicOscillator(n_max=1600), IsingChain(-1.3, 0.7, 9), IsingChain(2.0, 1.0, 10),
+    ], ids=["ho", "ising-odd-antiferro", "ising"])
+    @pytest.mark.parametrize("lam", [1.0, 1.0 + 1e-5, 1.0 - 5e-6])
+    def test_same_bits_as_default(self, model, lam):
+        full = model.potentials(lam, self.POINT)
+        bare = model.potentials(lam, self.POINT, h1=False)
+        assert full.h1 is not None and bare.h1 is None
+        for name in ("ln_z", "free_energy", "energy", "entropy"):
+            assert np.array_equal(getattr(bare, name), getattr(full, name))
+
+    @pytest.mark.parametrize("lam", [1.0, 1.0 + 1e-5, 1.0 - 5e-6])
+    @pytest.mark.parametrize("n,v", [(12, 3.0), (37, -4.7), (20, 0.0)])
+    def test_lipkin_from_eigenvalues_alone(self, n, v, lam):
+        # the bits of the engine on the eigenvalue-only spectrum; F and E
+        # within 1e-14 of the largest |E_n| of the default's, which uses eigh
+        # (measured at most 1.6e-15: eigvalsh and eigh differ by rounding)
+        model = LipkinModel(n, 1.0, v)
+        full = model.potentials(lam, self.POINT)
+        bare = model.potentials(lam, self.POINT, h1=False)
+        engine = potentials(lipkin.lipkin_spectrum(model, lam), self.POINT)
+        assert full.h1 is not None and bare.h1 is None
+        for name in ("ln_z", "free_energy", "energy", "entropy"):
+            assert np.array_equal(getattr(bare, name), getattr(engine, name))
+        scale = np.max(np.abs(lipkin.lipkin_levels_with_h1(model, lam)[0].energies))
+        assert np.max(np.abs(bare.free_energy - full.free_energy)) <= 1e-14 * scale
+        assert np.max(np.abs(bare.energy - full.energy)) <= 1e-14 * scale
 
 
 class TestSerialization:
