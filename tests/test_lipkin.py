@@ -135,8 +135,31 @@ def reference_levels_with_h1(model: LipkinModel, lam: float):
     return e[order], np.concatenate(degeneracies)[order], np.concatenate(h1_values)[order]
 
 
+def reference_eigenvalues(model: LipkinModel, lam: float):
+    """The per-sector loop with eigenvalues alone: one unpadded eigvalsh per
+    m-parity sector of each dense block."""
+    n = model.n_particles
+    energies, degeneracies = [], []
+    for two_j in range(n % 2, n + 1, 2):
+        h = build_block(two_j, model.epsilon, model.v_coupling, lam)
+        for p in (0, 1):
+            values = np.linalg.eigvalsh(h[p::2, p::2])
+            energies.append(values)
+            degeneracies.append(np.full(values.size, multiplicity(n, two_j), dtype=object))
+    e = np.concatenate(energies)
+    order = np.argsort(e, kind="stable")
+    return e[order], np.concatenate(degeneracies)[order]
+
+
 # lam = 1 and the derivative abscissae of the default DiffConfig
 LAMBDAS = (1.0, 1.0 + 1e-5, 1.0 - 1e-5, 1.0 + 5e-6, 1.0 - 5e-6)
+
+
+def sector_loop_cases(n):
+    """Every V at N, with eps and lam in turn, so that every (V, eps, lam)
+    occurs across the N."""
+    for i, v in enumerate((-3.0, 0.0, 4.7)):
+        yield LipkinModel(n, (1e-3, 1.0, 1e3)[(n + i) % 3], v), LAMBDAS[(n // 3 + i) % 5]
 
 
 def assert_matches_sector_loop(model: LipkinModel, lam: float):
@@ -145,26 +168,31 @@ def assert_matches_sector_loop(model: LipkinModel, lam: float):
     assert np.array_equal(spectrum.energies, energies)
     assert np.array_equal(spectrum.degeneracies, degeneracies)
     assert np.max(np.abs(h1 - h1_ref)) <= 1e-14 * max(1.0, np.max(np.abs(h1_ref)))
+    values_only = lipkin_spectrum(model, lam)
+    energies, degeneracies = reference_eigenvalues(model, lam)
+    assert np.array_equal(values_only.energies, energies)
+    assert np.array_equal(values_only.degeneracies, degeneracies)
 
 
 class TestStackedSectors:
-    """One stacked eigh per batch of sectors gives the per-sector loop's
-    eigenvalues bit for bit."""
+    """One stacked eigh (eigvalsh) per batch of sectors gives the per-sector
+    loop's eigh (eigvalsh) eigenvalues bit for bit."""
 
     @pytest.mark.parametrize("n", range(1, 81))
     def test_matches_sector_loop(self, n):
-        # every V at each N, eps and lam in turn, so that every (V, eps, lam)
-        # occurs across the N; N = 1, 2 have one-row sectors, and even N the
-        # empty odd sector at j = 0
-        for i, v in enumerate((-3.0, 0.0, 4.7)):
-            eps = (1e-3, 1.0, 1e3)[(n + i) % 3]
-            assert_matches_sector_loop(LipkinModel(n, eps, v), LAMBDAS[(n // 3 + i) % 5])
+        # N = 1, 2 have one-row sectors, and even N the empty odd sector at j = 0
+        for model, lam in sector_loop_cases(n):
+            assert_matches_sector_loop(model, lam)
 
     @pytest.mark.parametrize("v", [-3.0, 4.7])
     def test_matches_sector_loop_large_sectors(self, v):
         # N = 260: sectors past 25 rows (divide and conquer) and past 128
         # (blocked tridiagonal reduction)
         assert_matches_sector_loop(LipkinModel(260, 1.0, v), 1.0 - 5e-6)
+
+    def test_matches_sector_loop_n150(self):
+        for model, lam in sector_loop_cases(150):
+            assert_matches_sector_loop(model, lam)
 
     def test_matches_sector_loop_in_small_batches(self, monkeypatch):
         monkeypatch.setattr(lipkin, "_BATCH_ELEMENTS", 50)
@@ -197,53 +225,15 @@ class TestStackedSectors:
         assert spectrum.energies.size == 201**2  # sum of block dimensions
 
 
-def reference_eigenvalues(model: LipkinModel, lam: float):
-    """The per-sector loop with eigenvalues alone: one unpadded eigvalsh per
-    m-parity sector of each dense block."""
-    n = model.n_particles
-    energies, degeneracies = [], []
-    for two_j in range(n % 2, n + 1, 2):
-        h = build_block(two_j, model.epsilon, model.v_coupling, lam)
-        for p in (0, 1):
-            values = np.linalg.eigvalsh(h[p::2, p::2])
-            energies.append(values)
-            degeneracies.append(np.full(values.size, multiplicity(n, two_j), dtype=object))
-    e = np.concatenate(energies)
-    order = np.argsort(e, kind="stable")
-    return e[order], np.concatenate(degeneracies)[order]
-
-
-def eigenvalue_cases(n):
-    """Every V at each N, eps and lam in turn, as in TestStackedSectors."""
-    for i, v in enumerate((-3.0, 0.0, 4.7)):
-        yield LipkinModel(n, (1e-3, 1.0, 1e3)[(n + i) % 3], v), LAMBDAS[(n // 3 + i) % 5]
-
-
 class TestEigenvalueSpectrum:
-    """lipkin_spectrum: one stacked eigvalsh per batch, bit for bit the
-    per-sector eigvalsh, and within rounding of the eigh levels."""
-
-    @pytest.mark.parametrize("n", [*range(1, 81), 150, 260])
-    def test_matches_sector_eigvalsh(self, n):
-        for model, lam in eigenvalue_cases(n):
-            spectrum = lipkin_spectrum(model, lam)
-            energies, degeneracies = reference_eigenvalues(model, lam)
-            assert np.array_equal(spectrum.energies, energies)
-            assert np.array_equal(spectrum.degeneracies, degeneracies)
-
-    def test_matches_sector_eigvalsh_in_small_batches(self, monkeypatch):
-        monkeypatch.setattr(lipkin, "_BATCH_ELEMENTS", 50)
-        for n in (8, 37):
-            for lam in LAMBDAS:
-                model = LipkinModel(n, 1.0, -3.0)
-                energies, _ = reference_eigenvalues(model, lam)
-                assert np.array_equal(lipkin_spectrum(model, lam).energies, energies)
+    """lipkin_spectrum against the eigh levels, and the spectra a sweep
+    builds from the model's cached sector layout."""
 
     @pytest.mark.parametrize("n", [*range(1, 81, 3), 150, 260])
     def test_agrees_with_eigh_levels(self, n):
         # measured over these cases and all N up to 80: at most 4.4e-15 of
         # the largest |E|; the bound leaves a margin of 2.3
-        for model, lam in eigenvalue_cases(n):
+        for model, lam in sector_loop_cases(n):
             levels, _ = lipkin_levels_with_h1(model, lam)
             energies = lipkin_spectrum(model, lam).energies
             assert np.max(np.abs(energies - levels.energies)) <= 1e-14 * np.max(
