@@ -29,6 +29,8 @@ _MODEL_DEFAULTS = {
     "ising": {"t_min": 0.1, "t_max": 30.0, "t_steps": 200, "grid": "linear"},
     "lipkin": {"t_min": 0.1, "t_max": 100.0, "t_steps": 200, "grid": "geometric"},
 }
+# the model parameter flags each model reads; any other one is refused
+_MODEL_PARAMETERS = {"ho": (), "ising": ("J", "h", "N"), "lipkin": ("N", "epsilon", "V")}
 _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
@@ -159,6 +161,12 @@ def _run_sweep(args) -> int:
     model = getattr(args, "figure", None) or args.model
     if model is None:
         raise UsageError("--model is required (ho, ising or lipkin)")
+    if args.model not in (None, model):
+        raise UsageError(f"fig {model} draws the {model} model, not --model {args.model}")
+    unread = [name for name in ("J", "h", "N", "epsilon", "V")
+              if getattr(args, name) is not None and name not in _MODEL_PARAMETERS[model]]
+    if unread:
+        raise UsageError(f"the {model} model does not read {', '.join(unread)}")
     for key, value in _MODEL_DEFAULTS[model].items():
         if getattr(args, key) is None:
             setattr(args, key, value)
@@ -202,7 +210,10 @@ def _use_color() -> bool:
 def _run_verify(args) -> int:
     try:
         config = DiffConfig(args.lambda_step, args.richardson)
-        if args.N is not None and args.scope in ("ising", "lipkin"):
+        if args.N is not None:
+            if args.scope not in ("ising", "lipkin"):
+                raise UsageError(f"--N sets the oracle size of scope ising or lipkin, "
+                                 f"not of scope {args.scope}")
             check_oracle_size(args.scope, args.N)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -215,6 +226,10 @@ def _run_verify(args) -> int:
         checks = verify_lipkin(config=config, **_given(n_oracle=args.N))
     else:
         checks = verify_all(config)
+    for key, _ in args.tolerance:
+        if not any(key in check.name for check in checks):
+            raise UsageError(f"--tolerance {key}: no check of scope {args.scope} "
+                             f"has it in its name")
 
     color = _use_color()
     n_passed = 0

@@ -17,11 +17,14 @@ Results are bit for bit those of exp on every weight.
 A point may hold one temperature or a 1-D grid of them. A grid is
 evaluated as one (temperatures x levels) log-sum-exp, formed a block of
 temperatures at a time; a single temperature gives floats, a grid arrays.
+The block buffers are views of one scratch array per thread, allocated at
+the thread's first call and kept, so repeated calls touch no fresh pages.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +42,10 @@ _BLOCK_ELEMENTS = 2**16
 # np.exp is exactly 0.0 below about -745.14; the margin covers the rounding
 # of ln g - beta * gap and of the cutoff itself.
 _EXP_ZERO_BELOW = -746.0
+# Largest pair of block buffers kept between calls, in doubles (1 MiB), and
+# the per-thread array that holds them: a thread's calls never share it.
+_SCRATCH_ELEMENTS = 2 * _BLOCK_ELEMENTS
+_scratch = threading.local()
 
 
 @dataclass(frozen=True)
@@ -169,6 +176,19 @@ class ThermoPotentials:
     h1: float | np.ndarray | None = None
 
 
+def _block_buffers(rows: int, columns: int):
+    """Two (rows x columns) float buffers. Up to _SCRATCH_ELEMENTS in all they
+    are views of this thread's scratch array, allocated at the first call and
+    kept; a larger pair is allocated for the call alone."""
+    size = rows * columns
+    if 2 * size > _SCRATCH_ELEMENTS:
+        return np.empty((rows, columns)), np.empty((rows, columns))
+    flat = getattr(_scratch, "array", None)
+    if flat is None:
+        flat = _scratch.array = np.empty(_SCRATCH_ELEMENTS)
+    return flat[:size].reshape(rows, columns), flat[size:2 * size].reshape(rows, columns)
+
+
 def _boltzmann_sums(spectrum: Spectrum, point: EnsemblePoint, values):
     """Per temperature: sum_n w_n, then sum_n w_n v_n for each v in values.
 
@@ -181,8 +201,10 @@ def _boltzmann_sums(spectrum: Spectrum, point: EnsemblePoint, values):
     gap > (max ln g - _EXP_ZERO_BELOW) / min(beta) none does, and in between
     exp is masked weight by weight. The rows are summed in full, so each
     temperature's sums depend only on its own beta, and a grid gives the
-    same numbers as its temperatures one at a time. The two block buffers
-    are allocated once per call.
+    same numbers as its temperatures one at a time. beta * gap is one
+    product per weight (an einsum outer product); where every ln g is 0 the
+    exponent is (-beta) * gap, the same bits as 0 - beta * gap. The two block
+    buffers come from _block_buffers.
     """
     betas = np.atleast_1d(point.beta)
     log_g = spectrum.log_degeneracies
@@ -191,9 +213,10 @@ def _boltzmann_sums(spectrum: Spectrum, point: EnsemblePoint, values):
     # level) and below it for gap > reach / beta (every level)
     floor = float(log_g.min()) - _EXP_ZERO_BELOW
     reach = float(log_g.max()) - _EXP_ZERO_BELOW
+    non_degenerate = not log_g.any()
+    signed_betas = -betas if non_degenerate else betas
     rows = max(1, _BLOCK_ELEMENTS // gap.size)
-    w_buf = np.empty((min(rows, betas.size), gap.size))
-    wv_buf = np.empty_like(w_buf)
+    w_buf, wv_buf = _block_buffers(min(rows, betas.size), gap.size)
     sums = np.empty((1 + len(values), betas.size))
     for i in range(0, betas.size, rows):
         block = betas[i:i + rows]
@@ -202,8 +225,9 @@ def _boltzmann_sums(spectrum: Spectrum, point: EnsemblePoint, values):
         cut = np.searchsorted(gap, reach / float(block.min()), side="right")
         full = min(cut, np.searchsorted(gap, floor / float(block.max()), side="right"))
         exponent = wv[:, :cut]
-        np.multiply(block[:, None], gap[:cut], out=exponent)
-        np.subtract(log_g[:cut], exponent, out=exponent)
+        np.einsum("i,j->ij", signed_betas[i:i + rows], gap[:cut], out=exponent)
+        if not non_degenerate:
+            np.subtract(log_g[:cut], exponent, out=exponent)
         np.exp(exponent[:, :full], out=w[:, :full])
         w[:, full:] = 0.0
         straddle = exponent[:, full:]

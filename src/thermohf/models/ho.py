@@ -5,6 +5,11 @@ frequency by sqrt(lam): E_n(lam) = (n + 1/2) sqrt(lam). Closed forms for
 all potentials exist and serve as the oracle for the generic spectrum +
 finite-difference machinery. The closed forms take a single temperature
 or a grid.
+
+The engine sums a truncated spectrum, each temperature with the levels
+the truncation rule asks for at that temperature and coupling, rounded up
+to 64 * 2^k and capped at the model's n_max; temperatures that round to
+the same count share one engine call.
 """
 
 from __future__ import annotations
@@ -44,20 +49,23 @@ def truncation_level(t_max: float, lam_min: float = 1.0) -> int:
     return max(64, math.ceil(levels))
 
 
-def ho_spectrum(lam: float, n_max: int) -> Spectrum:
-    """Levels (n + 1/2) sqrt(lam), n = 0..n_max, all non-degenerate."""
+def _frequency(lam: float) -> float:
+    """sqrt(lam); raises ValueError unless lam > 0 (nan passes through)."""
     if lam <= 0:
         raise ValueError(f"coupling must be positive, got {lam}")
+    return math.sqrt(lam)
+
+
+def ho_spectrum(lam: float, n_max: int) -> Spectrum:
+    """Levels (n + 1/2) sqrt(lam), n = 0..n_max, all non-degenerate."""
     n = np.arange(n_max + 1, dtype=float)
-    return Spectrum((n + 0.5) * math.sqrt(lam))
+    return Spectrum((n + 0.5) * _frequency(lam))
 
 
 def ho_closed_potentials(lam: float, point: EnsemblePoint) -> ThermoPotentials:
     """Exact lnZ, F, E, S of the oscillator with frequency sqrt(lam)."""
-    if lam <= 0:
-        raise ValueError(f"coupling must be positive, got {lam}")
     beta = point.beta
-    w = math.sqrt(lam)
+    w = _frequency(lam)
     bw = beta * w
     # lnZ = -bw/2 - ln(1 - e^{-bw})
     ln_z = -0.5 * bw - np.log1p(-np.exp(-bw))
@@ -89,12 +97,28 @@ def ho_entropy_lambda_derivative(point: EnsemblePoint):
     return -0.5 * beta * beta * np.exp(-beta) / (denom * denom)
 
 
+def _truncation_levels(lam: float, point: EnsemblePoint, n_max: int) -> np.ndarray:
+    """Per temperature of the point, as an int array: the truncation_level
+    rule at that temperature and coupling, rounded up to 64 * 2^k, at most
+    n_max."""
+    w = _frequency(lam)
+    # a huge T or a nan lam asks for more than the cap, which fmin keeps
+    with np.errstate(over="ignore"):
+        levels = np.fmin(np.ceil(40.0 * np.atleast_1d(point.temperature) / w), n_max)
+    blocks = np.ceil(np.maximum(levels, 64.0) / 64.0)
+    # 64 * 2^k with 2^(k-1) < blocks <= 2^k: k is frexp's exponent of blocks - 1
+    return np.minimum(64 * np.left_shift(1, np.frexp(blocks - 1.0)[1]), n_max)
+
+
 @dataclass(frozen=True)
 class HarmonicOscillator:
     """Truncated-spectrum oscillator backend.
 
-    n_max must satisfy the truncation_level bound for every temperature the
-    model is evaluated at, and lie in [64, MAX_LEVELS].
+    Each temperature T gets max(64, ceil(40 T / sqrt(lam))) levels, the
+    truncation_level rule at that T and coupling, rounded up to 64 * 2^k and
+    capped at n_max. n_max must lie in [64, MAX_LEVELS] and satisfy the rule
+    at every temperature the model is evaluated at, which the cap then never
+    cuts short.
     """
 
     n_max: int = 1024
@@ -104,7 +128,20 @@ class HarmonicOscillator:
             raise ValueError(f"n_max must be in [64, {MAX_LEVELS}], got {self.n_max}")
 
     def potentials(self, lam: float, point: EnsemblePoint, *, h1: bool = True) -> ThermoPotentials:
-        """Engine potentials of the truncated spectrum; h1 is the closed-form
-        average of the potential term, or None with h1=False."""
-        numeric = potentials(ho_spectrum(lam, self.n_max), point)
+        """Engine potentials of the truncated spectrum, one engine call per
+        truncation level; h1 is the closed-form average of the potential term,
+        or None with h1=False."""
+        levels = _truncation_levels(lam, point, self.n_max)
+        # a set, not np.unique, which imports numpy.ma at its first call
+        groups = sorted(set(levels.tolist()))
+        if len(groups) == 1:  # a scalar point included: the engine's own result
+            numeric = potentials(ho_spectrum(lam, groups[0]), point)
+        else:
+            betas = np.atleast_1d(point.beta)
+            fields = np.empty((4, betas.size))
+            for n_max in groups:
+                rows = levels == n_max
+                part = potentials(ho_spectrum(lam, n_max), EnsemblePoint(beta=betas[rows]))
+                fields[:, rows] = part.ln_z, part.free_energy, part.energy, part.entropy
+            numeric = ThermoPotentials(*fields)
         return replace(numeric, h1=ho_potential_average(point, lam)) if h1 else numeric

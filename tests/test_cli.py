@@ -188,24 +188,90 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1 and err.startswith("error: cannot write")
 
 
+class TestIgnoredFlags:
+    """A flag that the chosen model or scope never reads is refused with exit 2
+    and one error line, given on the command line or in a config file."""
+
+    CASES = [
+        ("sweep", {"model": "ho", "J": "5"}, "the ho model does not read J"),
+        ("sweep", {"model": "ho", "N": "4", "epsilon": "1"}, "does not read N, epsilon"),
+        ("sweep", {"model": "ising", "V": "1"}, "the ising model does not read V"),
+        ("sweep", {"model": "ising", "epsilon": "2"}, "the ising model does not read epsilon"),
+        ("sweep", {"model": "lipkin", "h": "1"}, "the lipkin model does not read h"),
+        ("sweep", {"model": "lipkin", "J": "-1e-3"}, "the lipkin model does not read J"),
+        ("fig ho", {"V": "3"}, "the ho model does not read V"),
+        ("fig lipkin", {"model": "ising"}, "fig lipkin draws the lipkin model"),
+        ("verify", {"scope": "all", "N": "50"}, "not of scope all"),
+        ("verify", {"scope": "ho", "N": "6"}, "not of scope ho"),
+        ("verify", {"N": "6"}, "not of scope all"),
+    ]
+    IDS = ["ho-J", "ho-N-epsilon", "ising-V", "ising-epsilon", "lipkin-h", "lipkin-J",
+           "fig-ho-V", "fig-other-model", "verify-all-N", "verify-ho-N", "verify-default-N"]
+
+    @staticmethod
+    def refused(argv, message, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command,settings,message", CASES, ids=IDS)
+    def test_refused_before_computation(self, command, settings, message,
+                                        monkeypatch, tmp_path, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("computation started before the flags were checked")
+
+        for name in ("sweep", "verify_ho", "verify_ising", "verify_lipkin", "verify_all"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        head = command.split()
+        self.refused([*head, *(f"--{k}={v}" for k, v in settings.items())], message, capsys)
+        cfg = write_config(tmp_path / "run.cfg", settings)
+        self.refused([*head, "--config", cfg], message, capsys)
+
+    @pytest.mark.parametrize("scope,name", [("ho", "nosuch"), ("ho", "ising"),
+                                            ("ising", "lipkin"), ("lipkin", "ho ")],
+                             ids=["ho-nosuch", "ho-ising", "ising-lipkin", "lipkin-ho"])
+    def test_tolerance_matching_no_check(self, scope, name, tmp_path, capsys):
+        message = f"--tolerance {name}: no check of scope {scope}"
+        self.refused(["verify", "--scope", scope, "--tolerance", f"{name}=1"], message, capsys)
+        cfg = write_config(tmp_path / "verify.cfg", {"scope": scope, "tolerance": f"{name}=1"})
+        self.refused(["verify", "--config", cfg], message, capsys)
+
+    def test_one_unmatched_tolerance_among_matching_ones(self, capsys):
+        self.refused(["verify", "--scope", "ho", "--tolerance", "virial=1",
+                      "--tolerance", "lnZ=1"], "--tolerance lnZ:", capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--model", "ho", "--t-steps", "3"],
+        ["sweep", "--model", "ising", "--J", "1", "--h", "0.5", "--N", "5", "--t-steps", "3"],
+        ["sweep", "--model", "lipkin", "--N", "5", "--epsilon", "1", "--V", "2",
+         "--t-steps", "3"],
+        ["fig", "ising", "--model", "ising", "--t-steps", "3"],
+        ["verify", "--scope", "all", "--tolerance", "ising lnZ=1e-10"],
+    ], ids=["ho", "ising", "lipkin", "fig-same-model", "verify-all-tolerance"])
+    def test_flags_that_act_still_run(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 0 and out and err == ""
+
+
 def write_config(path, settings: dict):
     path.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
     return str(path)
 
 
 class TestConfigFile:
-    # every sweep flag but --config, with model, format and out added per case;
-    # each model ignores the parameters it does not have
+    # every sweep flag but --config and the model parameters, with model,
+    # format, out and the model's own parameters added per case
     SETTINGS = {"t-min": "0.2", "t-max": "3", "t-steps": "5", "grid": "geometric",
-                "J": "-1.5", "h": "0.25", "N": "6", "epsilon": "1.5", "V": "-2.5e-1",
                 "lambda-step": "2e-5", "richardson": "3"}
+    MODEL_SETTINGS = {"ho": {}, "ising": {"J": "-1.5", "h": "0.25", "N": "6"},
+                      "lipkin": {"N": "6", "epsilon": "1.5", "V": "-2.5e-1"}}
 
     @pytest.mark.parametrize("command", ["sweep", "fig"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("model", ["ho", "ising", "lipkin"])
     def test_file_equals_flags(self, command, fmt, model, tmp_path, capsys):
-        settings = {"model": model, **self.SETTINGS, "format": fmt,
-                    "out": tmp_path / "from-file.out"}
+        settings = {"model": model, **self.SETTINGS, **self.MODEL_SETTINGS[model],
+                    "format": fmt, "out": tmp_path / "from-file.out"}
         cfg = write_config(tmp_path / "run.cfg", settings)
         settings["out"] = tmp_path / "from-flags.out"
         flags = [f"--{key}={value}" for key, value in settings.items()]

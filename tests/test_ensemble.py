@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermohf import EnsemblePoint, Spectrum, potentials
-from thermohf.ensemble import _EXP_ZERO_BELOW
+from thermohf import ensemble
+from thermohf.ensemble import _BLOCK_ELEMENTS, _EXP_ZERO_BELOW
 
 
 class TestSpectrum:
@@ -290,6 +293,13 @@ class TestExactBoltzmannSums:
     @example(case=(Spectrum(np.linspace(0.0, 1e3, 800), [1, math.comb(70, 35)] * 400),
                    np.cos(np.arange(800.0))),
              beta=np.geomspace(1e-2, 10.0, 250)[np.arange(250) * 97 % 250])
+    # every ln g 0 (exponent beta * -gap) with a negative ground energy, across
+    # the cutoff and the subnormal band; one level of degeneracy 2 among ones
+    @example(case=(Spectrum(np.arange(1500) * 0.37 - 12.5), np.sin(np.arange(1500.0))),
+             beta=np.geomspace(0.02, 20.0, 120)[::-1])
+    @example(case=(Spectrum(np.linspace(-4.0, 60.0, 700), [1] * 350 + [2] + [1] * 349),
+                   np.cos(np.arange(700.0))),
+             beta=np.linspace(5.0, 30.0, 200))
     def test_matches_naive_sums(self, case, beta):
         spectrum, h1 = case
         point = EnsemblePoint(beta=beta)
@@ -300,3 +310,84 @@ class TestExactBoltzmannSums:
             assert all(isinstance(x, float) for x in fields)
         for value, expected in zip(fields, want):
             assert np.array_equal(np.atleast_1d(value), expected)
+
+
+def run_in_thread(target, timeout=60.0):
+    """target() in a new thread; returns what it returned."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(target()))
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive() and len(result) == 1
+    return result[0]
+
+
+def scratch_array():
+    return getattr(ensemble._scratch, "array", None)
+
+
+class TestBlockBuffers:
+    """_boltzmann_sums keeps one scratch array per thread for its block
+    buffers, and none for a block too large for it."""
+
+    GRID = EnsemblePoint.from_temperature(np.geomspace(0.02, 40.0, 700))
+
+    def test_consecutive_calls_reuse_one_scratch_array(self):
+        def calls():
+            seen = []
+            for n in (1601, 30, 4000, 1):
+                potentials(Spectrum(np.arange(n) + 0.5), self.GRID)
+                seen.append(scratch_array())
+            return seen
+
+        seen = run_in_thread(calls)
+        assert seen[0].shape == (2 * _BLOCK_ELEMENTS,)
+        assert all(array is seen[0] for array in seen)
+
+    def test_large_block_leaves_no_retained_buffer(self):
+        spectrum = Spectrum(np.arange(_BLOCK_ELEMENTS + 1) + 0.5)
+        point = EnsemblePoint.from_temperature(np.array([0.5, 3e4]))
+
+        def call():
+            pots = potentials(spectrum, point)
+            return pots, scratch_array()
+
+        pots, retained = run_in_thread(call)
+        assert retained is None
+        want = naive_potentials(spectrum, point.beta, np.zeros(len(spectrum)))
+        for value, expected in zip((pots.ln_z, pots.free_energy, pots.energy, pots.entropy),
+                                   want):
+            assert np.array_equal(value, expected)
+
+    def test_threads_give_the_sequential_bits(self):
+        rng = np.random.default_rng(5)
+        cases = [(Spectrum(np.arange(n) * step - 3.0), rng.standard_normal(n))
+                 for n, step in ((1601, 1.0), (700, 0.3), (64, 2.0))]
+        cases.append((Spectrum(np.sort(rng.uniform(-2.0, 900.0, 900)),
+                               rng.integers(1, 10**6, 900)), rng.standard_normal(900)))
+        expected = [potentials(s, self.GRID, h1) for s, h1 in cases]
+        start = threading.Barrier(2 * len(cases))
+        mismatches = []
+
+        def work(k):
+            spectrum, h1 = cases[k % len(cases)]
+            start.wait(timeout=60)
+            for _ in range(15):
+                got = potentials(spectrum, self.GRID, h1)
+                want = expected[k % len(cases)]
+                if not all(np.array_equal(getattr(got, f), getattr(want, f))
+                           for f in ("ln_z", "free_energy", "energy", "entropy", "h1")):
+                    mismatches.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(2 * len(cases))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from thermohf import EnsemblePoint, central_diff, lambda_derivatives
+from thermohf.models import ho
 from thermohf.models.ho import (
     MAX_LEVELS,
     HarmonicOscillator,
@@ -143,3 +144,79 @@ class TestHellmannFeynman:
         # dE0/dlam at lam=1 is 1/4, the ground-state average of x^2/2
         deriv, _ = central_diff(lambda lam: 0.5 * math.sqrt(lam), 1.0)
         assert deriv == pytest.approx(0.25, abs=1e-10)
+
+
+def rule_levels(temperature, lam):
+    """truncation_level's count at one temperature and coupling, uncapped."""
+    return max(64, math.ceil(40.0 * temperature / math.sqrt(lam)))
+
+
+class TestPerTemperatureTruncation:
+    """Each temperature is summed over the levels the truncation rule asks for
+    at its own T and coupling, rounded up to 64 * 2^k and capped at n_max."""
+
+    GRID = np.geomspace(0.02, 40.0, 400)
+
+    @pytest.mark.parametrize("n_max", [truncation_level(40.0, 0.3), 700],
+                             ids=["below-cap", "capped"])
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 1.0 + 1e-5, 2.5])
+    def test_levels_per_temperature(self, lam, n_max, monkeypatch):
+        spectra, evaluated = [], []
+        build, engine = ho.ho_spectrum, ho.potentials
+
+        def spectrum(lam_, n):
+            spectra.append(n)
+            return build(lam_, n)
+
+        def counted(spec, point, *args):
+            evaluated.append((len(spec) - 1, np.atleast_1d(point.beta)))
+            return engine(spec, point, *args)
+
+        monkeypatch.setattr(ho, "ho_spectrum", spectrum)
+        monkeypatch.setattr(ho, "potentials", counted)
+        HarmonicOscillator(n_max=n_max).potentials(lam, EnsemblePoint.from_temperature(self.GRID))
+        assert len(spectra) == len(set(spectra)) == len(evaluated)
+        assert sum(betas.size for _, betas in evaluated) == self.GRID.size
+        for n, betas in evaluated:
+            for beta in betas:
+                rule = rule_levels(1.0 / beta, lam)
+                assert min(rule, n_max) <= n <= n_max and n < 2 * rule
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+    def test_row_below_cap_is_its_temperature_alone(self, lam):
+        n_max = 1000
+        model = HarmonicOscillator(n_max=n_max)
+        grid = model.potentials(lam, EnsemblePoint.from_temperature(self.GRID))
+        below_cap = 0
+        for k, t in enumerate(self.GRID):
+            single = model.potentials(lam, EnsemblePoint.from_temperature(float(t)))
+            if 2 * rule_levels(t, lam) > n_max:
+                continue
+            below_cap += 1
+            for field, value in vars(single).items():
+                assert np.array_equal(getattr(grid, field)[k], value), (t, field)
+        assert 0 < below_cap < self.GRID.size
+
+    def test_group_boundaries_keep_hellmann_feynman(self):
+        # 40 T = 64 * 2^k: the derivative abscissae fall on both sides
+        edges = 64.0 * 2.0 ** np.arange(5) / 40.0
+        temps = np.sort(np.concatenate([edges, np.nextafter(edges, 0.0),
+                                        np.nextafter(edges, np.inf)]))
+        model = HarmonicOscillator(n_max=truncation_level(float(temps.max()), 0.9))
+        point = EnsemblePoint.from_temperature(temps)
+        deriv = lambda_derivatives(lambda lam: model.potentials(lam, point, h1=False),
+                                   1.0).free_energy
+        assert np.max(np.abs(deriv - ho_potential_average(point))) <= 1e-7
+
+    def test_scalar_point_gives_floats(self):
+        model = HarmonicOscillator(n_max=2000)
+        for t in (0.03, 1.6, 30.0):
+            pots = model.potentials(1.0, EnsemblePoint.from_temperature(t))
+            assert all(isinstance(x, float) for x in vars(pots).values())
+            assert model.potentials(1.0, EnsemblePoint.from_temperature(t), h1=False).h1 is None
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_rejects_nonpositive_coupling(self, lam):
+        point = EnsemblePoint.from_temperature(np.array([0.1, 10.0]))
+        with pytest.raises(ValueError, match="coupling must be positive"):
+            HarmonicOscillator().potentials(lam, point)

@@ -113,6 +113,22 @@ class TestSweeps:
                 assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
 
+class TestOscillatorRowsStandAlone:
+    """Below the level cap an oscillator row's bits depend on its own
+    temperature alone, in every column."""
+
+    @pytest.mark.parametrize("t_grid", [temperature_grid(0.02, 40.0, 2000),
+                                        temperature_grid(0.05, 20.0, 300, "geometric")],
+                             ids=["linear", "geometric"])
+    def test_grid_row_equals_its_temperature_swept_alone(self, t_grid):
+        # 2 * max(64, 40 T / sqrt(lam)) < 4096 at every abscissa: no group is capped
+        model = HarmonicOscillator(n_max=4096)
+        rows = sweep(model, t_grid)
+        for k in range(0, t_grid.size, 23):
+            (single,) = sweep(model, t_grid[k:k + 1])
+            assert np.array_equal(rows[k], single)
+
+
 class TestPotentialsWithoutH1:
     """potentials(lam, point, h1=False), which sweep uses at the derivative
     abscissae, gives h1 = None and the potentials of the default call."""
