@@ -43,7 +43,7 @@ _BLOCK_ELEMENTS = 2**16
 # of ln g - beta * gap and of the cutoff itself.
 _EXP_ZERO_BELOW = -746.0
 # Largest pair of block buffers kept between calls, in doubles (1 MiB), and
-# the per-thread array that holds them: a thread's calls never share it.
+# the per-thread array that holds them: no two threads share one.
 _SCRATCH_ELEMENTS = 2 * _BLOCK_ELEMENTS
 _scratch = threading.local()
 
