@@ -16,12 +16,7 @@ configurations.
 from dataclasses import replace
 
 from thermohf import EnsemblePoint, central_diff
-from thermohf.models.ising import (
-    IsingChain,
-    ising_log_z,
-    ising_term_averages,
-    ising_total_energy,
-)
+from thermohf.models.ising import IsingChain, ising_potentials, ising_term_averages
 from thermohf.oracles import ising_enumerate
 from thermohf.sweep import temperature_grid
 
@@ -30,7 +25,7 @@ def hf_term_averages(params, point):
     """(dF/dlam1, dF/dlam2) at lam1 = lam2 = 1."""
 
     def free_energy(**coupling):
-        return -ising_log_z(replace(params, **coupling), point) / point.beta
+        return ising_potentials(replace(params, **coupling), point).free_energy
 
     h_j, _ = central_diff(lambda l1: free_energy(lambda1=l1), 1.0)
     h_h, _ = central_diff(lambda l2: free_energy(lambda2=l2), 1.0)
@@ -47,7 +42,7 @@ def main():
           f"{'<H_J>/N':>10} {'<H_h>/N':>10} {'HF dev':>9}")
     temps = temperature_grid(0.1, 30.0, 12)
     point = EnsemblePoint.from_temperature(temps)
-    energies = ising_total_energy(params, point)
+    energies = ising_potentials(params, point).energy
     hf = zip(*hf_term_averages(params, point))
     closed = zip(*ising_term_averages(params, point))
     for t, e, (hf_j, hf_h), (hj, hh) in zip(temps, energies, hf, closed):

@@ -116,12 +116,13 @@ class HarmonicOscillator:
 
     Each temperature T gets max(64, ceil(40 T / sqrt(lam))) levels, the
     truncation_level rule at that T and coupling, rounded up to 64 * 2^k and
-    capped at n_max. n_max must lie in [64, MAX_LEVELS] and satisfy the rule
-    at every temperature the model is evaluated at, which the cap then never
-    cuts short.
+    capped at n_max. n_max must lie in [64, MAX_LEVELS]; where it satisfies
+    the rule at every temperature the model is evaluated at, the cap never
+    cuts one short. The default, MAX_LEVELS, does so up to T = 26214.4 at
+    lam = 1, and costs nothing at the temperatures that need fewer levels.
     """
 
-    n_max: int = 1024
+    n_max: int = MAX_LEVELS
 
     def __post_init__(self):
         if not 64 <= self.n_max <= MAX_LEVELS:

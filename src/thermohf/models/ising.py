@@ -8,9 +8,11 @@ brute-force enumeration).
 Two independent couplings modulate the Hamiltonian: lambda1 scales the
 bond term, lambda2 the field term. lnZ and the thermal averages of both
 terms come from one eigensystem of the 2x2 transfer matrix, with no
-derivative in beta or in the couplings; by the Hellmann-Feynman theorem
-the term averages equal dF/dlambda1 and dF/dlambda2, which makes them an
-independent check. Every function takes a single temperature or a grid.
+derivative in beta or in the couplings: ising_potentials gives lnZ, F, E
+and S from it, ising_term_averages the two term averages. By the
+Hellmann-Feynman theorem the term averages equal dF/dlambda1 and
+dF/dlambda2, which makes them an independent check. Every function takes a
+single temperature or a grid.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ import numpy as np
 
 from ..ensemble import EnsemblePoint, ThermoPotentials
 
-__all__ = [
-    "IsingChain",
-    "ising_log_z",
-    "ising_potentials",
-    "ising_total_energy",
-    "ising_term_averages",
-]
+__all__ = ["IsingChain", "ising_potentials", "ising_term_averages"]
 
 
 @dataclass(frozen=True)
@@ -108,17 +104,6 @@ def _transfer(params: IsingChain, beta):
     ln_z = n * (b + m + np.log(top)) + log_one_plus
     bond = pair + cos2 * cos2 * (1.0 - pair)  # cos^2 2phi + sin^2 2phi pair
     return ln_z, -jj * n * bond, -abs(hh) * n * spin
-
-
-def ising_log_z(params: IsingChain, point: EnsemblePoint):
-    """ln Z from the two transfer-matrix eigenvalues, overflow-safe."""
-    return _transfer(params, point.beta)[0]
-
-
-def ising_total_energy(params: IsingChain, point: EnsemblePoint):
-    """E = <H_J> + <H_h>, in closed form from the transfer eigenpairs."""
-    _, h_j, h_h = _transfer(params, point.beta)
-    return h_j + h_h
 
 
 def ising_potentials(params: IsingChain, point: EnsemblePoint) -> ThermoPotentials:

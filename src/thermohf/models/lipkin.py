@@ -11,10 +11,11 @@ per-level multiplicities and their logarithms, kept read-only on the model),
 and diagonalized by one stacked LAPACK call per batch: each sector is padded
 to the batch's largest with decoupled diagonal entries above the batch's
 Gershgorin bound, so its eigenvalues come out bit for bit as from its own
-call. A batch holds at most _BATCH_ELEMENTS matrix elements.
-``lipkin_levels_with_h1`` calls ``eigh``, and each eigenvector's <H1> is
-2 sum_i o_i v_i v_i+1 over the sector's off-diagonal o, O(n) per vector;
-``lipkin_spectrum`` calls ``eigvalsh`` and forms no eigenvectors.
+call. A batch holds at most _BATCH_ELEMENTS matrix elements. Both solvers
+walk the same padded stacks: ``lipkin_levels_with_h1`` calls ``eigh``, and
+each eigenvector's <H1> is 2 sum_i o_i v_i v_i+1 over the sector's
+off-diagonal o, O(n) per vector; ``lipkin_spectrum`` calls ``eigvalsh`` and
+forms no eigenvectors.
 
 Half-integer j is carried as twice-j integers so all bookkeeping is exact.
 Multiplicities stay exact integers at any N: int64 while they fit, Python
@@ -188,31 +189,13 @@ def _padded_stack(sizes, diagonal, off, lam: float):
     return stack, rows
 
 
-def _sector_eigensystems(sizes, diagonal, off, lam: float):
-    """Eigenvalues and per-eigenvector <H1> of a run of sectors, sector after
-    sector, each ascending, from one stacked eigh.
-
-    The eigenvalues within a sector are simple (nonzero off-diagonal), so
-    <v|H1|v> = 2 sum_i o_i v_i v_i+1 is basis independent.
-    """
-    stack, rows = _padded_stack(sizes, diagonal, off, lam)
-    values, vectors = np.linalg.eigh(stack)
-    off = off[:, :stack.shape[1] - 1]
-    h1_values = 2 * np.einsum("si,sij,sij->sj", off, vectors[:, :-1], vectors[:, 1:])
-    return values[rows], h1_values[rows]
-
-
-def _sector_eigenvalues(sizes, diagonal, off, lam: float):
-    """Eigenvalues of a run of sectors, as _sector_eigensystems gives them but
-    from one stacked eigvalsh (which rounds differently from eigh)."""
-    stack, rows = _padded_stack(sizes, diagonal, off, lam)
-    return np.linalg.eigvalsh(stack)[rows]
-
-
-def _per_batch(layout: _SectorLayout, solve, lam: float) -> list:
-    return [solve(layout.sizes[start:stop], layout.diagonal[start:stop],
-                  layout.off[start:stop], lam)
-            for start, stop in layout.batches]
+def _batch_stacks(layout: _SectorLayout, lam: float):
+    """Per batch: the padded stack of H(lam), its row mask and the sectors'
+    H1 off-diagonals cut to the stack's order."""
+    for start, stop in layout.batches:
+        stack, rows = _padded_stack(layout.sizes[start:stop], layout.diagonal[start:stop],
+                                    layout.off[start:stop], lam)
+        yield stack, rows, layout.off[start:stop, :stack.shape[1] - 1]
 
 
 def _sorted_spectrum(layout: _SectorLayout, energies: np.ndarray):
@@ -264,13 +247,18 @@ def lipkin_levels_with_h1(model: LipkinModel, lam: float = 1.0):
 
     Each sector eigenvalue enters once with its block's multiplicity as the
     degeneracy; levels are globally sorted ascending (stable, so ties keep
-    the sector order).
+    the sector order). One stacked eigh per batch; the eigenvalues within a
+    sector are simple (nonzero off-diagonal), so each eigenvector's
+    <v|H1|v> = 2 sum_i o_i v_i v_i+1 is basis independent.
     """
-    parts = _per_batch(model._layout, _sector_eigensystems, lam)
-    spectrum, order = _sorted_spectrum(
-        model._layout, np.concatenate([values for values, _ in parts])
-    )
-    return spectrum, np.concatenate([h1_values for _, h1_values in parts])[order]
+    energies, h1_values = [], []
+    for stack, rows, off in _batch_stacks(model._layout, lam):
+        values, vectors = np.linalg.eigh(stack)
+        energies.append(values[rows])
+        h1_values.append(2 * np.einsum("si,sij,sij->sj", off, vectors[:, :-1],
+                                       vectors[:, 1:])[rows])
+    spectrum, order = _sorted_spectrum(model._layout, np.concatenate(energies))
+    return spectrum, np.concatenate(h1_values)[order]
 
 
 def lipkin_spectrum(model: LipkinModel, lam: float = 1.0) -> Spectrum:
@@ -279,5 +267,6 @@ def lipkin_spectrum(model: LipkinModel, lam: float = 1.0) -> Spectrum:
     The levels of lipkin_levels_with_h1, from eigenvalues alone (one stacked
     eigvalsh per batch), so they may differ from its levels by rounding.
     """
-    energies = np.concatenate(_per_batch(model._layout, _sector_eigenvalues, lam))
-    return _sorted_spectrum(model._layout, energies)[0]
+    energies = [np.linalg.eigvalsh(stack)[rows]
+                for stack, rows, _ in _batch_stacks(model._layout, lam)]
+    return _sorted_spectrum(model._layout, np.concatenate(energies))[0]

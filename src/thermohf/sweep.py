@@ -25,9 +25,13 @@ __all__ = [
     "rows_to_csv",
     "rows_to_json",
     "CSV_HEADER",
+    "MAX_GRID_POINTS",
 ]
 
 CSV_HEADER = "T,E,F,S,dF_dlambda,dE_dlambda,dS_dlambda,H1_direct"
+# Most temperatures in one grid; bounds a sweep's memory (a default sweep at
+# the cap peaks near 1 GB RSS, see README).
+MAX_GRID_POINTS = 10**6
 
 
 class SweepRow(NamedTuple):
@@ -47,11 +51,14 @@ class SweepRow(NamedTuple):
 
 
 def temperature_grid(t_min: float, t_max: float, steps: int, kind: str = "linear") -> np.ndarray:
-    """Strictly increasing temperature grid, linear or geometric."""
+    """Strictly increasing temperature grid, linear or geometric, of 2 to
+    MAX_GRID_POINTS points; raises ValueError before allocating otherwise."""
     if not (0.0 < t_min < t_max < np.inf):
         raise ValueError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
     if steps < 2:
         raise ValueError(f"need at least 2 grid points, got {steps}")
+    if steps > MAX_GRID_POINTS:
+        raise ValueError(f"need at most {MAX_GRID_POINTS} grid points, got {steps}")
     if kind == "linear":
         return np.linspace(t_min, t_max, steps)
     if kind == "geometric":

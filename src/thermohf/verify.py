@@ -4,6 +4,9 @@ Automates the agreement checks between independent computation routes:
 closed forms vs. the generic spectrum engine, transfer matrix vs.
 exhaustive enumeration, block decomposition vs. full Fock diagonalization,
 and the free-energy derivative vs. directly computed thermal averages.
+The Lipkin thermal quantities come through LipkinModel.potentials, the
+call sweep makes; the Ising ones through ising_potentials and
+ising_term_averages.
 """
 
 from __future__ import annotations
@@ -21,18 +24,8 @@ from .models.ho import (
     ho_potential_average,
     truncation_level,
 )
-from .models.ising import (
-    IsingChain,
-    ising_log_z,
-    ising_term_averages,
-    ising_total_energy,
-)
-from .models.lipkin import (
-    LipkinModel,
-    lipkin_levels_with_h1,
-    lipkin_spectrum,
-    multiplicity,
-)
+from .models.ising import IsingChain, ising_potentials, ising_term_averages
+from .models.lipkin import LipkinModel, lipkin_spectrum, multiplicity
 from .numdiff import DiffConfig, central_diff, lambda_derivatives
 from .oracles import MAX_ENUM_SPINS, MAX_FOCK_PARTICLES, ising_enumerate, lipkin_fock
 from .sweep import temperature_grid
@@ -114,7 +107,7 @@ def _ising_hf_terms(params: IsingChain, point: EnsemblePoint, config: DiffConfig
     """<H_J>, <H_h> of a chain at unit couplings as dF/dlambda1, dF/dlambda2."""
 
     def free_energy(name, lam):
-        return -ising_log_z(replace(params, **{name: lam}), point) / point.beta
+        return ising_potentials(replace(params, **{name: lam}), point).free_energy
 
     return [central_diff(lambda lam: free_energy(name, lam), 1.0, config)[0]
             for name in ("lambda1", "lambda2")]
@@ -140,7 +133,7 @@ def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig(),
             )
             point = EnsemblePoint(beta=float(rng.uniform(0.05, 3.0)))
             exact = ising_enumerate(params, point)
-            ln_z = ising_log_z(params, point)
+            ln_z = ising_potentials(params, point).ln_z
             dev_lnz = max(dev_lnz, abs(ln_z - exact.ln_z) / max(abs(exact.ln_z), 1e-300))
             # scaled by the largest magnitude either term can reach
             scale = max(1.0, n * (abs(params.lambda1 * params.coupling_j)
@@ -155,14 +148,14 @@ def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig(),
     base = IsingChain(coupling_j=2.0, field_h=1.0, n_spins=10)
     point = EnsemblePoint.from_temperature(temperature_grid(0.1, 30.0, 40))
     hj, hh = _ising_hf_terms(base, point, config)
-    dev_terms = _max_abs(hj + hh - ising_total_energy(base, point))
+    dev_terms = _max_abs(hj + hh - ising_potentials(base, point).energy)
     checks.append(CheckResult(
         "ising <H_J> + <H_h> = E over sweep", dev_terms, 1e-6 * base.n_spins
     ))
 
     cold = EnsemblePoint.from_temperature(0.1)
     hj, hh = (x / base.n_spins for x in _ising_hf_terms(base, cold, config))
-    e = ising_total_energy(base, cold) / base.n_spins
+    e = ising_potentials(base, cold).energy / base.n_spins
     checks.append(CheckResult("ising low-T <H_J>/N -> -J", abs(hj + 2.0), 0.01))
     checks.append(CheckResult("ising low-T <H_h>/N -> -h", abs(hh + 1.0), 0.01))
     checks.append(CheckResult("ising low-T E/N -> -(J+h)", abs(e + 3.0), 0.01))
@@ -174,13 +167,13 @@ def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig(),
         n = int(rng.integers(2, 13))
         beta = float(rng.uniform(0.1, 2.0))
         point = EnsemblePoint(beta=beta)
-        lz_p = ising_log_z(IsingChain(j, h, n), point)
-        lz_m = ising_log_z(IsingChain(j, -h, n), point)
+        lz_p = ising_potentials(IsingChain(j, h, n), point).ln_z
+        lz_m = ising_potentials(IsingChain(j, -h, n), point).ln_z
         dev_sym = max(dev_sym, abs(lz_p - lz_m))
     checks.append(CheckResult("ising lnZ even in h", dev_sym, 1e-13))
 
     t_hot = 100.0 * max(base.coupling_j, base.field_h)
-    e_hot = ising_total_energy(base, EnsemblePoint.from_temperature(t_hot)) / base.n_spins
+    e_hot = ising_potentials(base, EnsemblePoint.from_temperature(t_hot)).energy / base.n_spins
     law = -(base.coupling_j**2 + base.field_h**2) / t_hot
     checks.append(CheckResult(
         "ising high-T E/N -> -(J^2+h^2)/T", abs(e_hot - law), 0.05 * abs(law)
@@ -217,10 +210,9 @@ def verify_lipkin(n_oracle: int = 8, config: DiffConfig = DiffConfig(),
     ))
 
     model = LipkinModel(n_particles=10, epsilon=1.0, v_coupling=3.0)
-    spectrum, h1_values = lipkin_levels_with_h1(model, 1.0)
 
     def h1_direct(temps):
-        return potentials(spectrum, EnsemblePoint.from_temperature(temps), h1_values).h1
+        return model.potentials(1.0, EnsemblePoint.from_temperature(temps)).h1
 
     t_grid = temperature_grid(0.1, 100.0, 50, "geometric")
     point = EnsemblePoint.from_temperature(t_grid)
@@ -242,7 +234,7 @@ def verify_lipkin(n_oracle: int = 8, config: DiffConfig = DiffConfig(),
     ))
 
     hot = EnsemblePoint.from_temperature(1e4)
-    s_hot = potentials(spectrum, hot).entropy
+    s_hot = model.potentials(1.0, hot).entropy
     checks.append(CheckResult(
         "lipkin S(T=1e4) -> N ln 2", abs(s_hot - model.n_particles * math.log(2)), 1e-3
     ))

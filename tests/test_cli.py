@@ -90,7 +90,7 @@ class TestSweepCommand:
         (["--J", "-2", "--N", "9", "--h", "0.5", "--t-min", "0.005"], -14.5),
     ], ids=["antiferro-exp", "field-cosh", "odd-antiferro-field"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_ising_overflow_is_numerical_error(self, argv, ground_energy, capsys):
+    def test_ising_low_temperature_rows_are_finite(self, argv, ground_energy, capsys):
         # these once exited 3 on overflow; every row is now finite
         code, out, err = run(["sweep", "--model", "ising", *argv], capsys)
         assert code == 0 and err == ""
@@ -178,6 +178,17 @@ class TestUsageErrors:
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("steps", ["1000001", "1000000000000"])
+    def test_grid_past_point_cap_is_usage_error(self, steps, monkeypatch, tmp_path, capsys):
+        # 10^12 points once ended in a numpy allocation traceback (exit 1)
+        monkeypatch.setattr(cli, "sweep", lambda *args: pytest.fail("sweep started"))
+        flags = ["sweep", "--model", "ising", "--t-steps", steps]
+        cfg = write_config(tmp_path / "run.cfg", {"model": "ising", "t-steps": steps})
+        for argv in (flags, ["sweep", "--config", cfg]):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == ""
+            assert err == "error: need at most 1000000 grid points, got %s\n" % steps
 
     @pytest.mark.parametrize("target", ["missing-dir/x.csv", "."], ids=["no-dir", "is-dir"])
     def test_unwritable_out_is_usage_error(self, target, tmp_path, capsys):

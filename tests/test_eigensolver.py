@@ -17,7 +17,7 @@ def random_symmetric(rng, order):
     return 0.5 * (m + m.T)
 
 
-class TestJacobiEigen:
+class TestEigh:
     def test_identity(self):
         values, vectors = np.linalg.eigh(np.eye(5))
         assert np.allclose(values, np.ones(5))

@@ -208,6 +208,16 @@ class TestPerTemperatureTruncation:
                                    1.0).free_energy
         assert np.max(np.abs(deriv - ho_potential_average(point))) <= 1e-7
 
+    @pytest.mark.parametrize("t", [30.0, 100.0, 1000.0])
+    def test_default_model_is_not_cut_short(self, t):
+        # the default n_max is MAX_LEVELS, so no temperature up to 26214.4 is capped
+        point = EnsemblePoint.from_temperature(t)
+        numeric = HarmonicOscillator().potentials(1.0, point)
+        closed = ho_closed_potentials(1.0, point)
+        for name in ("free_energy", "energy", "entropy"):
+            got, want = getattr(numeric, name), getattr(closed, name)
+            assert abs(got - want) <= 1e-12 * abs(want), name
+
     def test_scalar_point_gives_floats(self):
         model = HarmonicOscillator(n_max=2000)
         for t in (0.03, 1.6, 30.0):

@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermohf import EnsemblePoint
-from thermohf.models.ising import (
-    IsingChain,
-    ising_log_z,
-    ising_potentials,
-    ising_term_averages,
-    ising_total_energy,
-)
+from thermohf.models.ising import IsingChain, ising_potentials, ising_term_averages
 from thermohf.oracles import ising_enumerate
 
 
@@ -31,14 +25,14 @@ class TestLogZ:
     def test_zero_field_closed_form(self):
         # lnZ = ln[(2 cosh bJ)^N + (2 sinh bJ)^N]
         for n, j, beta in [(4, 1.0, 0.7), (7, 2.0, 0.3), (10, 0.5, 1.4)]:
-            got = ising_log_z(IsingChain(j, 0.0, n), EnsemblePoint(beta=beta))
+            got = ising_potentials(IsingChain(j, 0.0, n), EnsemblePoint(beta=beta)).ln_z
             expected = math.log(
                 (2 * math.cosh(beta * j)) ** n + (2 * math.sinh(beta * j)) ** n
             )
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_two_spins_hand_sum(self):
-        got = ising_log_z(IsingChain(1.0, 0.0, 2), EnsemblePoint(beta=1.0))
+        got = ising_potentials(IsingChain(1.0, 0.0, 2), EnsemblePoint(beta=1.0)).ln_z
         assert math.exp(got) == pytest.approx(4 * math.cosh(2.0), rel=1e-14)
 
     def test_couplings_identity_matches_enumeration(self):
@@ -51,7 +45,7 @@ class TestLogZ:
             )
             point = EnsemblePoint(beta=float(rng.uniform(0.1, 2.0)))
             exact = ising_enumerate(params, point)
-            assert ising_log_z(params, point) == pytest.approx(
+            assert ising_potentials(params, point).ln_z == pytest.approx(
                 exact.ln_z, rel=1e-12, abs=1e-12
             )
 
@@ -62,12 +56,12 @@ class TestLogZ:
             h = float(rng.uniform(0, 2))
             n = int(rng.integers(2, 13))
             point = EnsemblePoint(beta=float(rng.uniform(0.1, 2.0)))
-            assert ising_log_z(IsingChain(j, h, n), point) == pytest.approx(
-                ising_log_z(IsingChain(j, -h, n), point), abs=1e-13
+            assert ising_potentials(IsingChain(j, h, n), point).ln_z == pytest.approx(
+                ising_potentials(IsingChain(j, -h, n), point).ln_z, abs=1e-13
             )
 
     def test_large_system_no_overflow(self):
-        got = ising_log_z(IsingChain(2.0, 1.0, 10**6), EnsemblePoint(beta=5.0))
+        got = ising_potentials(IsingChain(2.0, 1.0, 10**6), EnsemblePoint(beta=5.0)).ln_z
         assert math.isfinite(got)
 
 
@@ -117,25 +111,27 @@ class TestTotalEnergy:
             beta = float(rng.uniform(0.1, 2.0))
             h = 1e-6 * beta
             numeric = -(
-                ising_log_z(params, EnsemblePoint(beta=beta + h))
-                - ising_log_z(params, EnsemblePoint(beta=beta - h))
+                ising_potentials(params, EnsemblePoint(beta=beta + h)).ln_z
+                - ising_potentials(params, EnsemblePoint(beta=beta - h)).ln_z
             ) / (2 * h)
-            got = ising_total_energy(params, EnsemblePoint(beta=beta))
+            got = ising_potentials(params, EnsemblePoint(beta=beta)).energy
             assert got == pytest.approx(numeric, rel=1e-7, abs=1e-6)
 
     def test_low_temperature_per_spin(self):
-        got = ising_total_energy(IsingChain(2.0, 1.0, 10), EnsemblePoint.from_temperature(0.05))
+        point = EnsemblePoint.from_temperature(0.05)
+        got = ising_potentials(IsingChain(2.0, 1.0, 10), point).energy
         assert got / 10 == pytest.approx(-3.0, abs=1e-6)
 
     def test_high_temperature_decay(self):
         t = 300.0
-        got = ising_total_energy(IsingChain(2.0, 1.0, 10), EnsemblePoint.from_temperature(t)) / 10
+        point = EnsemblePoint.from_temperature(t)
+        got = ising_potentials(IsingChain(2.0, 1.0, 10), point).energy / 10
         assert got == pytest.approx(-(4.0 + 1.0) / t, rel=0.05)
 
     def test_equals_sum_of_term_averages(self):
         params = IsingChain(2.0, 1.0, 10)
         point = EnsemblePoint.from_temperature(np.geomspace(0.1, 30.0, 12))
-        total = ising_total_energy(params, point)
+        total = ising_potentials(params, point).energy
         h_j, h_h = ising_term_averages(params, point)
         assert total == pytest.approx(h_j + h_h, abs=1e-6)
 
@@ -201,7 +197,7 @@ class TestTransferProperties:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             pots = ising_potentials(params, point)
             h_j, h_h = ising_term_averages(params, point)
-            flipped = ising_log_z(replace(params, field_h=-params.field_h), point)
+            flipped = ising_potentials(replace(params, field_h=-params.field_h), point).ln_z
         values = (pots.ln_z, pots.free_energy, pots.energy, pots.entropy, h_j, h_h)
         assert all(math.isfinite(x) for x in values)
         assert flipped == pytest.approx(pots.ln_z, rel=1e-15, abs=1e-15)
@@ -215,6 +211,7 @@ class TestTransferProperties:
         exact = ising_enumerate(params, point)
         h_j, h_h = ising_term_averages(params, point)
         scale = energy_scale(params)
-        assert ising_log_z(params, point) == pytest.approx(exact.ln_z, rel=1e-12, abs=1e-12)
+        ln_z = ising_potentials(params, point).ln_z
+        assert ln_z == pytest.approx(exact.ln_z, rel=1e-12, abs=1e-12)
         assert abs(h_j - exact.h_j_average) <= 1e-12 * scale
         assert abs(h_h - exact.h_h_average) <= 1e-12 * scale

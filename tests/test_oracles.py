@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from thermohf import EnsemblePoint, potentials
-from thermohf.models.ising import IsingChain, ising_log_z
+from thermohf.models.ising import IsingChain, ising_potentials
 from thermohf.models.lipkin import LipkinModel, lipkin_spectrum
 from thermohf.oracles import ising_enumerate, lipkin_fock
 
@@ -37,7 +37,7 @@ class TestIsingEnumeration:
         params = IsingChain(2.0, 1.0, 10)
         point = EnsemblePoint(beta=1.0)
         result = ising_enumerate(params, point)
-        assert ising_log_z(params, point) == pytest.approx(result.ln_z, rel=1e-12)
+        assert ising_potentials(params, point).ln_z == pytest.approx(result.ln_z, rel=1e-12)
 
     def test_capacity_cap(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from thermohf.models.lipkin import LipkinModel
 from thermohf.numdiff import DiffConfig, central_diff
 from thermohf.sweep import (
     CSV_HEADER,
+    MAX_GRID_POINTS,
     SweepRow,
     rows_to_csv,
     rows_to_json,
@@ -41,6 +42,11 @@ class TestTemperatureGrid:
             temperature_grid(0.0, 1.0, 10)
         with pytest.raises(ValueError):
             temperature_grid(1.0, 2.0, 1)
+
+    def test_point_cap(self):
+        assert temperature_grid(0.1, 1.0, MAX_GRID_POINTS).size == MAX_GRID_POINTS == 10**6
+        with pytest.raises(ValueError, match="at most"):
+            temperature_grid(0.1, 1.0, MAX_GRID_POINTS + 1)
 
 
 class TestSweeps:
