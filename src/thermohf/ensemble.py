@@ -17,6 +17,8 @@ Results are bit for bit those of exp on every weight.
 A point may hold one temperature or a 1-D grid of them. A grid is
 evaluated as one (temperatures x levels) log-sum-exp, formed a block of
 temperatures at a time; a single temperature gives floats, a grid arrays.
+Each temperature may sum its own number of lowest levels, in a full row of
+that length, so one call serves a grid whose truncation varies with T.
 The block buffers are views of one scratch array per thread, allocated at
 the thread's first call and kept, so repeated calls touch no fresh pages.
 """
@@ -189,22 +191,26 @@ def _block_buffers(rows: int, columns: int):
     return flat[:size].reshape(rows, columns), flat[size:2 * size].reshape(rows, columns)
 
 
-def _boltzmann_sums(spectrum: Spectrum, point: EnsemblePoint, values):
+def _boltzmann_sums(spectrum: Spectrum, point: EnsemblePoint, values, counts):
     """Per temperature: sum_n w_n, then sum_n w_n v_n for each v in values.
 
-    Returns one row per sum, one column per temperature.
+    Returns one row per sum, one column per temperature. Temperature i sums
+    the lowest counts[i] levels in a full row of that length; consecutive
+    temperatures with the same count share blocks.
     w_n = exp(ln g_n - beta (E_n - E_min)) is anchored at the ground state.
     exp runs only on the weights whose exponent is at least _EXP_ZERO_BELOW;
     every other weight is exactly 0.0 and is stored as such. In each block
     of temperatures the levels fall into three runs: up to
     gap <= (min ln g - _EXP_ZERO_BELOW) / max(beta) every row needs exp, past
     gap > (max ln g - _EXP_ZERO_BELOW) / min(beta) none does, and in between
-    exp is masked weight by weight. The rows are summed in full, so each
-    temperature's sums depend only on its own beta, and a grid gives the
-    same numbers as its temperatures one at a time. beta * gap is one
-    product per weight (an einsum outer product); where every ln g is 0 the
-    exponent is (-beta) * gap, the same bits as 0 - beta * gap. The two block
-    buffers come from _block_buffers.
+    exp is masked weight by weight. min and max run over every level of the
+    spectrum, which only widens the masked run. The rows are summed in full,
+    so each temperature's sums depend only on its own beta and count, and a
+    grid gives the same numbers as its temperatures one at a time on spectra
+    of their own counts. beta * gap is one product per weight (an einsum
+    outer product); where every ln g is 0 the exponent is (-beta) * gap, the
+    same bits as 0 - beta * gap. The two block buffers come from
+    _block_buffers.
     """
     betas = np.atleast_1d(point.beta)
     log_g = spectrum.log_degeneracies
@@ -215,26 +221,31 @@ def _boltzmann_sums(spectrum: Spectrum, point: EnsemblePoint, values):
     reach = float(log_g.max()) - _EXP_ZERO_BELOW
     non_degenerate = not log_g.any()
     signed_betas = -betas if non_degenerate else betas
-    rows = max(1, _BLOCK_ELEMENTS // gap.size)
-    w_buf, wv_buf = _block_buffers(min(rows, betas.size), gap.size)
     sums = np.empty((1 + len(values), betas.size))
-    for i in range(0, betas.size, rows):
-        block = betas[i:i + rows]
-        w, wv = w_buf[:block.size], wv_buf[:block.size]
-        # Python float division: a tiny beta gives inf, not an overflow error
-        cut = np.searchsorted(gap, reach / float(block.min()), side="right")
-        full = min(cut, np.searchsorted(gap, floor / float(block.max()), side="right"))
-        exponent = wv[:, :cut]
-        np.einsum("i,j->ij", signed_betas[i:i + rows], gap[:cut], out=exponent)
-        if not non_degenerate:
-            np.subtract(log_g[:cut], exponent, out=exponent)
-        np.exp(exponent[:, :full], out=w[:, :full])
-        w[:, full:] = 0.0
-        straddle = exponent[:, full:]
-        np.exp(straddle, out=w[:, full:cut], where=straddle >= _EXP_ZERO_BELOW)
-        sums[0, i:i + rows] = w.sum(axis=1)
-        for k, v in enumerate(values, 1):
-            sums[k, i:i + rows] = np.multiply(w, v, out=wv).sum(axis=1)
+    # runs of equal counts, [start, stop) each: every count is >= 1, so the
+    # zeros around them mark both ends (and an empty grid has no run)
+    edges = np.flatnonzero(np.diff(counts, prepend=0, append=0)).tolist()
+    for start, stop in zip(edges, edges[1:]):
+        count = int(counts[start])
+        rows = max(1, _BLOCK_ELEMENTS // count)
+        w_buf, wv_buf = _block_buffers(min(rows, stop - start), count)
+        for i in range(start, stop, rows):
+            block = betas[i:min(i + rows, stop)]
+            w, wv = w_buf[:block.size], wv_buf[:block.size]
+            # Python float division: a tiny beta gives inf, not an overflow error
+            cut = min(count, np.searchsorted(gap, reach / float(block.min()), side="right"))
+            full = min(cut, np.searchsorted(gap, floor / float(block.max()), side="right"))
+            exponent = wv[:, :cut]
+            np.einsum("i,j->ij", signed_betas[i:i + block.size], gap[:cut], out=exponent)
+            if not non_degenerate:
+                np.subtract(log_g[:cut], exponent, out=exponent)
+            np.exp(exponent[:, :full], out=w[:, :full])
+            w[:, full:] = 0.0
+            straddle = exponent[:, full:]
+            np.exp(straddle, out=w[:, full:cut], where=straddle >= _EXP_ZERO_BELOW)
+            sums[0, i:i + block.size] = w.sum(axis=1)
+            for k, v in enumerate(values, 1):
+                sums[k, i:i + block.size] = np.multiply(w, v[:count], out=wv).sum(axis=1)
     return sums
 
 
@@ -243,7 +254,8 @@ def _like_beta(values: np.ndarray, point: EnsemblePoint):
     return float(values[0]) if np.ndim(point.beta) == 0 else values
 
 
-def potentials(spectrum: Spectrum, point: EnsemblePoint, h1=None) -> ThermoPotentials:
+def potentials(spectrum: Spectrum, point: EnsemblePoint, h1=None, *,
+               n_levels=None) -> ThermoPotentials:
     """Free energy, mean energy and entropy of a spectrum at each temperature.
 
     E is the ensemble average sum_n p_n E_n (no differentiation in beta);
@@ -251,6 +263,12 @@ def potentials(spectrum: Spectrum, point: EnsemblePoint, h1=None) -> ThermoPoten
     ``h1[n]`` of the interaction term, each already averaged over level n's
     degenerate subspace (trace over the subspace divided by the degeneracy),
     the result's h1 is their average with the same Boltzmann weights.
+
+    ``n_levels`` gives one integer per temperature, each in
+    [1, len(spectrum)]: temperature i then sums the lowest n_levels[i]
+    levels, bit for bit as a spectrum of only those levels would. None
+    means every level at every temperature. A grid sorted by count makes
+    the fewest blocks.
     """
     values = [spectrum.energies]
     if h1 is not None:
@@ -262,7 +280,15 @@ def potentials(spectrum: Spectrum, point: EnsemblePoint, h1=None) -> ThermoPoten
             )
         values.append(h1)
     beta = np.atleast_1d(point.beta)
-    z0, weighted_e, *weighted_h1 = _boltzmann_sums(spectrum, point, values)
+    if n_levels is None:
+        counts = np.full(beta.shape, len(spectrum))
+    else:
+        counts = np.atleast_1d(n_levels)
+        if not (counts.shape == beta.shape and np.issubdtype(counts.dtype, np.integer)
+                and np.all((counts >= 1) & (counts <= len(spectrum)))):
+            raise ValueError(f"n_levels must give one integer in [1, {len(spectrum)}] "
+                             "per temperature")
+    z0, weighted_e, *weighted_h1 = _boltzmann_sums(spectrum, point, values, counts)
     ln_z = -beta * spectrum.energies[0] + np.log(z0)
     energy = weighted_e / z0
     free_energy = -ln_z / beta

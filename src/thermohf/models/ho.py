@@ -8,8 +8,9 @@ or a grid.
 
 The engine sums a truncated spectrum, each temperature with the levels
 the truncation rule asks for at that temperature and coupling, rounded up
-to 64 * 2^k and capped at the model's n_max; temperatures that round to
-the same count share one engine call.
+to 64 * 2^k and capped at the model's n_max; one engine call per coupling
+takes every temperature, and temperatures that round to the same count
+share its blocks.
 """
 
 from __future__ import annotations
@@ -129,20 +130,11 @@ class HarmonicOscillator:
             raise ValueError(f"n_max must be in [64, {MAX_LEVELS}], got {self.n_max}")
 
     def potentials(self, lam: float, point: EnsemblePoint, *, h1: bool = True) -> ThermoPotentials:
-        """Engine potentials of the truncated spectrum, one engine call per
-        truncation level; h1 is the closed-form average of the potential term,
-        or None with h1=False."""
+        """Engine potentials of the truncated spectrum, one engine call with
+        each temperature's own level count; h1 is the closed-form average of
+        the potential term, or None with h1=False."""
         levels = _truncation_levels(lam, point, self.n_max)
-        # a set, not np.unique, which imports numpy.ma at its first call
-        groups = sorted(set(levels.tolist()))
-        if len(groups) == 1:  # a scalar point included: the engine's own result
-            numeric = potentials(ho_spectrum(lam, groups[0]), point)
-        else:
-            betas = np.atleast_1d(point.beta)
-            fields = np.empty((4, betas.size))
-            for n_max in groups:
-                rows = levels == n_max
-                part = potentials(ho_spectrum(lam, n_max), EnsemblePoint(beta=betas[rows]))
-                fields[:, rows] = part.ln_z, part.free_energy, part.energy, part.entropy
-            numeric = ThermoPotentials(*fields)
+        # max's initial keeps an empty grid valid: one level, no temperature
+        numeric = potentials(ho_spectrum(lam, int(levels.max(initial=0))), point,
+                             n_levels=levels + 1)
         return replace(numeric, h1=ho_potential_average(point, lam)) if h1 else numeric

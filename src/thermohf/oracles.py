@@ -7,6 +7,7 @@ configurations, 2^12-dimensional Fock matrices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,21 @@ class EnumerationResult:
     energy: float
 
 
+@functools.lru_cache(maxsize=1)
+def _configuration_sums(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bond sum (PBC, each bond once) and site sum of every one of the 2^n
+    spin configurations, as read-only int64 arrays. One size is kept:
+    verify draws its chains one size after another."""
+    states = np.arange(2**n, dtype=np.uint32)
+    spins = ((states[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.int8)
+    spins = 2 * spins - 1  # +-1 per site
+    bond_sum = np.sum(spins * np.roll(spins, -1, axis=1), axis=1, dtype=np.int64)
+    site_sum = np.sum(spins, axis=1, dtype=np.int64)
+    bond_sum.flags.writeable = False
+    site_sum.flags.writeable = False
+    return bond_sum, site_sum
+
+
 def ising_enumerate(params: IsingChain, point: EnsemblePoint) -> EnumerationResult:
     """Exhaustive sum over all 2^N spin configurations.
 
@@ -41,13 +57,7 @@ def ising_enumerate(params: IsingChain, point: EnsemblePoint) -> EnumerationResu
     if n > MAX_ENUM_SPINS:
         raise ValueError(f"enumeration capped at {MAX_ENUM_SPINS} spins, got {n}")
     beta = point.beta
-
-    states = np.arange(2**n, dtype=np.uint32)
-    spins = ((states[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.int8)
-    spins = 2 * spins - 1  # +-1 per site
-
-    bond_sum = np.sum(spins * np.roll(spins, -1, axis=1), axis=1, dtype=np.int64)
-    site_sum = np.sum(spins, axis=1, dtype=np.int64)
+    bond_sum, site_sum = _configuration_sums(n)
     h_j = -params.lambda1 * params.coupling_j * bond_sum
     h_h = -params.lambda2 * params.field_h * site_sum
     total = h_j + h_h

@@ -311,6 +311,48 @@ class TestExactBoltzmannSums:
         for value, expected in zip(fields, want):
             assert np.array_equal(np.atleast_1d(value), expected)
 
+    @properties
+    @given(case=spectra(), beta=betas(), seed=st.integers(0, 2**32 - 1),
+           sort=st.booleans())
+    def test_per_temperature_levels_match_naive_sums(self, case, beta, seed, sort):
+        # a few distinct counts per grid, in runs when sorted, shuffled when not
+        spectrum, h1 = case
+        rng = np.random.default_rng(seed)
+        choices = rng.integers(1, len(spectrum) + 1, rng.integers(1, 5))
+        n_levels = rng.choice(choices, np.shape(beta))
+        if sort and np.ndim(beta):
+            n_levels = np.sort(n_levels)
+        got = potentials(spectrum, EnsemblePoint(beta=beta), h1, n_levels=n_levels)
+        prefixes = {}
+        for i, (b, count) in enumerate(zip(np.atleast_1d(beta), np.atleast_1d(n_levels))):
+            if count not in prefixes:
+                prefixes[count] = Spectrum(spectrum.energies[:count],
+                                           spectrum.degeneracies[:count])
+            want = naive_potentials(prefixes[count], b, h1[:count])[:, 0]
+            fields = (got.ln_z, got.free_energy, got.energy, got.entropy, got.h1)
+            assert np.array_equal([np.atleast_1d(x)[i] for x in fields], want)
+
+    def test_scalar_point_with_a_level_count(self):
+        spectrum = Spectrum(np.arange(50) * 0.7 - 1.0, np.arange(1, 51))
+        h1 = np.cos(np.arange(50.0))
+        for count in (1, 17, 50):
+            got = potentials(spectrum, EnsemblePoint(beta=0.9), h1, n_levels=count)
+            prefix = Spectrum(spectrum.energies[:count], spectrum.degeneracies[:count])
+            want = naive_potentials(prefix, 0.9, h1[:count])
+            fields = (got.ln_z, got.free_energy, got.energy, got.entropy, got.h1)
+            assert all(isinstance(x, float) for x in fields)
+            assert np.array_equal(np.array(fields)[:, None], want)
+
+    @pytest.mark.parametrize("n_levels", [0, 4, np.array([2, 0]), np.array([1, 4]),
+                                          np.array([2, 2, 2]), np.array([1.0, 2.0])],
+                             ids=["zero", "above-len", "zero-in-grid", "above-len-in-grid",
+                                  "wrong-shape", "float"])
+    def test_rejects_bad_level_counts(self, n_levels):
+        spectrum = Spectrum([0.0, 1.0, 2.0])
+        beta = 1.0 if np.ndim(n_levels) == 0 else np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="n_levels"):
+            potentials(spectrum, EnsemblePoint(beta=beta), n_levels=n_levels)
+
 
 def run_in_thread(target, timeout=60.0):
     """target() in a new thread; returns what it returned."""

@@ -161,26 +161,20 @@ class TestPerTemperatureTruncation:
                              ids=["below-cap", "capped"])
     @pytest.mark.parametrize("lam", [0.3, 1.0, 1.0 + 1e-5, 2.5])
     def test_levels_per_temperature(self, lam, n_max, monkeypatch):
-        spectra, evaluated = [], []
-        build, engine = ho.ho_spectrum, ho.potentials
+        calls = []
+        engine = ho.potentials
 
-        def spectrum(lam_, n):
-            spectra.append(n)
-            return build(lam_, n)
+        def counted(spec, point, *args, n_levels):
+            calls.append((len(spec), np.atleast_1d(point.beta), n_levels))
+            return engine(spec, point, *args, n_levels=n_levels)
 
-        def counted(spec, point, *args):
-            evaluated.append((len(spec) - 1, np.atleast_1d(point.beta)))
-            return engine(spec, point, *args)
-
-        monkeypatch.setattr(ho, "ho_spectrum", spectrum)
         monkeypatch.setattr(ho, "potentials", counted)
         HarmonicOscillator(n_max=n_max).potentials(lam, EnsemblePoint.from_temperature(self.GRID))
-        assert len(spectra) == len(set(spectra)) == len(evaluated)
-        assert sum(betas.size for _, betas in evaluated) == self.GRID.size
-        for n, betas in evaluated:
-            for beta in betas:
-                rule = rule_levels(1.0 / beta, lam)
-                assert min(rule, n_max) <= n <= n_max and n < 2 * rule
+        ((size, betas, n_levels),) = calls
+        assert betas.size == n_levels.size == self.GRID.size and size == n_levels.max()
+        for beta, count in zip(betas, n_levels):
+            rule, n = rule_levels(1.0 / beta, lam), count - 1
+            assert min(rule, n_max) <= n <= n_max and n < 2 * rule
 
     @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
     def test_row_below_cap_is_its_temperature_alone(self, lam):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thermohf import EnsemblePoint, potentials
+from thermohf import EnsemblePoint, oracles, potentials
 from thermohf.models.ising import IsingChain, ising_potentials
 from thermohf.models.lipkin import LipkinModel, lipkin_spectrum
 from thermohf.oracles import ising_enumerate, lipkin_fock
@@ -42,6 +42,23 @@ class TestIsingEnumeration:
     def test_capacity_cap(self):
         with pytest.raises(ValueError):
             ising_enumerate(IsingChain(1.0, 1.0, 21), EnsemblePoint(beta=1.0))
+
+    def test_interleaved_sizes_equal_fresh_enumerations(self):
+        # the configuration sums are cached for one chain size at a time
+        chains = [IsingChain(-1.3, 0.4, n, lambda1=1.1, lambda2=0.8) for n in (5, 7, 5)]
+        point = EnsemblePoint(beta=0.9)
+        got = [ising_enumerate(chain, point) for chain in chains]
+        assert oracles._configuration_sums.cache_info().currsize == 1
+        for chain, result in zip(chains, got):
+            oracles._configuration_sums.cache_clear()
+            assert ising_enumerate(chain, point) == result
+
+    def test_cached_sums_are_read_only(self):
+        bond_sum, site_sum = oracles._configuration_sums(4)
+        assert bond_sum.shape == site_sum.shape == (16,)
+        for array in (bond_sum, site_sum):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     def test_large_beta_anchored(self):
         result = ising_enumerate(IsingChain(2.0, 1.0, 6), EnsemblePoint(beta=200.0))

@@ -13,7 +13,7 @@ from thermohf.numdiff import DiffConfig, central_diff
 from thermohf.sweep import (
     CSV_HEADER,
     MAX_GRID_POINTS,
-    SweepRow,
+    SWEEP_DTYPE,
     rows_to_csv,
     rows_to_json,
     sweep,
@@ -117,6 +117,33 @@ class TestSweeps:
             (single,) = sweep(model, t_grid[k:k + 1])
             for got, want in zip(rows[k], single):
                 assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+class TestSweepTable:
+    """sweep returns one record array of shape (T,), a row per temperature."""
+
+    def test_shape_length_and_rows(self):
+        t_grid = temperature_grid(0.5, 5.0, 7)
+        table = sweep(IsingChain(2.0, 1.0, 6), t_grid)
+        assert isinstance(table, np.recarray) and table.dtype == SWEEP_DTYPE
+        assert table.shape == (7,) and len(table) == 7
+        assert SWEEP_DTYPE.names[0] == "temperature" and len(SWEEP_DTYPE.names) == 8
+        for k, row in enumerate(table):
+            assert row.temperature == t_grid[k] == table[k].temperature
+            assert row.energy == table.energy[k] == table[k]["energy"]
+            assert list(row) == table.view(np.float64)[8 * k:8 * k + 8].tolist()
+
+    def test_empty_table_serializes(self):
+        table = np.empty(0, dtype=SWEEP_DTYPE).view(np.recarray)
+        assert len(table) == 0 and table.shape == (0,)
+        assert rows_to_csv(table) == CSV_HEADER + "\n"
+        assert json.loads(rows_to_json(table, {"model": "ho"})) == {
+            "config": {"model": "ho"}, "rows": []}
+
+    def test_strided_table_serializes(self):
+        table = sweep(IsingChain(2.0, 1.0, 6), temperature_grid(0.5, 5.0, 7))
+        assert rows_to_csv(table[::3]) == reference_csv(table[::3])
+        assert rows_to_json(table[::3], {}) == reference_json(table[::3], {})
 
 
 class TestOscillatorRowsStandAlone:
@@ -242,7 +269,7 @@ class TestSerializationBytes:
         values = rng.standard_normal((n, 8)) * 10.0 ** rng.integers(-300, 300, (n, 8))
         flat = values.ravel()
         flat[: min(flat.size, 64)] = np.resize(self.SPECIAL, min(flat.size, 64))
-        return [SweepRow(*row) for row in values.tolist()]
+        return values.view(SWEEP_DTYPE).reshape(n).view(np.recarray)
 
     @pytest.mark.parametrize("n", [0, 1, 2000])
     def test_csv(self, n):

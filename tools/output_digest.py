@@ -1,0 +1,77 @@
+"""One sha256 over the output of a fixed list of `thermohf` invocations.
+
+Usage, from the root of a source checkout:
+
+    python3 tools/output_digest.py [--root CHECKOUT]
+
+Each invocation runs in-process through `thermohf.cli.main`, with the BLAS
+and OpenMP pools on one thread, and its argv, exit code, stdout and stderr
+go into the digest in order. The list is both benchmark pools at seeds
+1-3 (from perfbench/workloads.py), `fig ho|ising|lipkin` as CSV and JSON,
+`verify` for every scope, and a few edge sweeps, two of which exit 3. --root names the checkout
+whose `src/` and `perfbench/` are imported (default: the one holding this
+script), so a change's digest can be compared with its parent's by running
+this file once against each checkout. Equal digests mean byte-identical
+output and exit codes.
+"""
+
+import os
+
+# Pin the BLAS and OpenMP pools before numpy loads, as perfbench/run.py does.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+SEEDS = (1, 2, 3)
+POOLS = ("lipkin-sweep", "grid-sweep")
+FIXED = [
+    *(["fig", model, *fmt] for model in ("ho", "ising", "lipkin")
+      for fmt in ([], ["--format", "json"])),
+    *(["verify", "--scope", scope] for scope in ("all", "ho", "ising", "lipkin")),
+    *(["sweep", "--model", "lipkin", "--N", n, "--t-steps", "20"] for n in ("70", "200")),
+    ["sweep", "--model", "ho", "--t-max", "26214.4", "--t-steps", "5"],
+    # numerical errors, exit 3: 1/T overflows, and beta * J overflows
+    ["sweep", "--model", "ho", "--t-min", "1e-310", "--t-max", "1e-300", "--t-steps", "3"],
+    ["sweep", "--model", "ising", "--t-min", "5.6e-309", "--t-max", "1", "--t-steps", "3"],
+]
+
+
+def invocations(workloads) -> list[list[str]]:
+    pools = [list(op.argv) for name in POOLS for seed in SEEDS
+             for op in workloads.make_pool(name, seed)]
+    return pools + FIXED
+
+
+def run(main, argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="source checkout to run (default: this script's)")
+    root = parser.parse_args().root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads
+    from thermohf.cli import main as cli_main
+
+    digest = hashlib.sha256()
+    argvs = invocations(workloads)
+    for argv in argvs:
+        code, out, err = run(cli_main, argv)
+        digest.update(json.dumps([argv, code, out, err]).encode())
+    print(f"{digest.hexdigest()}  {len(argvs)} invocations of {root}")
+
+
+if __name__ == "__main__":
+    main()
