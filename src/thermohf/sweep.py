@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 
+from . import floattext
 from .ensemble import EnsemblePoint
 from .numdiff import DiffConfig, lambda_derivatives
 
@@ -24,6 +25,7 @@ __all__ = [
     "rows_to_json",
     "CSV_HEADER",
     "MAX_GRID_POINTS",
+    "CHUNK_ROWS",
 ]
 
 CSV_HEADER = "T,E,F,S,dF_dlambda,dE_dlambda,dS_dlambda,H1_direct"
@@ -35,8 +37,12 @@ SWEEP_DTYPE = np.dtype([(name, np.float64) for name in (
     "df_dlambda", "de_dlambda", "ds_dlambda", "h1_direct",
 )])
 # Most temperatures in one grid; bounds a sweep's memory (a default sweep at
-# the cap peaks near 0.65 GB RSS, see README).
+# the cap peaks near 0.5 GB RSS, see README).
 MAX_GRID_POINTS = 10**6
+# Rows the serializers format per step. Besides the text, they hold one
+# chunk's words and temporaries (under 1 MB at 512 rows) whatever the
+# table's length; much smaller chunks pay numpy's per-call cost more often.
+CHUNK_ROWS = 512
 
 
 def temperature_grid(t_min: float, t_max: float, steps: int, kind: str = "linear") -> np.ndarray:
@@ -77,34 +83,51 @@ def sweep(model, t_grid, config: DiffConfig = DiffConfig()) -> np.recarray:
     return table
 
 
-def _flat_values(table) -> list:
-    """Every row's values in CSV_HEADER order, row after row, as floats."""
-    return np.ascontiguousarray(table).view(np.float64).tolist()
+_FIELDS = len(SWEEP_DTYPE.names)
+# The words before and after each field's token: CSV's separators, and a
+# JSON row's keys (the first after the row's "{") and its closing "},"
+# (the table's last "," is cut).
+_NO_WORDS = np.empty((_FIELDS, 0), np.uint64)
+_CSV_ENDS = floattext.byte_rows([","] * (_FIELDS - 1) + ["\n"], 8).view(np.uint64)
+_JSON_KEYS = floattext.byte_rows([("    {\n" if k == 0 else ",\n") + f"      {json.dumps(key)}: "
+                                  for k, key in enumerate(CSV_HEADER.split(","))], 24).view(np.uint64)
+_JSON_ENDS = floattext.byte_rows([""] * (_FIELDS - 1) + ["\n    },\n"], 8).view(np.uint64)
+
+
+def _serialize(table, write, before, after) -> list[str]:
+    """The table's rows as text, CHUNK_ROWS at a time, each value written by
+    write between the words of before and after (one row of each per field)."""
+    first, last = before.shape[1], before.shape[1] + floattext.WORDS
+    block = np.empty((min(len(table), CHUNK_ROWS) * _FIELDS, last + after.shape[1]), np.uint64)
+    fields = block.reshape(-1, _FIELDS, block.shape[1])
+    fields[:, :, :first] = before
+    fields[:, :, last:] = after
+    parts = []
+    for start in range(0, len(table), CHUNK_ROWS):
+        values = np.ascontiguousarray(table[start:start + CHUNK_ROWS]).view(np.float64)
+        chunk = block[:len(values)]
+        write(values, chunk[:, first:last])
+        parts.append(floattext.text(chunk))
+    return parts
 
 
 def rows_to_csv(table) -> str:
-    """Deterministic CSV with 17-significant-digit floats.
-
-    One %-format call over all rows; "%.17g" % v is format(v, ".17g").
-    """
-    row_format = ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
-    return "\n".join([CSV_HEADER, *[row_format] * len(table)]) % tuple(
-        _flat_values(table)) + "\n"
+    """Deterministic CSV with 17-significant-digit floats, each the bytes
+    of "%.17g" % v, written CHUNK_ROWS rows at a time."""
+    parts = _serialize(table, floattext.write_g17, _NO_WORDS, _CSV_ENDS)
+    return "".join([CSV_HEADER + "\n", *parts])
 
 
 def rows_to_json(table, config_echo: dict) -> str:
     """Same rows as JSON objects, plus an echo of the run configuration.
 
-    The text is json.dumps(payload, indent=2). The float tokens come from
-    one json.dumps of all values (same repr, NaN and Infinity spellings)
-    and fill a fixed per-row layout after the config, which is dumped as is.
+    The text is json.dumps(payload, indent=2): the config is dumped as is,
+    and each row, CHUNK_ROWS at a time, is laid out with json.dumps's
+    tokens for its values.
     """
     text = json.dumps({"config": config_echo, "rows": []}, indent=2)
     if not len(table):
         return text + "\n"
-    row_format = "    {\n" + ",\n".join(
-        f"      {json.dumps(key)}: %s" for key in CSV_HEADER.split(",")
-    ) + "\n    }"
-    tokens = tuple(json.dumps(_flat_values(table))[1:-1].split(", "))
-    body = ",\n".join([row_format] * len(table)) % tokens
-    return text[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"
+    parts = _serialize(table, floattext.write_json, _JSON_KEYS, _JSON_ENDS)
+    parts[-1] = parts[-1][:-len(",\n")]
+    return "".join([text[:-len("[]\n}")] + "[\n", *parts, "\n  ]\n}\n"])

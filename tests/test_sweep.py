@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from thermohf.ensemble import EnsemblePoint, potentials
 from thermohf.models.lipkin import LipkinModel
 from thermohf.numdiff import DiffConfig, central_diff
 from thermohf.sweep import (
+    CHUNK_ROWS,
     CSV_HEADER,
     MAX_GRID_POINTS,
     SWEEP_DTYPE,
@@ -271,13 +273,13 @@ class TestSerializationBytes:
         flat[: min(flat.size, 64)] = np.resize(self.SPECIAL, min(flat.size, 64))
         return values.view(SWEEP_DTYPE).reshape(n).view(np.recarray)
 
-    @pytest.mark.parametrize("n", [0, 1, 2000])
+    @pytest.mark.parametrize("n", [0, 1, 2000, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
     def test_csv(self, n):
         rows = self.rows(n)
         assert rows_to_csv(rows) == reference_csv(rows)
 
     @pytest.mark.parametrize("echo", [ECHO, {}], ids=["nested-echo", "empty-echo"])
-    @pytest.mark.parametrize("n", [0, 1, 2000])
+    @pytest.mark.parametrize("n", [0, 1, 2000, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
     def test_json(self, n, echo):
         rows = self.rows(n)
         assert rows_to_json(rows, echo) == reference_json(rows, echo)
@@ -288,3 +290,23 @@ class TestSerializationBytes:
                       "1.7976931348623157e+308", "NaN", "Infinity", "-Infinity",
                       "-0.0", "5e-324", "1.7976931348623157e+308"):
             assert token in text
+
+
+class TestSerializerMemory:
+    """The serializers keep the text's chunks and the joined text, and of
+    anything else a chunk's worth: no Python float or byte row per value of
+    the whole table."""
+
+    @pytest.mark.parametrize("serialize", [rows_to_csv, lambda table: rows_to_json(table, {})],
+                             ids=["csv", "json"])
+    def test_peak_is_twice_the_text(self, serialize):
+        rows = 100 * CHUNK_ROWS
+        values = np.random.default_rng(5).standard_normal((rows, 8))
+        table = values.view(SWEEP_DTYPE).reshape(rows).view(np.recarray)
+        tracemalloc.start()
+        try:
+            text = serialize(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * len(text) + 4 * 2**20
