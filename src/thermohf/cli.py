@@ -11,6 +11,7 @@ import functools
 import os
 import re
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,14 +24,26 @@ from .verify import check_oracle_size, verify_all, verify_ho, verify_ising, veri
 
 __all__ = ["main"]
 
-# grid defaults per model; model parameters default in the model classes
-_MODEL_DEFAULTS = {
-    "ho": {"t_min": 0.05, "t_max": 20.0, "t_steps": 200, "grid": "linear"},
-    "ising": {"t_min": 0.1, "t_max": 30.0, "t_steps": 200, "grid": "linear"},
-    "lipkin": {"t_min": 0.1, "t_max": 100.0, "t_steps": 200, "grid": "geometric"},
+class _Model(NamedTuple):
+    """A model the CLI sweeps: its class, the flags it reads mapped to the
+    fields they set (in the JSON echo's order), and its grid defaults. A
+    flag left out keeps the class's default."""
+
+    cls: type
+    fields: dict
+    grid: dict
+
+
+_MODELS = {
+    "ho": _Model(HarmonicOscillator, {},
+                 {"t_min": 0.05, "t_max": 20.0, "t_steps": 200, "grid": "linear"}),
+    "ising": _Model(IsingChain, {"J": "coupling_j", "h": "field_h", "N": "n_spins"},
+                    {"t_min": 0.1, "t_max": 30.0, "t_steps": 200, "grid": "linear"}),
+    "lipkin": _Model(LipkinModel, {"N": "n_particles", "epsilon": "epsilon", "V": "v_coupling"},
+                     {"t_min": 0.1, "t_max": 100.0, "t_steps": 200, "grid": "geometric"}),
 }
-# the model parameter flags each model reads; any other one is refused
-_MODEL_PARAMETERS = {"ho": (), "ising": ("J", "h", "N"), "lipkin": ("N", "epsilon", "V")}
+# every model parameter flag; a model refuses those it does not read
+_MODEL_FLAGS = tuple(dict.fromkeys(flag for model in _MODELS.values() for flag in model.fields))
 _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
@@ -74,16 +87,20 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def _tolerance_override(item: str) -> tuple[str, float]:
-    """NAME=VALUE of --tolerance as (NAME, VALUE)."""
+    """NAME=VALUE of --tolerance as (NAME, VALUE); VALUE is a number >= 0
+    (inf included), since a check passes when its deviation is at most VALUE."""
     name, sep, value = item.partition("=")
     try:
-        return name, float(value if sep else "")
+        tolerance = float(value if sep else "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {item!r}") from None
+    if not tolerance >= 0.0:  # also nan
+        raise argparse.ArgumentTypeError(f"tolerance must be >= 0, got {item!r}")
+    return name, tolerance
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--model", choices=("ho", "ising", "lipkin"))
+    parser.add_argument("--model", choices=tuple(_MODELS))
     parser.add_argument("--t-min", type=float)
     parser.add_argument("--t-max", type=float)
     parser.add_argument("--t-steps", type=int)
@@ -117,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sweep_flags(sweep)
 
     fig = sub.add_parser("fig", help="sweep with the default figure parameters")
-    fig.add_argument("figure", choices=("ho", "ising", "lipkin"))
+    fig.add_argument("figure", choices=tuple(_MODELS))
     _add_sweep_flags(fig)
 
     verify = sub.add_parser("verify", help="run the cross-check suites")
@@ -158,37 +175,36 @@ def _given(**params) -> dict:
 
 
 def _run_sweep(args) -> int:
-    model = getattr(args, "figure", None) or args.model
-    if model is None:
+    name = getattr(args, "figure", None) or args.model
+    if name is None:
         raise UsageError("--model is required (ho, ising or lipkin)")
-    if args.model not in (None, model):
-        raise UsageError(f"fig {model} draws the {model} model, not --model {args.model}")
-    unread = [name for name in ("J", "h", "N", "epsilon", "V")
-              if getattr(args, name) is not None and name not in _MODEL_PARAMETERS[model]]
+    if args.model not in (None, name):
+        raise UsageError(f"fig {name} draws the {name} model, not --model {args.model}")
+    entry = _MODELS[name]
+    unread = [flag for flag in _MODEL_FLAGS
+              if getattr(args, flag) is not None and flag not in entry.fields]
     if unread:
-        raise UsageError(f"the {model} model does not read {', '.join(unread)}")
-    for key, value in _MODEL_DEFAULTS[model].items():
+        raise UsageError(f"the {name} model does not read {', '.join(unread)}")
+    for key, value in entry.grid.items():
         if getattr(args, key) is None:
             setattr(args, key, value)
 
-    echo = {"model": model, "t_min": args.t_min, "t_max": args.t_max,
+    echo = {"model": name, "t_min": args.t_min, "t_max": args.t_max,
             "t_steps": args.t_steps, "grid": args.grid,
             "lambda_step": args.lambda_step, "richardson": args.richardson}
     try:
         config = DiffConfig(args.lambda_step, args.richardson)
         t_grid = temperature_grid(args.t_min, args.t_max, args.t_steps, args.grid)
-        if model == "ho":
-            backend = HarmonicOscillator(n_max=truncation_level(float(t_grid.max())))
-        elif model == "ising":
-            backend = IsingChain(**_given(coupling_j=args.J, field_h=args.h, n_spins=args.N))
-            echo.update({"J": backend.coupling_j, "h": backend.field_h, "N": backend.n_spins})
-        else:
-            backend = LipkinModel(**_given(n_particles=args.N, epsilon=args.epsilon,
-                                           v_coupling=args.V))
-            echo.update({"N": backend.n_particles, "epsilon": backend.epsilon,
-                         "V": backend.v_coupling})
+        params = {field: getattr(args, flag) for flag, field in entry.fields.items()
+                  if getattr(args, flag) is not None}
+        if entry.cls is HarmonicOscillator:
+            # as many levels as the hottest temperature needs; a t-max past
+            # MAX_LEVELS' reach is refused
+            params["n_max"] = truncation_level(float(t_grid.max()))
+        backend = entry.cls(**params)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    echo.update({flag: getattr(backend, field) for flag, field in entry.fields.items()})
     rows = sweep(backend, t_grid, config)
 
     text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows, echo)

@@ -121,11 +121,6 @@ class Spectrum:
     def __len__(self):
         return self.energies.size
 
-    @property
-    def dimension(self) -> int:
-        """Total weighted number of states, summed exactly as Python ints."""
-        return sum(self.degeneracies.tolist())
-
 
 def _check_positive(name: str, value):
     v = np.asarray(value, dtype=float)

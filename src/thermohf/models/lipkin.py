@@ -36,8 +36,6 @@ from ..ensemble import EnsemblePoint, Spectrum, ThermoPotentials, potentials
 __all__ = [
     "LipkinModel",
     "multiplicity",
-    "build_block",
-    "build_block_h1",
     "lipkin_spectrum",
     "lipkin_levels_with_h1",
 ]
@@ -73,26 +71,6 @@ def _h1_amplitudes(two_j, m):
     of Jp^2 + Jm^2; two_j and m broadcast."""
     jj = 0.25 * two_j * (two_j + 2)  # j(j+1)
     return np.sqrt(jj - m * (m + 1)) * np.sqrt(jj - (m + 1) * (m + 2))
-
-
-def build_block_h1(two_j: int, v_coupling: float) -> np.ndarray:
-    """Matrix of H1 = -(V/2)(Jp^2 + Jm^2) in the ordered m-basis of one block.
-
-    Couples only m <-> m+2: element -(V/2) sqrt(j(j+1)-m(m+1)) *
-    sqrt(j(j+1)-(m+1)(m+2)).
-    """
-    dim = two_j + 1
-    h1 = np.zeros((dim, dim))
-    i = np.arange(dim - 2)
-    h1[i, i + 2] = h1[i + 2, i] = -0.5 * v_coupling * _h1_amplitudes(two_j, -0.5 * two_j + i)
-    return h1
-
-
-def build_block(two_j: int, epsilon: float, v_coupling: float, lam: float = 1.0) -> np.ndarray:
-    """Block Hamiltonian eps*diag(m) + lam*H1 in the ordered m-basis."""
-    dim = two_j + 1
-    m = -0.5 * two_j + np.arange(dim)
-    return np.diag(epsilon * m) + lam * build_block_h1(two_j, v_coupling)
 
 
 class _SectorLayout(NamedTuple):

@@ -29,7 +29,6 @@ class EnumerationResult:
     ln_z: float
     h_j_average: float
     h_h_average: float
-    energy: float
 
 
 @functools.lru_cache(maxsize=1)
@@ -68,9 +67,7 @@ def ising_enumerate(params: IsingChain, point: EnsemblePoint) -> EnumerationResu
     ln_z = -beta * e_min + float(np.log(z0))
     h_j_avg = float(np.dot(w, h_j) / z0)
     h_h_avg = float(np.dot(w, h_h) / z0)
-    return EnumerationResult(
-        ln_z=ln_z, h_j_average=h_j_avg, h_h_average=h_h_avg, energy=h_j_avg + h_h_avg
-    )
+    return EnumerationResult(ln_z=ln_z, h_j_average=h_j_avg, h_h_average=h_h_avg)
 
 
 def _site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:

@@ -4,8 +4,8 @@ Automates the agreement checks between independent computation routes:
 closed forms vs. the generic spectrum engine, transfer matrix vs.
 exhaustive enumeration, block decomposition vs. full Fock diagonalization,
 and the free-energy derivative vs. directly computed thermal averages.
-The Lipkin thermal quantities come through LipkinModel.potentials, the
-call sweep makes; the Ising ones through ising_potentials and
+The oscillator and Lipkin checks read the table sweep returns, the one
+`thermohf sweep` prints; the Ising ones read ising_potentials and
 ising_term_averages.
 """
 
@@ -22,16 +22,18 @@ from .models.ho import (
     ho_closed_potentials,
     ho_entropy_lambda_derivative,
     ho_potential_average,
-    truncation_level,
 )
 from .models.ising import IsingChain, ising_potentials, ising_term_averages
 from .models.lipkin import LipkinModel, lipkin_spectrum, multiplicity
-from .numdiff import DiffConfig, central_diff, lambda_derivatives
+from .numdiff import DiffConfig, central_diff
 from .oracles import MAX_ENUM_SPINS, MAX_FOCK_PARTICLES, ising_enumerate, lipkin_fock
-from .sweep import temperature_grid
+from .sweep import sweep, temperature_grid
 
 __all__ = ["CheckResult", "check_oracle_size", "verify_ho", "verify_ising", "verify_lipkin",
            "verify_all"]
+
+# Seeds the random chains of verify_ising and the random matrices of verify_lipkin.
+_SEED = 20260823
 
 
 @dataclass(frozen=True)
@@ -60,20 +62,18 @@ def check_oracle_size(scope: str, n: int) -> None:
 
 
 def verify_ho(config: DiffConfig = DiffConfig()) -> list[CheckResult]:
-    """Oscillator: generic engine vs. closed forms, virial, limits."""
+    """Oscillator: the sweep table vs. closed forms, virial, limits."""
     checks = []
-    model = HarmonicOscillator(n_max=truncation_level(50.0))
-    point = EnsemblePoint.from_temperature(temperature_grid(0.05, 20.0, 200))
-    numeric = model.potentials(1.0, point)
+    t_grid = temperature_grid(0.05, 20.0, 200)
+    table = sweep(HarmonicOscillator(), t_grid, config)
+    point = EnsemblePoint.from_temperature(t_grid)
     closed = ho_closed_potentials(1.0, point)
-    deriv = lambda_derivatives(lambda lam: model.potentials(lam, point, h1=False), 1.0, config)
-    direct = ho_potential_average(point)
-    dev_f = _max_abs(numeric.free_energy - closed.free_energy)
-    dev_e = _max_abs(numeric.energy - closed.energy)
-    dev_s = _max_abs(numeric.entropy - closed.entropy)
-    dev_df = _max_abs(deriv.free_energy - direct)
-    dev_ds = _max_abs(deriv.entropy - ho_entropy_lambda_derivative(point))
-    dev_virial = _max_abs(direct - 0.5 * closed.energy)
+    dev_f = _max_abs(table.free_energy - closed.free_energy)
+    dev_e = _max_abs(table.energy - closed.energy)
+    dev_s = _max_abs(table.entropy - closed.entropy)
+    dev_df = _max_abs(table.df_dlambda - table.h1_direct)
+    dev_ds = _max_abs(table.ds_dlambda - ho_entropy_lambda_derivative(point))
+    dev_virial = _max_abs(table.h1_direct - 0.5 * closed.energy)
 
     checks.append(CheckResult("ho closed-form F agreement", dev_f, 1e-6))
     checks.append(CheckResult("ho closed-form E agreement", dev_e, 1e-6))
@@ -86,11 +86,10 @@ def verify_ho(config: DiffConfig = DiffConfig()) -> list[CheckResult]:
     checks.append(CheckResult(
         "ho low-T potential average -> 1/4", abs(ho_potential_average(cold) - 0.25), 1e-12
     ))
-    hot = EnsemblePoint.from_temperature(20.0)
-    deriv_f = lambda_derivatives(lambda lam: model.potentials(lam, hot, h1=False), 1.0,
-                                 config).free_energy
+    hot = table[-1]  # the grid's last point, T = 20
+    half_t = 0.5 * hot.temperature
     checks.append(CheckResult(
-        "ho high-T dF/dlam -> T/2", abs(deriv_f - 10.0) / 10.0, 0.02
+        "ho high-T dF/dlam -> T/2", abs(hot.df_dlambda - half_t) / half_t, 0.02
     ))
     hot50 = EnsemblePoint.from_temperature(50.0)
     checks.append(CheckResult(
@@ -113,12 +112,11 @@ def _ising_hf_terms(params: IsingChain, point: EnsemblePoint, config: DiffConfig
             for name in ("lambda1", "lambda2")]
 
 
-def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig(),
-                 seed: int = 20260823) -> list[CheckResult]:
+def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig()) -> list[CheckResult]:
     """Ising: enumeration oracle, HF term decomposition, symmetry, limits."""
     check_oracle_size("ising", n_spins)
     checks = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
 
     dev_lnz = 0.0
     dev_avg = 0.0
@@ -181,8 +179,7 @@ def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig(),
     return checks
 
 
-def verify_lipkin(n_oracle: int = 8, config: DiffConfig = DiffConfig(),
-                  seed: int = 20260823) -> list[CheckResult]:
+def verify_lipkin(n_oracle: int = 8, config: DiffConfig = DiffConfig()) -> list[CheckResult]:
     """Lipkin: dimension identity, Fock oracle, HF identity, corollary, limits."""
     check_oracle_size("lipkin", n_oracle)
     checks = []
@@ -210,21 +207,19 @@ def verify_lipkin(n_oracle: int = 8, config: DiffConfig = DiffConfig(),
     ))
 
     model = LipkinModel(n_particles=10, epsilon=1.0, v_coupling=3.0)
-
-    def h1_direct(temps):
-        return model.potentials(1.0, EnsemblePoint.from_temperature(temps)).h1
-
     t_grid = temperature_grid(0.1, 100.0, 50, "geometric")
-    point = EnsemblePoint.from_temperature(t_grid)
-    deriv = lambda_derivatives(lambda lam: model.potentials(lam, point, h1=False), 1.0, config)
-    direct = h1_direct(t_grid)
-    dev_hf = float(np.max(np.abs(deriv.free_energy - direct) / np.maximum(1.0, np.abs(direct))))
-    dh1_dt, _ = central_diff(h1_direct, t_grid, config)
-    dev_corollary = _max_abs(deriv.entropy + dh1_dt)
+    table = sweep(model, t_grid, config)
+    direct = table.h1_direct
+    dev_hf = float(np.max(np.abs(table.df_dlambda - direct) / np.maximum(1.0, np.abs(direct))))
+    dh1_dt, _ = central_diff(
+        lambda temps: model.potentials(1.0, EnsemblePoint.from_temperature(temps)).h1,
+        t_grid, config,
+    )
+    dev_corollary = _max_abs(table.ds_dlambda + dh1_dt)
     checks.append(CheckResult("lipkin dF/dlam vs direct <H1>", dev_hf, 1e-6))
     checks.append(CheckResult("lipkin dS/dlam = -d<H1>/dT", dev_corollary, 1e-4))
 
-    idx = int(np.argmin(deriv.energy))
+    idx = int(np.argmin(table.de_dlambda))
     t_min_loc = float(t_grid[idx])
     in_window = 5.0 <= t_min_loc <= 20.0 and 0 < idx < t_grid.size - 1
     checks.append(CheckResult(
@@ -239,7 +234,7 @@ def verify_lipkin(n_oracle: int = 8, config: DiffConfig = DiffConfig(),
         "lipkin S(T=1e4) -> N ln 2", abs(s_hot - model.n_particles * math.log(2)), 1e-3
     ))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     dev_res = 0.0
     dev_orth = 0.0
     for _ in range(25):

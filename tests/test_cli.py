@@ -367,8 +367,27 @@ class TestVerifyCommand:
         assert "FAIL" in out
 
     def test_bad_tolerance_is_usage_error(self, capsys):
-        code, _, err = run(["verify", "--tolerance", "oops"], capsys)
-        assert code == 2
+        # inf and 0 are tolerances; nan and a negative value would fail every check
+        for item in ("oops", "virial=nan", "virial=-1", "virial=-1e-300"):
+            code, out, err = run(["verify", "--scope", "ho", "--tolerance", item], capsys)
+            assert code == 2 and out == "" and repr(item) in err
+
+    def test_verify_lipkin_reads_the_sweep_table(self, capsys):
+        # the deviation verify prints is the one of the table `sweep` prints
+        code, out, _ = run(["verify", "--scope", "lipkin"], capsys)
+        assert code == 0
+        name = "lipkin dF/dlam vs direct <H1>: deviation "
+        printed = next(line for line in out.splitlines() if name in line)
+        code, csv, _ = run(["sweep", "--model", "lipkin", "--N", "10", "--epsilon", "1",
+                            "--V", "3", "--t-min", "0.1", "--t-max", "100", "--t-steps", "50",
+                            "--grid", "geometric"], capsys)
+        assert code == 0
+        table = np.loadtxt(csv.splitlines(), delimiter=",", skiprows=1)
+        columns = CSV_HEADER.split(",")
+        df = table[:, columns.index("dF_dlambda")]
+        direct = table[:, columns.index("H1_direct")]
+        deviation = np.max(np.abs(df - direct) / np.maximum(1.0, np.abs(direct)))
+        assert printed.split(name)[1].split()[0] == "%.3e" % deviation
 
 
 class TestParserReuse:

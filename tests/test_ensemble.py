@@ -16,7 +16,6 @@ class TestSpectrum:
     def test_default_degeneracies(self):
         s = Spectrum([0.0, 1.0, 2.0])
         assert np.array_equal(s.degeneracies, [1, 1, 1])
-        assert s.dimension == 3
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,6 @@ from thermohf.cli import main as cli_main
 from thermohf.models import lipkin
 from thermohf.models.lipkin import (
     LipkinModel,
-    build_block,
-    build_block_h1,
     lipkin_levels_with_h1,
     lipkin_spectrum,
     multiplicity,
@@ -86,12 +84,13 @@ class TestSpectrum:
     def test_weighted_dimension(self):
         for n in (3, 6, 10):
             s = lipkin_spectrum(LipkinModel(n, 1.0, 3.0))
-            assert s.dimension == 2**n
+            assert sum(s.degeneracies.tolist()) == 2**n
 
     @pytest.mark.parametrize("n", [63, 64, 70, 200])
     def test_multiplicities_beyond_int64(self, n, capsys):
         # from N = 63 the exact multiplicities and their sum outgrow int64
-        assert lipkin_spectrum(LipkinModel(n, 1.0, 3.0)).dimension == 2**n
+        degeneracies = lipkin_spectrum(LipkinModel(n, 1.0, 3.0)).degeneracies
+        assert sum(degeneracies.tolist()) == 2**n
         code = cli_main(["sweep", "--model", "lipkin", "--N", str(n), "--t-steps", "5"])
         out = capsys.readouterr().out
         assert code == 0
@@ -115,6 +114,27 @@ class TestSpectrum:
         ]))
         expanded = np.repeat(up.energies, up.degeneracies)
         assert np.allclose(np.sort(-expanded), down)
+
+
+def build_block_h1(two_j: int, v_coupling: float) -> np.ndarray:
+    """Dense matrix of H1 = -(V/2)(Jp^2 + Jm^2) in the ordered m-basis of one
+    block: it couples only m <-> m+2, with element
+    -(V/2) sqrt(j(j+1)-m(m+1)) sqrt(j(j+1)-(m+1)(m+2))."""
+    dim = two_j + 1
+    i = np.arange(dim - 2)
+    m = -0.5 * two_j + i
+    jj = 0.25 * two_j * (two_j + 2)  # j(j+1)
+    h1 = np.zeros((dim, dim))
+    h1[i, i + 2] = h1[i + 2, i] = (
+        -0.5 * v_coupling * (np.sqrt(jj - m * (m + 1)) * np.sqrt(jj - (m + 1) * (m + 2)))
+    )
+    return h1
+
+
+def build_block(two_j: int, epsilon: float, v_coupling: float, lam: float = 1.0) -> np.ndarray:
+    """Dense block Hamiltonian eps*diag(m) + lam*H1 in the ordered m-basis."""
+    m = -0.5 * two_j + np.arange(two_j + 1)
+    return np.diag(epsilon * m) + lam * build_block_h1(two_j, v_coupling)
 
 
 def reference_levels_with_h1(model: LipkinModel, lam: float):
@@ -314,7 +334,7 @@ class TestDirectAverage:
         beta = point.beta
         w = spectrum.degeneracies * np.exp(-beta * (spectrum.energies - spectrum.energies[0]))
         p = w / w.sum()
-        uniform = spectrum.degeneracies / spectrum.dimension
+        uniform = spectrum.degeneracies / sum(spectrum.degeneracies.tolist())
         assert np.max(np.abs(p / uniform - 1.0)) < 1e-3
 
 

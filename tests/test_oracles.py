@@ -28,9 +28,10 @@ class TestIsingEnumeration:
                 lambda1=float(rng.uniform(0.5, 1.5)),
                 lambda2=float(rng.uniform(0.5, 1.5)),
             )
-            result = ising_enumerate(params, EnsemblePoint(beta=0.7))
-            assert result.energy == pytest.approx(
-                result.h_j_average + result.h_h_average, abs=1e-12
+            point = EnsemblePoint(beta=0.7)
+            result = ising_enumerate(params, point)
+            assert result.h_j_average + result.h_h_average == pytest.approx(
+                ising_potentials(params, point).energy, abs=1e-12
             )
 
     def test_matches_transfer_matrix_default_figure_params(self):
@@ -63,7 +64,8 @@ class TestIsingEnumeration:
     def test_large_beta_anchored(self):
         result = ising_enumerate(IsingChain(2.0, 1.0, 6), EnsemblePoint(beta=200.0))
         assert math.isfinite(result.ln_z)
-        assert result.energy / 6 == pytest.approx(-3.0, abs=1e-12)
+        energy = result.h_j_average + result.h_h_average
+        assert energy / 6 == pytest.approx(-3.0, abs=1e-12)
 
 
 class TestLipkinFock:

@@ -14,6 +14,10 @@ whose `src/` and `perfbench/` are imported (default: the one holding this
 script), so a change's digest can be compared with its parent's by running
 this file once against each checkout. Equal digests mean byte-identical
 output and exit codes.
+
+Before the total, one line per invocation gives the first 16 hex digits of
+the sha256 of what that invocation put into the total, then its argv, so
+diffing the output of two checkouts names the invocations that moved.
 """
 
 import os
@@ -27,6 +31,7 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import shlex  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -79,7 +84,9 @@ def main() -> None:
     argvs = invocations(workloads)
     for argv in argvs:
         code, out, err = run(cli_main, argv)
-        digest.update(json.dumps([argv, code, out, err]).encode())
+        record = json.dumps([argv, code, out, err]).encode()
+        digest.update(record)
+        print(f"{hashlib.sha256(record).hexdigest()[:16]}  {shlex.join(argv)}")
     print(f"{digest.hexdigest()}  {len(argvs)} invocations of {root}")
 
 
