@@ -7,12 +7,14 @@ Conventions: k_B = 1, beta = 1/T, energies in the model's natural units.
 Numerical stability: every Boltzmann sum is anchored at the ground-state
 energy, so all exponentials are <= 1 and lnZ stays finite for arbitrarily
 large beta. np.exp is exactly 0.0 below about -745.14 and slow to get
-there (as for results in the subnormal band). So a weight whose exponent
-lies below -746 is left as an exact 0.0 without calling exp, weight by
-weight; results in the subnormal band still go through exp. The sums
-still run over full rows, since numpy's pairwise summation groups its
-operands by row length and a shorter row would round differently.
-Results are bit for bit those of exp on every weight.
+there (as for results in the subnormal band), and slower still under a
+where= mask. So a weight whose exponent lies below -746 is stored as an
+exact 0.0: past a block's last level that can be nonzero exp does not run
+at all, and before it such an exponent goes into exp as 0.0, whose exp is
+fast, and its weight is zeroed after. Results in the subnormal band still
+go through exp. The sums still run over full rows, since numpy's pairwise
+summation groups its operands by row length and a shorter row would round
+differently. Results are bit for bit those of exp on every weight.
 
 A point may hold one temperature or a 1-D grid of them. A grid is
 evaluated as one (temperatures x levels) log-sum-exp, formed a block of
@@ -124,7 +126,7 @@ class Spectrum:
 
 def _check_positive(name: str, value):
     v = np.asarray(value, dtype=float)
-    if v.ndim > 1 or not np.all(np.isfinite(v) & (v > 0)):
+    if v.ndim > 1 or not (np.isfinite(v) & (v > 0)).all():
         raise ValueError(f"{name} must be finite and positive, got {value}")
     return v
 
@@ -186,67 +188,80 @@ def _block_buffers(rows: int, columns: int):
     return flat[:size].reshape(rows, columns), flat[size:2 * size].reshape(rows, columns)
 
 
-def _boltzmann_sums(spectrum: Spectrum, point: EnsemblePoint, values, counts):
+def _boltzmann_sums(spectrum: Spectrum, betas: np.ndarray, values, counts):
     """Per temperature: sum_n w_n, then sum_n w_n v_n for each v in values.
 
-    Returns one row per sum, one column per temperature. Temperature i sums
-    the lowest counts[i] levels in a full row of that length; consecutive
-    temperatures with the same count share blocks.
+    Returns one row per sum, one column per temperature of the 1-D betas.
+    Temperature i sums the lowest counts[i] levels in a full row of that
+    length (every level when counts is None); consecutive temperatures with
+    the same count form one run and share blocks.
     w_n = exp(ln g_n - beta (E_n - E_min)) is anchored at the ground state.
-    exp runs only on the weights whose exponent is at least _EXP_ZERO_BELOW;
-    every other weight is exactly 0.0 and is stored as such. In each block
-    of temperatures the levels fall into three runs: up to
-    gap <= (min ln g - _EXP_ZERO_BELOW) / max(beta) every row needs exp, past
-    gap > (max ln g - _EXP_ZERO_BELOW) / min(beta) none does, and in between
-    exp is masked weight by weight. min and max run over every level of the
-    spectrum, which only widens the masked run. The rows are summed in full,
-    so each temperature's sums depend only on its own beta and count, and a
-    grid gives the same numbers as its temperatures one at a time on spectra
-    of their own counts. beta * gap is one product per weight (an einsum
-    outer product); where every ln g is 0 the exponent is (-beta) * gap, the
-    same bits as 0 - beta * gap. The two block buffers come from
-    _block_buffers.
+    A weight whose exponent is below _EXP_ZERO_BELOW is exactly 0.0 and is
+    stored as such. In each block of temperatures the levels fall into three
+    runs: up to gap <= (min ln g - _EXP_ZERO_BELOW) / max(beta) every weight
+    is exp's, past gap > (max ln g - _EXP_ZERO_BELOW) / min(beta) every weight
+    is 0.0 and exp does not run, and in between, in the straddle, an exponent
+    below the cutoff goes into exp as 0.0 and its weight is zeroed after (exp
+    is slow where its result is 0.0, and slower under a where= mask). min and
+    max run over every level of the spectrum, which only widens the
+    straddle. A block without a straddle makes no mask, and one in which
+    every row needs every level stores no zeros. The rows are summed in
+    full, each reduced straight into its column of the result, so each
+    temperature's sums depend only on its own beta and count, and a grid
+    gives the same numbers as its temperatures one at a time on spectra of
+    their own counts. beta * gap is one product per weight (an einsum outer
+    product); where every ln g is 0 the exponent is (-beta) * gap, the same
+    bits as 0 - beta * gap. The two block buffers come from _block_buffers.
     """
-    betas = np.atleast_1d(point.beta)
     log_g = spectrum.log_degeneracies
     gap = spectrum.energies - spectrum.energies[0]
-    # an exponent is above _EXP_ZERO_BELOW for gap <= floor / beta (every
-    # level) and below it for gap > reach / beta (every level)
-    floor = float(log_g.min()) - _EXP_ZERO_BELOW
-    reach = float(log_g.max()) - _EXP_ZERO_BELOW
-    non_degenerate = not log_g.any()
-    signed_betas = -betas if non_degenerate else betas
     sums = np.empty((1 + len(values), betas.size))
-    # runs of equal counts, [start, stop) each: every count is >= 1, so the
-    # zeros around them mark both ends (and an empty grid has no run)
-    edges = np.flatnonzero(np.diff(counts, prepend=0, append=0)).tolist()
+    if not betas.size:
+        return sums
+    # ln g >= 0, so its maximum is 0 only where every level is non-degenerate.
+    # An exponent is above _EXP_ZERO_BELOW for gap <= floor / beta (every
+    # level) and below it for gap > reach / beta (every level).
+    top = float(log_g.max())
+    non_degenerate = top == 0.0
+    floor = (0.0 if non_degenerate else float(log_g.min())) - _EXP_ZERO_BELOW
+    reach = top - _EXP_ZERO_BELOW
+    signed_betas = -betas if non_degenerate else betas
+    # runs of equal counts, [start, stop) each
+    if counts is None:
+        edges = [0, betas.size]
+    else:
+        edges = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), betas.size]
     for start, stop in zip(edges, edges[1:]):
-        count = int(counts[start])
+        count = gap.size if counts is None else int(counts[start])
         rows = max(1, _BLOCK_ELEMENTS // count)
         w_buf, wv_buf = _block_buffers(min(rows, stop - start), count)
         for i in range(start, stop, rows):
-            block = betas[i:min(i + rows, stop)]
-            w, wv = w_buf[:block.size], wv_buf[:block.size]
+            j = min(i + rows, stop)
+            block = betas[i:j]
+            w, wv = w_buf[:j - i], wv_buf[:j - i]
             # Python float division: a tiny beta gives inf, not an overflow error
-            cut = min(count, np.searchsorted(gap, reach / float(block.min()), side="right"))
-            full = min(cut, np.searchsorted(gap, floor / float(block.max()), side="right"))
+            cut = min(count, gap.searchsorted(reach / float(block.min()), side="right"))
+            full = min(cut, gap.searchsorted(floor / float(block.max()), side="right"))
             exponent = wv[:, :cut]
-            np.einsum("i,j->ij", signed_betas[i:i + block.size], gap[:cut], out=exponent)
+            np.einsum("i,j->ij", signed_betas[i:j], gap[:cut], out=exponent)
             if not non_degenerate:
                 np.subtract(log_g[:cut], exponent, out=exponent)
-            np.exp(exponent[:, :full], out=w[:, :full])
-            w[:, full:] = 0.0
-            straddle = exponent[:, full:]
-            np.exp(straddle, out=w[:, full:cut], where=straddle >= _EXP_ZERO_BELOW)
-            sums[0, i:i + block.size] = w.sum(axis=1)
+            if full < cut:
+                # 0.0 in place of an exponent below the cutoff, whose exp
+                # (like that of -inf) takes the slow path
+                straddle = exponent[:, full:]
+                below = straddle < _EXP_ZERO_BELOW
+                np.copyto(straddle, 0.0, where=below)
+                np.exp(exponent, out=w[:, :cut])
+                np.copyto(w[:, full:cut], 0.0, where=below)
+            else:
+                np.exp(exponent, out=w[:, :cut])
+            if cut < count:
+                w[:, cut:] = 0.0
+            np.add.reduce(w, axis=1, out=sums[0, i:j])
             for k, v in enumerate(values, 1):
-                sums[k, i:i + block.size] = np.multiply(w, v[:count], out=wv).sum(axis=1)
+                np.add.reduce(np.multiply(w, v[:count], out=wv), axis=1, out=sums[k, i:j])
     return sums
-
-
-def _like_beta(values: np.ndarray, point: EnsemblePoint):
-    """A float for a single temperature, the array for a grid."""
-    return float(values[0]) if np.ndim(point.beta) == 0 else values
 
 
 def potentials(spectrum: Spectrum, point: EnsemblePoint, h1=None, *,
@@ -275,20 +290,20 @@ def potentials(spectrum: Spectrum, point: EnsemblePoint, h1=None, *,
             )
         values.append(h1)
     beta = np.atleast_1d(point.beta)
-    if n_levels is None:
-        counts = np.full(beta.shape, len(spectrum))
-    else:
+    counts = None
+    if n_levels is not None:
         counts = np.atleast_1d(n_levels)
         if not (counts.shape == beta.shape and np.issubdtype(counts.dtype, np.integer)
-                and np.all((counts >= 1) & (counts <= len(spectrum)))):
+                and ((counts >= 1) & (counts <= len(spectrum))).all()):
             raise ValueError(f"n_levels must give one integer in [1, {len(spectrum)}] "
                              "per temperature")
-    z0, weighted_e, *weighted_h1 = _boltzmann_sums(spectrum, point, values, counts)
+    sums = _boltzmann_sums(spectrum, beta, values, counts)
+    z0 = sums[0]
+    sums[1:] /= z0  # E, then <H1>
     ln_z = -beta * spectrum.energies[0] + np.log(z0)
-    energy = weighted_e / z0
     free_energy = -ln_z / beta
-    entropy = beta * (energy - free_energy)
-    h1_average = _like_beta(weighted_h1[0] / z0, point) if weighted_h1 else None
-    return ThermoPotentials(
-        *(_like_beta(x, point) for x in (ln_z, free_energy, energy, entropy)), h1=h1_average
-    )
+    entropy = beta * (sums[1] - free_energy)
+    fields = (ln_z, free_energy, sums[1], entropy, *sums[2:])
+    if np.ndim(point.beta) == 0:
+        fields = [float(x[0]) for x in fields]
+    return ThermoPotentials(*fields)

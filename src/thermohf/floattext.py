@@ -164,10 +164,10 @@ def _shorten(digits, n, frac, half_ulp, near) -> None:
 
 @functools.cache
 def _layout_tables(shortest: bool):
-    """The read-only tables of _layout: '%04d' % i as a half-word, the first
-    word by leading digit, what turns a first word into the point's word,
-    the last word and the case base by decimal exponent, and each word's
-    mask by case."""
+    """The read-only tables of _layout: '%04d' % i as a half-word and its
+    trailing zeros, the first word by leading digit, what turns a first word
+    into the point's word, the last word and the case base by decimal
+    exponent, and each word's mask by case."""
     two = np.empty((100, 2), np.uint8)
     two[:, 0] = np.arange(100) // 10 + ord("0")
     two[:, 1] = np.arange(100) % 10 + ord("0")
@@ -176,6 +176,9 @@ def _layout_tables(shortest: bool):
     four[:, :, 0] = two[:, None]
     four[:, :, 1] = two[None, :]
     four = four.view(np.uint32).ravel().astype(np.uint64)  # entry i: '%04d' % i
+    zeros = np.zeros(10**4, np.int8)  # entry i: the trailing zeros of '%04d' % i
+    for step in (1, 10, 100, 1000):
+        zeros[::step * 10] += 1
     sign, point, exponent = (int.from_bytes(t, "little") for t in (b"\0\0-0", b".000", b"0e+-"))
     lead = four[:10] << 32 | sign
 
@@ -209,7 +212,7 @@ def _layout_tables(shortest: bool):
     masks = np.ascontiguousarray((keep * np.uint8(255)).view(np.uint64).T)
     # case = form_base[exponent] + 2 * used + negative
     form_base = 2 * _DIGITS * form - 2
-    tables = four, lead, point ^ sign, exponent_words, form_base, masks
+    tables = four, zeros, lead, point ^ sign, exponent_words, form_base, masks
     for table in tables:
         if isinstance(table, np.ndarray):
             table.setflags(write=False)
@@ -219,7 +222,7 @@ def _layout_tables(shortest: bool):
 def _layout(digits, exp10, negative, shortest: bool, out) -> None:
     """Write the tokens of 17-digit integers and decimal exponents into out,
     in '%.17g''s layout or, if shortest, in repr's."""
-    four, lead, lead_to_point, exponent_words, form_base, masks = _layout_tables(shortest)
+    four, zeros, lead, lead_to_point, exponent_words, form_base, masks = _layout_tables(shortest)
     high, low = np.divmod(digits, 10**8)
     high, low = high.astype(np.int32), low.astype(np.int32)
     high, group2 = np.divmod(high, 10**4)
@@ -230,15 +233,14 @@ def _layout(digits, exp10, negative, shortest: bool, out) -> None:
     tail = four.take(group3) | four.take(group4) << 32
     exp_index = exp10 - _EXP_MIN
 
-    used = np.full(len(digits), _DIGITS, np.int32)  # digits left once trailing zeros go
-    zeros = np.flatnonzero(group4 % 10 == 0)
-    rest = digits[zeros]
-    while zeros.size:
-        used[zeros] -= 1
-        rest //= 10
-        more = rest % 10 == 0
-        zeros, rest = zeros[more], rest[more]
-    case = form_base.take(exp_index) + 2 * used + negative
+    # the 17 digits' trailing zeros, a group of four at a time from the last;
+    # the leading digit is never 0
+    trailing = zeros.take(group4)
+    all_zero = group4 == 0
+    for group in (group3, group2, group1):
+        trailing += all_zero * zeros.take(group)
+        all_zero &= group == 0
+    case = form_base.take(exp_index) + 2 * (_DIGITS - trailing) + negative
     for word, value in enumerate((first, middle, tail, first ^ lead_to_point, middle, tail,
                                   exponent_words.take(exp_index))):
         np.bitwise_and(value, masks[word].take(case), out=out[:, word])

@@ -8,11 +8,12 @@ brute-force enumeration).
 Two independent couplings modulate the Hamiltonian: lambda1 scales the
 bond term, lambda2 the field term. lnZ and the thermal averages of both
 terms come from one eigensystem of the 2x2 transfer matrix, with no
-derivative in beta or in the couplings: ising_potentials gives lnZ, F, E
-and S from it, ising_term_averages the two term averages. By the
-Hellmann-Feynman theorem the term averages equal dF/dlambda1 and
-dF/dlambda2, which makes them an independent check. Every function takes a
-single temperature or a grid.
+derivative in beta or in the couplings: ising_transfer gives lnZ and both
+term averages from the scaled couplings, ising_potentials lnZ, F, E and S,
+ising_term_averages the two term averages. By the Hellmann-Feynman theorem
+the term averages equal dF/dlambda1 and dF/dlambda2, which makes them an
+independent check. Every function takes a single temperature or a grid,
+and ising_transfer a set of chains of one size as well.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from ..ensemble import EnsemblePoint, ThermoPotentials
 
-__all__ = ["IsingChain", "ising_potentials", "ising_term_averages"]
+__all__ = ["IsingChain", "ising_potentials", "ising_term_averages", "ising_transfer"]
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,17 @@ class IsingChain:
 
 
 def _transfer(params: IsingChain, beta):
-    """lnZ, <H_J> and <H_h> from the eigenpairs of the transfer matrix.
+    """ising_transfer of a chain's scaled couplings."""
+    return ising_transfer(params.n_spins, params.lambda1 * params.coupling_j,
+                          params.lambda2 * params.field_h, beta)
+
+
+def ising_transfer(n_spins: int, coupling, field, beta):
+    """lnZ, <H_J> and <H_h> of a chain of n_spins with bond coupling J' and
+    field h' (the scaled lambda1 J and lambda2 h), from the eigenpairs of the
+    transfer matrix. coupling, field and beta broadcast together, so one call
+    serves a temperature grid or a set of chains of one size, with the bits of
+    a call per element.
 
     With b = beta J' and a = beta |h'|, T = e^b [[e^a, e^{-2b}], [e^{-2b}, e^{-a}]]
     has eigenvalues lam_+- = e^b (cosh a +- R), R = sqrt(sinh^2 a + e^{-4b}),
@@ -69,9 +80,7 @@ def _transfer(params: IsingChain, beta):
     cancel; it is taken as (1 + rho) sum_{i<k} (-rho)^i, with
     1 + rho = 2 cosh a / (cosh a + R) in log space.
     """
-    n = params.n_spins
-    jj = params.lambda1 * params.coupling_j
-    hh = params.lambda2 * params.field_h
+    n, jj, hh = n_spins, coupling, field
     a, b = beta * abs(hh), beta * jj
     m = np.maximum(a, -2.0 * b)
     ep, em, q = np.exp(a - m), np.exp(-a - m), np.exp(-2.0 * b - m)
@@ -80,8 +89,10 @@ def _transfer(params: IsingChain, beta):
     # e^{-m} R; 0 only where h' = 0 and e^{-2b} underflowed, so that s = 0
     r = np.maximum(np.hypot(s, q), np.finfo(float).tiny)
     top = c + r  # e^{-b-m} lam_+ >= 1/2
-    # det T e^{-2b-2m} = e^{-2m} - e^{-4b-2m}, without cancellation at small b
-    rho = np.where(b >= 0.0, ep * em, -q * q) * -np.expm1(-4.0 * np.abs(b)) / top**2
+    # det T e^{-2b-2m} = e^{-2m} - e^{-4b-2m}, without cancellation at small b;
+    # top * top, not top**2, which on a numpy scalar is pow and can differ
+    # from an array's square in the last bit
+    rho = np.where(b >= 0.0, ep * em, -q * q) * -np.expm1(-4.0 * np.abs(b)) / (top * top)
     cos2 = s / r
 
     cancel = (rho < -0.5) & (n % 2 == 1)

@@ -73,19 +73,34 @@ def _h1_amplitudes(two_j, m):
     return np.sqrt(jj - m * (m + 1)) * np.sqrt(jj - (m + 1) * (m + 2))
 
 
+class _Batch(NamedTuple):
+    """The lam-independent parts of one run of sectors diagonalized together,
+    padded to its largest sector's size k, read-only.
+
+    rows: the (sectors, k) mask of each sector's own rows. diagonal and off:
+    the sectors' eps*m and H1 off-diagonals cut to the stack's order.
+    pad_scale: the factor 1 + (i + 1)/k by which row i's pad entry exceeds
+    the Gershgorin bound. diagonal_max and off_max: max |diagonal| and
+    max |off| (0 for one-row sectors), the bound's lam-independent parts.
+    """
+
+    rows: np.ndarray
+    diagonal: np.ndarray
+    off: np.ndarray
+    pad_scale: np.ndarray
+    diagonal_max: float
+    off_max: float
+
+
 class _SectorLayout(NamedTuple):
     """The lam-independent arrays of a model's spectrum, read-only.
 
-    sizes, diagonal and off: every m-parity sector's size, diagonal eps*m and
-    H1 off-diagonal, a row per sector (rows past a sector's size hold zeros).
-    batches: the (start, stop) runs of sectors diagonalized together.
+    batches: a _Batch per run of m-parity sectors diagonalized together, in
+    order.
     degeneracies and log_degeneracies: each sector level's block multiplicity
     g and ln g, sector after sector.
     """
 
-    sizes: np.ndarray
-    diagonal: np.ndarray
-    off: np.ndarray
     batches: tuple
     degeneracies: np.ndarray
     log_degeneracies: np.ndarray
@@ -100,18 +115,18 @@ def _sectors(model: LipkinModel):
     m-index p + 2r; rows past a sector's size hold zeros.
     """
     n = model.n_particles
-    two_j = np.repeat(_block_j_values(n), 2)[:, None]
-    parity = np.tile([0, 1], two_j.size // 2)[:, None]
-    sizes = (two_j[:, 0] + 2 - parity[:, 0]) // 2
-    m = -0.5 * two_j + (parity + 2 * np.arange(sizes.max()))
-    rows = np.arange(sizes.max()) < sizes[:, None]
-    diagonal = np.zeros(m.shape)
-    diagonal[rows] = model.epsilon * m[rows]
-    coupled = rows[:, 1:] & rows[:, :-1]
-    off = np.zeros((m.shape[0], m.shape[1] - 1))
-    off[coupled] = -0.5 * model.v_coupling * _h1_amplitudes(
-        np.broadcast_to(two_j, m.shape)[:, :-1][coupled], m[:, :-1][coupled]
-    )
+    two_j = np.array(_block_j_values(n)).repeat(2)
+    parity = np.arange(two_j.size) % 2
+    sizes = (two_j + 2 - parity) // 2
+    r = np.arange(sizes.max())
+    rows = r < sizes[:, None]
+    m = -0.5 * two_j[:, None] + (parity[:, None] + 2 * r)
+    diagonal = np.where(rows, model.epsilon * m, 0.0)
+    # rows are leading runs, so row r + 1 of a sector exists only with row r:
+    # the coupled pairs are (sector, r) where rows[sector, r + 1]
+    sector, row = np.nonzero(rows[:, 1:])
+    off = np.zeros((two_j.size, r.size - 1))
+    off[sector, row] = -0.5 * model.v_coupling * _h1_amplitudes(two_j[sector], m[sector, row])
     return sizes, diagonal, off
 
 
@@ -127,61 +142,65 @@ def _batches(sizes: np.ndarray):
         start = stop
 
 
+def _batch(sizes, diagonal, off) -> _Batch:
+    """The _Batch of a run of sectors, from views of the layout's arrays."""
+    k = int(sizes.max())
+    rows = np.arange(k) < sizes[:, None]
+    rows.flags.writeable = False
+    pad_scale = 1.0 + np.arange(1, k + 1) / k
+    pad_scale.flags.writeable = False
+    diagonal, off = diagonal[:, :k], off[:, :k - 1]
+    return _Batch(rows, diagonal, off, pad_scale, float(np.abs(diagonal).max()),
+                  float(np.abs(off).max(initial=0.0)))
+
+
 def _sector_layout(model: LipkinModel) -> _SectorLayout:
     n = model.n_particles
     mults = [multiplicity(n, two_j) for two_j in _block_j_values(n)]
     g_dtype = np.int64 if max(mults) <= np.iinfo(np.int64).max else object
     sizes, diagonal, off = _sectors(model)
+    diagonal.flags.writeable = off.flags.writeable = False
     level_block = np.repeat(np.arange(sizes.size) // 2, sizes)  # two sectors per block
-    layout = _SectorLayout(
-        sizes, diagonal, off, tuple(_batches(sizes)),
-        np.array(mults, dtype=g_dtype)[level_block],
-        # math.log takes integers of any size; one call per block
-        np.array([math.log(x) for x in mults])[level_block],
-    )
-    for array in (*layout[:3], *layout[4:]):
-        array.flags.writeable = False
-    return layout
+    degeneracies = np.array(mults, dtype=g_dtype)[level_block]
+    # math.log takes integers of any size; one call per block
+    log_degeneracies = np.array([math.log(x) for x in mults])[level_block]
+    degeneracies.flags.writeable = log_degeneracies.flags.writeable = False
+    batches = tuple(_batch(sizes[start:stop], diagonal[start:stop], off[start:stop])
+                    for start, stop in _batches(sizes))
+    return _SectorLayout(batches, degeneracies, log_degeneracies)
 
 
-def _padded_stack(sizes, diagonal, off, lam: float):
-    """A run of sectors as one (sectors, k, k) stack of H(lam), k the largest
-    size, and the (sectors, k) mask of each sector's own rows.
+def _padded_stack(batch: _Batch, lam: float) -> np.ndarray:
+    """A run of sectors as one (sectors, k, k) stack of H(lam).
 
     Each sector is padded with distinct diagonal entries above the run's
     Gershgorin bound and zero coupling, so its lowest `size` eigenvalues are
     the sector's own, bit for bit: LAPACK's tridiagonal reduction leaves a
     tridiagonal matrix as it is, and its tridiagonal solvers (with and without
-    eigenvectors) split at the exact zeros.
+    eigenvectors) split at the exact zeros. The bound is max |eps*m| plus
+    twice max |lam * off|, which rounds to |lam| max |off|. The stack is
+    written through strided views of its rows: the diagonal is every
+    (k + 1)-th element from 0, the couplings above and below it every
+    (k + 1)-th from 1 and from k.
     """
-    k = sizes.max()
-    i = np.arange(k)
-    rows = i < sizes[:, None]
-    diagonal = diagonal[:, :k]
-    coupling = lam * off[:, :k - 1]
-    bound = np.abs(diagonal).max() + 2 * np.abs(coupling).max(initial=0.0)
-    pad = bound * (1.0 + (i + 1) / k)
-    stack = np.zeros((sizes.size, k, k))
-    stack[:, i, i] = np.where(rows, diagonal, pad)
-    stack[:, i[1:], i[:-1]] = stack[:, i[:-1], i[1:]] = coupling
-    return stack, rows
-
-
-def _batch_stacks(layout: _SectorLayout, lam: float):
-    """Per batch: the padded stack of H(lam), its row mask and the sectors'
-    H1 off-diagonals cut to the stack's order."""
-    for start, stop in layout.batches:
-        stack, rows = _padded_stack(layout.sizes[start:stop], layout.diagonal[start:stop],
-                                    layout.off[start:stop], lam)
-        yield stack, rows, layout.off[start:stop, :stack.shape[1] - 1]
+    sectors, k = batch.rows.shape
+    stack = np.zeros((sectors, k, k))
+    flat = stack.reshape(sectors, k * k)
+    diagonal = flat[:, ::k + 1]
+    np.multiply(batch.diagonal_max + 2 * (abs(lam) * batch.off_max), batch.pad_scale,
+                out=diagonal)
+    np.copyto(diagonal, batch.diagonal, where=batch.rows)
+    np.multiply(lam, batch.off, out=flat[:, 1::k + 1])
+    flat[:, k::k + 1] = flat[:, 1::k + 1]
+    return stack
 
 
 def _sorted_spectrum(layout: _SectorLayout, energies: np.ndarray):
     """(Spectrum, order): sector levels sorted ascending, stable, so ties keep
     the sector order, each with its block multiplicity."""
-    order = np.argsort(energies, kind="stable")
+    order = energies.argsort(kind="stable")
     spectrum = Spectrum._from_valid_levels(
-        energies[order], layout.degeneracies[order], layout.log_degeneracies[order]
+        energies.take(order), layout.degeneracies.take(order), layout.log_degeneracies.take(order)
     )
     return spectrum, order
 
@@ -230,13 +249,13 @@ def lipkin_levels_with_h1(model: LipkinModel, lam: float = 1.0):
     <v|H1|v> = 2 sum_i o_i v_i v_i+1 is basis independent.
     """
     energies, h1_values = [], []
-    for stack, rows, off in _batch_stacks(model._layout, lam):
-        values, vectors = np.linalg.eigh(stack)
-        energies.append(values[rows])
-        h1_values.append(2 * np.einsum("si,sij,sij->sj", off, vectors[:, :-1],
-                                       vectors[:, 1:])[rows])
+    for batch in model._layout.batches:
+        values, vectors = np.linalg.eigh(_padded_stack(batch, lam))
+        energies.append(values[batch.rows])
+        h1_values.append(2 * np.einsum("si,sij,sij->sj", batch.off, vectors[:, :-1],
+                                       vectors[:, 1:])[batch.rows])
     spectrum, order = _sorted_spectrum(model._layout, np.concatenate(energies))
-    return spectrum, np.concatenate(h1_values)[order]
+    return spectrum, np.concatenate(h1_values).take(order)
 
 
 def lipkin_spectrum(model: LipkinModel, lam: float = 1.0) -> Spectrum:
@@ -245,6 +264,6 @@ def lipkin_spectrum(model: LipkinModel, lam: float = 1.0) -> Spectrum:
     The levels of lipkin_levels_with_h1, from eigenvalues alone (one stacked
     eigvalsh per batch), so they may differ from its levels by rounding.
     """
-    energies = [np.linalg.eigvalsh(stack)[rows]
-                for stack, rows, _ in _batch_stacks(model._layout, lam)]
+    energies = [np.linalg.eigvalsh(_padded_stack(batch, lam))[batch.rows]
+                for batch in model._layout.batches]
     return _sorted_spectrum(model._layout, np.concatenate(energies))[0]

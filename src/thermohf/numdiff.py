@@ -50,7 +50,7 @@ def central_diff(f, x0, config: DiffConfig = DiffConfig()):
     def slope(h):
         fp = f(x0 + h)
         fm = f(x0 - h)
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
+        if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
             raise ValueError(f"function returned non-finite value near x0={x0}")
         return (fp - fm) / (2.0 * h)
 

@@ -74,13 +74,13 @@ def sweep(model, t_grid, config: DiffConfig = DiffConfig()) -> np.recarray:
     point = EnsemblePoint.from_temperature(t_grid)
     pots = model.potentials(1.0, point)
     deriv = lambda_derivatives(lambda lam: model.potentials(lam, point, h1=False), 1.0, config)
-    table = np.empty(t_grid.shape, dtype=SWEEP_DTYPE).view(np.recarray)
-    for name, column in zip(SWEEP_DTYPE.names, (
-        t_grid, pots.energy, pots.free_energy, pots.entropy,
-        deriv.free_energy, deriv.energy, deriv.entropy, pots.h1,
-    )):
-        table[name] = column
-    return table
+    columns = (t_grid, pots.energy, pots.free_energy, pots.entropy,
+               deriv.free_energy, deriv.energy, deriv.entropy, pots.h1)
+    # the values row after row, a table row's fields side by side
+    values = np.empty((*t_grid.shape, len(columns)))
+    for k, column in enumerate(columns):
+        values[..., k] = column
+    return values.view(SWEEP_DTYPE)[..., 0].view(np.recarray)
 
 
 _FIELDS = len(SWEEP_DTYPE.names)

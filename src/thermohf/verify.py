@@ -6,7 +6,7 @@ exhaustive enumeration, block decomposition vs. full Fock diagonalization,
 and the free-energy derivative vs. directly computed thermal averages.
 The oscillator and Lipkin checks read the table sweep returns, the one
 `thermohf sweep` prints; the Ising ones read ising_potentials and
-ising_term_averages.
+ising_transfer.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .models.ho import (
     ho_entropy_lambda_derivative,
     ho_potential_average,
 )
-from .models.ising import IsingChain, ising_potentials, ising_term_averages
-from .models.lipkin import LipkinModel, lipkin_spectrum, multiplicity
+from .models.ising import IsingChain, ising_potentials, ising_transfer
+from .models.lipkin import LipkinModel, lipkin_levels_with_h1, lipkin_spectrum, multiplicity
 from .numdiff import DiffConfig, central_diff
 from .oracles import MAX_ENUM_SPINS, MAX_FOCK_PARTICLES, ising_enumerate, lipkin_fock
 from .sweep import sweep, temperature_grid
@@ -121,6 +121,9 @@ def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig()) -> list[C
     dev_lnz = 0.0
     dev_avg = 0.0
     for n in range(2, n_spins + 1):
+        # per chain: the scaled couplings lambda1 J and lambda2 h, beta and
+        # the enumeration's lnZ, <H_J> and <H_h>
+        draws = []
         for _ in range(20):
             params = IsingChain(
                 coupling_j=float(rng.uniform(-2.5, 2.5)),
@@ -129,16 +132,18 @@ def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig()) -> list[C
                 lambda1=float(rng.uniform(0.5, 1.5)),
                 lambda2=float(rng.uniform(0.5, 1.5)),
             )
-            point = EnsemblePoint(beta=float(rng.uniform(0.05, 3.0)))
-            exact = ising_enumerate(params, point)
-            ln_z = ising_potentials(params, point).ln_z
-            dev_lnz = max(dev_lnz, abs(ln_z - exact.ln_z) / max(abs(exact.ln_z), 1e-300))
-            # scaled by the largest magnitude either term can reach
-            scale = max(1.0, n * (abs(params.lambda1 * params.coupling_j)
-                                  + abs(params.lambda2 * params.field_h)))
-            hj, hh = ising_term_averages(params, point)
-            dev_avg = max(dev_avg, abs(hj - exact.h_j_average) / scale,
-                          abs(hh - exact.h_h_average) / scale)
+            beta = float(rng.uniform(0.05, 3.0))
+            exact = ising_enumerate(params, EnsemblePoint(beta=beta))
+            draws.append((params.lambda1 * params.coupling_j, params.lambda2 * params.field_h,
+                          beta, exact.ln_z, exact.h_j_average, exact.h_h_average))
+        coupling, field, beta, exact_ln_z, exact_hj, exact_hh = np.array(draws).T
+        # the chains of one size in one transfer call
+        ln_z, hj, hh = ising_transfer(n, coupling, field, beta)
+        dev_lnz = max(dev_lnz, _max_abs((ln_z - exact_ln_z) / np.maximum(np.abs(exact_ln_z),
+                                                                          1e-300)))
+        # scaled by the largest magnitude either term can reach
+        scale = np.maximum(1.0, n * (np.abs(coupling) + np.abs(field)))
+        dev_avg = max(dev_avg, _max_abs((hj - exact_hj) / scale), _max_abs((hh - exact_hh) / scale))
     checks.append(CheckResult("ising lnZ vs enumeration (relative)", dev_lnz, 1e-12))
     checks.append(CheckResult("ising <H_J>, <H_h> vs enumeration", dev_avg, 1e-12))
 
@@ -211,8 +216,11 @@ def verify_lipkin(n_oracle: int = 8, config: DiffConfig = DiffConfig()) -> list[
     table = sweep(model, t_grid, config)
     direct = table.h1_direct
     dev_hf = float(np.max(np.abs(table.df_dlambda - direct) / np.maximum(1.0, np.abs(direct))))
+    # the lam = 1 eigensystem of model.potentials(1.0, ...), built once for
+    # the corollary's temperature abscissae and the high-T entropy
+    spectrum, h1 = lipkin_levels_with_h1(model)
     dh1_dt, _ = central_diff(
-        lambda temps: model.potentials(1.0, EnsemblePoint.from_temperature(temps)).h1,
+        lambda temps: potentials(spectrum, EnsemblePoint.from_temperature(temps), h1).h1,
         t_grid, config,
     )
     dev_corollary = _max_abs(table.ds_dlambda + dh1_dt)
@@ -229,7 +237,7 @@ def verify_lipkin(n_oracle: int = 8, config: DiffConfig = DiffConfig()) -> list[
     ))
 
     hot = EnsemblePoint.from_temperature(1e4)
-    s_hot = model.potentials(1.0, hot).entropy
+    s_hot = potentials(spectrum, hot, h1).entropy
     checks.append(CheckResult(
         "lipkin S(T=1e4) -> N ln 2", abs(s_hot - model.n_particles * math.log(2)), 1e-3
     ))

@@ -331,6 +331,34 @@ class TestExactBoltzmannSums:
             fields = (got.ln_z, got.free_energy, got.energy, got.entropy, got.h1)
             assert np.array_equal([np.atleast_1d(x)[i] for x in fields], want)
 
+    @pytest.mark.parametrize("spectrum,temperatures,n_levels", [
+        # every level, given explicitly: the same bits as n_levels=None
+        (Spectrum(np.arange(1601) * 0.37 - 2.0, np.arange(1601) % 7 + 1),
+         np.geomspace(0.01, 50.0, 300), None),
+        # counts that rise, fall and repeat, so runs start and stop anywhere,
+        # one-temperature runs among them
+        (Spectrum(np.linspace(-4.0, 60.0, 700), [1, 3] * 350),
+         np.geomspace(0.05, 20.0, 120),
+         np.array([700, 700, 3, 3, 3, 250, 1, 700, 699, 699] * 12)),
+        # 5000 levels, 13 temperatures a block: the hot blocks need exp on every
+        # level (no straddle, no zeros), the cold ones mask a straddle
+        (Spectrum(np.arange(5000) * 0.37), np.geomspace(0.5, 100.0, 60),
+         np.array([5000] * 30 + [4000] * 30)),
+    ], ids=["every-level-explicit", "non-monotone-counts", "blocks-without-straddle"])
+    def test_level_counts_match_naive_sums(self, spectrum, temperatures, n_levels):
+        h1 = np.cos(np.arange(len(spectrum), dtype=float))
+        point = EnsemblePoint.from_temperature(temperatures)
+        counts = np.full(temperatures.shape, len(spectrum)) if n_levels is None else n_levels
+        got = potentials(spectrum, point, h1, n_levels=counts)
+        fields = ("ln_z", "free_energy", "energy", "entropy", "h1")
+        if n_levels is None:
+            every = potentials(spectrum, point, h1)
+            assert all(np.array_equal(getattr(got, f), getattr(every, f)) for f in fields)
+        for i, (b, count) in enumerate(zip(point.beta, counts)):
+            prefix = Spectrum(spectrum.energies[:count], spectrum.degeneracies[:count])
+            want = naive_potentials(prefix, b, h1[:count])[:, 0]
+            assert np.array_equal([getattr(got, f)[i] for f in fields], want)
+
     def test_scalar_point_with_a_level_count(self):
         spectrum = Spectrum(np.arange(50) * 0.7 - 1.0, np.arange(1, 51))
         h1 = np.cos(np.arange(50.0))

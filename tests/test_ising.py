@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermohf import EnsemblePoint
-from thermohf.models.ising import IsingChain, ising_potentials, ising_term_averages
+from thermohf.models.ising import (
+    IsingChain,
+    ising_potentials,
+    ising_term_averages,
+    ising_transfer,
+)
 from thermohf.oracles import ising_enumerate
 
 
@@ -63,6 +68,31 @@ class TestLogZ:
     def test_large_system_no_overflow(self):
         got = ising_potentials(IsingChain(2.0, 1.0, 10**6), EnsemblePoint(beta=5.0)).ln_z
         assert math.isfinite(got)
+
+
+class TestTransferOverChains:
+    def test_one_call_per_size_matches_per_chain_calls(self):
+        # chains of one size in one call, against a call per chain with
+        # Python floats (as ising_potentials makes them), bit for bit. Zero
+        # field puts rho = tanh(beta J) near +-1, where rho^N shows in every
+        # output; odd antiferromagnets with strong coupling take the
+        # cancellation branch.
+        rng = np.random.default_rng(7)
+        for n in range(2, 14):
+            coupling = np.concatenate([rng.uniform(-2.5, 2.5, 80), [-2.0, -1.3, -2.5]])
+            field = np.concatenate([rng.uniform(-2.5, 2.5, 40), np.zeros(40), [0.3, 0.7, 0.0]])
+            beta = np.concatenate([rng.uniform(0.05, 3.0, 80), [2.0, 3.0, 1.5]])
+            got = ising_transfer(n, coupling, field, beta)
+            want = np.array([[np.asarray(x).item() for x in ising_transfer(n, float(j), float(h),
+                                                                             float(b))]
+                             for j, h, b in zip(coupling, field, beta)]).T
+            for value, expected in zip(got, want):
+                assert np.array_equal(value, expected)
+            if n % 2:
+                # 1 + rho^N cancels where rho = lam_-/lam_+ < -1/2
+                a, b = beta * np.abs(field), beta * coupling
+                r = np.sqrt(np.sinh(a) ** 2 + np.exp(-4.0 * b))
+                assert np.any((np.cosh(a) - r) / (np.cosh(a) + r) < -0.5)
 
 
 class TestTermAverages:

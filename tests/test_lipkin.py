@@ -277,7 +277,8 @@ class TestEigenvalueSpectrum:
         levels, _ = lipkin_levels_with_h1(model, 1.0 + 1e-5)
         spectrum = lipkin_spectrum(model, 1.0 - 1e-5)
         layout = model._layout
-        for array in (*layout[:3], *layout[4:], *vars(levels).values(), *vars(spectrum).values()):
+        batches = [array for batch in layout.batches for array in batch[:4]]
+        for array in (*batches, *layout[1:], *vars(levels).values(), *vars(spectrum).values()):
             assert not array.flags.writeable
 
 
