@@ -1,6 +1,6 @@
 """Periodic Ising chain: transfer-matrix thermodynamics and the energy split.
 
-Two independent couplings lam1 (bonds, strength J) and lam2 (field, strength
+Two independent factors lam1 (on the bond strength J) and lam2 (on the field
 h) split the total energy into two terms, E = <H_J> + <H_h>. Each term
 average is computed twice:
 
@@ -16,19 +16,19 @@ configurations.
 from dataclasses import replace
 
 from thermohf import EnsemblePoint, central_diff
-from thermohf.models.ising import IsingChain, ising_potentials, ising_term_averages
+from thermohf.models.ising import IsingChain, ising_term_averages
 from thermohf.oracles import ising_enumerate
 from thermohf.sweep import temperature_grid
 
 
 def hf_term_averages(params, point):
-    """(dF/dlam1, dF/dlam2) at lam1 = lam2 = 1."""
+    """(dF/dlam1, dF/dlam2) at lam1 = lam2 = 1: the chain with lam1 J and lam2 h."""
 
     def free_energy(**coupling):
-        return ising_potentials(replace(params, **coupling), point).free_energy
+        return replace(params, **coupling).potentials(1.0, point, h1=False).free_energy
 
-    h_j, _ = central_diff(lambda l1: free_energy(lambda1=l1), 1.0)
-    h_h, _ = central_diff(lambda l2: free_energy(lambda2=l2), 1.0)
+    h_j, _ = central_diff(lambda l1: free_energy(coupling_j=l1 * params.coupling_j), 1.0)
+    h_h, _ = central_diff(lambda l2: free_energy(field_h=l2 * params.field_h), 1.0)
     return h_j, h_h
 
 
@@ -42,7 +42,7 @@ def main():
           f"{'<H_J>/N':>10} {'<H_h>/N':>10} {'HF dev':>9}")
     temps = temperature_grid(0.1, 30.0, 12)
     point = EnsemblePoint.from_temperature(temps)
-    energies = ising_potentials(params, point).energy
+    energies = params.potentials(1.0, point, h1=False).energy
     hf = zip(*hf_term_averages(params, point))
     closed = zip(*ising_term_averages(params, point))
     for t, e, (hf_j, hf_h), (hj, hh) in zip(temps, energies, hf, closed):

@@ -36,14 +36,15 @@ __all__ = [
 MAX_LEVELS = 2**20
 
 
-def truncation_level(t_max: float, lam_min: float = 1.0) -> int:
+def truncation_level(t_max: float) -> int:
     """Truncation level keeping the neglected Boltzmann tail below 1e-16.
 
-    n_max = max(64, ceil(40 T_max / sqrt(lam_min))) gives tail weight
-    exp(-beta sqrt(lam) n_max) < 1e-16 for every beta >= 1/T_max. Raises
-    ValueError where that is more than MAX_LEVELS.
+    n_max = max(64, ceil(40 T_max)) gives tail weight exp(-beta sqrt(lam) n_max)
+    < 1e-16 for every beta >= 1/T_max and lam >= 1; a smaller lam needs the
+    level of T_max / sqrt(lam). Raises ValueError where that is more than
+    MAX_LEVELS.
     """
-    levels = 40.0 * t_max / math.sqrt(lam_min)
+    levels = 40.0 * t_max
     if not levels <= MAX_LEVELS:  # also inf and nan
         raise ValueError(f"T_max = {t_max:g} needs {levels:.3g} oscillator levels, "
                          f"more than the {MAX_LEVELS} allowed")

@@ -5,27 +5,27 @@ H = -J sum_i s_i s_{i+1} - h sum_i s_i with s_i = +-1 and s_{N+1} = s_1
 which is the convention under which the transfer-matrix formula matches
 brute-force enumeration).
 
-Two independent couplings modulate the Hamiltonian: lambda1 scales the
-bond term, lambda2 the field term. lnZ and the thermal averages of both
-terms come from one eigensystem of the 2x2 transfer matrix, with no
-derivative in beta or in the couplings: ising_transfer gives lnZ and both
-term averages from the scaled couplings, ising_potentials lnZ, F, E and S,
-ising_term_averages the two term averages. By the Hellmann-Feynman theorem
-the term averages equal dF/dlambda1 and dF/dlambda2, which makes them an
-independent check. Every function takes a single temperature or a grid,
-and ising_transfer a set of chains of one size as well.
+lnZ and the thermal averages of the bond and field terms come from one
+eigensystem of the 2x2 transfer matrix, with no derivative in beta or in
+the couplings: ising_transfer gives all three, IsingChain.potentials forms
+lnZ, F, E and S from them, ising_term_averages returns the two term
+averages. Scaling the bond term alone by lam1 is the chain with coupling
+lam1 J (the field term likewise), so by the Hellmann-Feynman theorem the
+term averages equal the derivatives of F in those factors, which makes
+them an independent check. Every function takes a single temperature or a
+grid, and ising_transfer a set of chains of one size as well.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..ensemble import EnsemblePoint, ThermoPotentials
 
-__all__ = ["IsingChain", "ising_potentials", "ising_term_averages", "ising_transfer"]
+__all__ = ["IsingChain", "ising_term_averages", "ising_transfer"]
 
 
 @dataclass(frozen=True)
@@ -35,39 +35,36 @@ class IsingChain:
     coupling_j: float = 2.0
     field_h: float = 1.0
     n_spins: int = 10
-    lambda1: float = 1.0
-    lambda2: float = 1.0
 
     def __post_init__(self):
         if self.n_spins < 2:
             raise ValueError(f"need at least 2 spins, got {self.n_spins}")
-        for name in ("coupling_j", "field_h", "lambda1", "lambda2"):
+        for name in ("coupling_j", "field_h"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
     def potentials(self, lam: float, point: EnsemblePoint, *, h1: bool = True) -> ThermoPotentials:
-        """Potentials with both couplings scaled by lam, so dF/dlam = E.
+        """lnZ, F, E, S with both couplings scaled by lam, from one transfer
+        eigensystem.
 
-        H0 = 0 here, so h1 = <H1> = E(lam)/lam: at lam = 1 it is E itself.
-        With h1=False the result's h1 is None.
+        H0 = 0 here, so h1 = <H1> = dF/dlam = E(lam)/lam: at lam = 1 it is E
+        itself. With h1=False the result's h1 is None.
         """
-        scaled = replace(self, lambda1=lam * self.lambda1, lambda2=lam * self.lambda2)
-        pots = ising_potentials(scaled, point)
-        return replace(pots, h1=pots.energy / lam) if h1 else pots
-
-
-def _transfer(params: IsingChain, beta):
-    """ising_transfer of a chain's scaled couplings."""
-    return ising_transfer(params.n_spins, params.lambda1 * params.coupling_j,
-                          params.lambda2 * params.field_h, beta)
+        beta = point.beta
+        ln_z, h_j, h_h = ising_transfer(self.n_spins, lam * self.coupling_j,
+                                        lam * self.field_h, beta)
+        free_energy = -ln_z / beta
+        energy = h_j + h_h
+        entropy = beta * (energy - free_energy)
+        return ThermoPotentials(ln_z=ln_z, free_energy=free_energy, energy=energy,
+                                entropy=entropy, h1=energy / lam if h1 else None)
 
 
 def ising_transfer(n_spins: int, coupling, field, beta):
     """lnZ, <H_J> and <H_h> of a chain of n_spins with bond coupling J' and
-    field h' (the scaled lambda1 J and lambda2 h), from the eigenpairs of the
-    transfer matrix. coupling, field and beta broadcast together, so one call
-    serves a temperature grid or a set of chains of one size, with the bits of
-    a call per element.
+    field h', from the eigenpairs of the transfer matrix. coupling, field and
+    beta broadcast together, so one call serves a temperature grid or a set
+    of chains of one size, with the bits of a call per element.
 
     With b = beta J' and a = beta |h'|, T = e^b [[e^a, e^{-2b}], [e^{-2b}, e^{-a}]]
     has eigenvalues lam_+- = e^b (cosh a +- R), R = sqrt(sinh^2 a + e^{-4b}),
@@ -117,18 +114,8 @@ def ising_transfer(n_spins: int, coupling, field, beta):
     return ln_z, -jj * n * bond, -abs(hh) * n * spin
 
 
-def ising_potentials(params: IsingChain, point: EnsemblePoint) -> ThermoPotentials:
-    """lnZ, F, E, S at each temperature, from one transfer eigensystem."""
-    beta = point.beta
-    ln_z, h_j, h_h = _transfer(params, beta)
-    free_energy = -ln_z / beta
-    energy = h_j + h_h
-    entropy = beta * (energy - free_energy)
-    return ThermoPotentials(ln_z=ln_z, free_energy=free_energy, energy=energy, entropy=entropy)
-
-
 def ising_term_averages(params: IsingChain, point: EnsemblePoint):
-    """<H_J> and <H_h> of the scaled terms -lambda1 J sum s_i s_{i+1} and
-    -lambda2 h sum s_i, from the transfer eigenvectors: no derivative taken."""
-    _, h_j, h_h = _transfer(params, point.beta)
+    """<H_J> and <H_h> of the terms -J sum s_i s_{i+1} and -h sum s_i, from
+    the transfer eigenvectors: no derivative taken."""
+    _, h_j, h_h = ising_transfer(params.n_spins, params.coupling_j, params.field_h, point.beta)
     return h_j, h_h

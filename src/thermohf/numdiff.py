@@ -72,16 +72,17 @@ def central_diff(f, x0, config: DiffConfig = DiffConfig()):
 
 def lambda_derivatives(potentials_of_lambda, x0: float = 1.0,
                        config: DiffConfig = DiffConfig()) -> ThermoPotentials:
-    """dF/dlam, dE/dlam, dS/dlam (and d lnZ/dlam) from shared evaluations.
+    """dF/dlam, dE/dlam and dS/dlam from shared evaluations, as the
+    free_energy, energy and entropy of the result (its ln_z is None).
 
-    One central difference of the stacked (lnZ, F, E, S) serves all four
+    One central difference of the stacked (F, E, S) serves all three
     derivatives, so each abscissa is evaluated once; with arrays over a
     temperature grid, all temperatures share it.
     """
 
     def stacked(lam):
         p = potentials_of_lambda(lam)
-        return np.array([p.ln_z, p.free_energy, p.energy, p.entropy])
+        return np.array([p.free_energy, p.energy, p.entropy])
 
-    derivative, _ = central_diff(stacked, x0, config)
-    return ThermoPotentials(*derivative)
+    d_f, d_e, d_s = central_diff(stacked, x0, config)[0]
+    return ThermoPotentials(ln_z=None, free_energy=d_f, energy=d_e, entropy=d_s)

@@ -57,8 +57,8 @@ def ising_enumerate(params: IsingChain, point: EnsemblePoint) -> EnumerationResu
         raise ValueError(f"enumeration capped at {MAX_ENUM_SPINS} spins, got {n}")
     beta = point.beta
     bond_sum, site_sum = _configuration_sums(n)
-    h_j = -params.lambda1 * params.coupling_j * bond_sum
-    h_h = -params.lambda2 * params.field_h * site_sum
+    h_j = -params.coupling_j * bond_sum
+    h_h = -params.field_h * site_sum
     total = h_j + h_h
 
     e_min = total.min()

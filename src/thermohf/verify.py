@@ -5,7 +5,7 @@ closed forms vs. the generic spectrum engine, transfer matrix vs.
 exhaustive enumeration, block decomposition vs. full Fock diagonalization,
 and the free-energy derivative vs. directly computed thermal averages.
 The oscillator and Lipkin checks read the table sweep returns, the one
-`thermohf sweep` prints; the Ising ones read ising_potentials and
+`thermohf sweep` prints; the Ising ones read IsingChain.potentials and
 ising_transfer.
 """
 
@@ -23,7 +23,7 @@ from .models.ho import (
     ho_entropy_lambda_derivative,
     ho_potential_average,
 )
-from .models.ising import IsingChain, ising_potentials, ising_transfer
+from .models.ising import IsingChain, ising_transfer
 from .models.lipkin import LipkinModel, lipkin_levels_with_h1, lipkin_spectrum, multiplicity
 from .numdiff import DiffConfig, central_diff
 from .oracles import MAX_ENUM_SPINS, MAX_FOCK_PARTICLES, ising_enumerate, lipkin_fock
@@ -103,13 +103,15 @@ def verify_ho(config: DiffConfig = DiffConfig()) -> list[CheckResult]:
 
 
 def _ising_hf_terms(params: IsingChain, point: EnsemblePoint, config: DiffConfig):
-    """<H_J>, <H_h> of a chain at unit couplings as dF/dlambda1, dF/dlambda2."""
+    """<H_J>, <H_h> of a chain as the derivatives of F in factors lam1 and
+    lam2 on J and h, at lam1 = lam2 = 1."""
 
     def free_energy(name, lam):
-        return ising_potentials(replace(params, **{name: lam}), point).free_energy
+        scaled = replace(params, **{name: lam * getattr(params, name)})
+        return scaled.potentials(1.0, point, h1=False).free_energy
 
     return [central_diff(lambda lam: free_energy(name, lam), 1.0, config)[0]
-            for name in ("lambda1", "lambda2")]
+            for name in ("coupling_j", "field_h")]
 
 
 def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig()) -> list[CheckResult]:
@@ -121,21 +123,19 @@ def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig()) -> list[C
     dev_lnz = 0.0
     dev_avg = 0.0
     for n in range(2, n_spins + 1):
-        # per chain: the scaled couplings lambda1 J and lambda2 h, beta and
-        # the enumeration's lnZ, <H_J> and <H_h>
+        # per chain: the couplings lam1 J and lam2 h, beta and the
+        # enumeration's lnZ, <H_J> and <H_h>
         draws = []
         for _ in range(20):
-            params = IsingChain(
-                coupling_j=float(rng.uniform(-2.5, 2.5)),
-                field_h=float(rng.uniform(-2.5, 2.5)),
-                n_spins=n,
-                lambda1=float(rng.uniform(0.5, 1.5)),
-                lambda2=float(rng.uniform(0.5, 1.5)),
-            )
+            j = float(rng.uniform(-2.5, 2.5))
+            h = float(rng.uniform(-2.5, 2.5))
+            lam1 = float(rng.uniform(0.5, 1.5))
+            lam2 = float(rng.uniform(0.5, 1.5))
+            params = IsingChain(lam1 * j, lam2 * h, n)
             beta = float(rng.uniform(0.05, 3.0))
             exact = ising_enumerate(params, EnsemblePoint(beta=beta))
-            draws.append((params.lambda1 * params.coupling_j, params.lambda2 * params.field_h,
-                          beta, exact.ln_z, exact.h_j_average, exact.h_h_average))
+            draws.append((params.coupling_j, params.field_h, beta,
+                          exact.ln_z, exact.h_j_average, exact.h_h_average))
         coupling, field, beta, exact_ln_z, exact_hj, exact_hh = np.array(draws).T
         # the chains of one size in one transfer call
         ln_z, hj, hh = ising_transfer(n, coupling, field, beta)
@@ -151,14 +151,14 @@ def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig()) -> list[C
     base = IsingChain(coupling_j=2.0, field_h=1.0, n_spins=10)
     point = EnsemblePoint.from_temperature(temperature_grid(0.1, 30.0, 40))
     hj, hh = _ising_hf_terms(base, point, config)
-    dev_terms = _max_abs(hj + hh - ising_potentials(base, point).energy)
+    dev_terms = _max_abs(hj + hh - base.potentials(1.0, point, h1=False).energy)
     checks.append(CheckResult(
         "ising <H_J> + <H_h> = E over sweep", dev_terms, 1e-6 * base.n_spins
     ))
 
     cold = EnsemblePoint.from_temperature(0.1)
     hj, hh = (x / base.n_spins for x in _ising_hf_terms(base, cold, config))
-    e = ising_potentials(base, cold).energy / base.n_spins
+    e = base.potentials(1.0, cold, h1=False).energy / base.n_spins
     checks.append(CheckResult("ising low-T <H_J>/N -> -J", abs(hj + 2.0), 0.01))
     checks.append(CheckResult("ising low-T <H_h>/N -> -h", abs(hh + 1.0), 0.01))
     checks.append(CheckResult("ising low-T E/N -> -(J+h)", abs(e + 3.0), 0.01))
@@ -170,13 +170,14 @@ def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig()) -> list[C
         n = int(rng.integers(2, 13))
         beta = float(rng.uniform(0.1, 2.0))
         point = EnsemblePoint(beta=beta)
-        lz_p = ising_potentials(IsingChain(j, h, n), point).ln_z
-        lz_m = ising_potentials(IsingChain(j, -h, n), point).ln_z
+        lz_p = IsingChain(j, h, n).potentials(1.0, point, h1=False).ln_z
+        lz_m = IsingChain(j, -h, n).potentials(1.0, point, h1=False).ln_z
         dev_sym = max(dev_sym, abs(lz_p - lz_m))
     checks.append(CheckResult("ising lnZ even in h", dev_sym, 1e-13))
 
     t_hot = 100.0 * max(base.coupling_j, base.field_h)
-    e_hot = ising_potentials(base, EnsemblePoint.from_temperature(t_hot)).energy / base.n_spins
+    hot = EnsemblePoint.from_temperature(t_hot)
+    e_hot = base.potentials(1.0, hot, h1=False).energy / base.n_spins
     law = -(base.coupling_j**2 + base.field_h**2) / t_hot
     checks.append(CheckResult(
         "ising high-T E/N -> -(J^2+h^2)/T", abs(e_hot - law), 0.05 * abs(law)

@@ -24,7 +24,7 @@ from thermohf.models.ho import (
     ho_potential_average,
     truncation_level,
 )
-from thermohf.models.ising import IsingChain, ising_potentials
+from thermohf.models.ising import IsingChain
 from thermohf.models.lipkin import (
     LipkinModel,
     lipkin_spectrum,
@@ -97,16 +97,14 @@ def test_criterion_3_ising_oracle_equivalence():
     dev = 0.0
     for n in range(2, 13):
         for _ in range(20):
-            params = IsingChain(
-                coupling_j=float(rng.uniform(-2.5, 2.5)),
-                field_h=float(rng.uniform(-2.5, 2.5)),
-                n_spins=n,
-                lambda1=float(rng.uniform(0.5, 1.5)),
-                lambda2=float(rng.uniform(0.5, 1.5)),
-            )
+            j = float(rng.uniform(-2.5, 2.5))
+            h = float(rng.uniform(-2.5, 2.5))
+            lam1 = float(rng.uniform(0.5, 1.5))
+            lam2 = float(rng.uniform(0.5, 1.5))
+            params = IsingChain(lam1 * j, lam2 * h, n)
             point = EnsemblePoint(beta=float(rng.uniform(0.05, 3.0)))
             exact = ising_enumerate(params, point)
-            rel = abs(ising_potentials(params, point).ln_z - exact.ln_z) / abs(exact.ln_z)
+            rel = abs(params.potentials(1.0, point).ln_z - exact.ln_z) / abs(exact.ln_z)
             dev = max(dev, rel)
     elapsed = time.perf_counter() - start
     report(
@@ -117,13 +115,14 @@ def test_criterion_3_ising_oracle_equivalence():
 
 
 def hf_term_averages(params, point):
-    """<H_J>, <H_h> of a chain at unit couplings as dF/dlambda1, dF/dlambda2."""
+    """<H_J>, <H_h> of a chain as dF/dlam1, dF/dlam2 of the chain with lam1 J
+    and lam2 h, at lam1 = lam2 = 1."""
 
     def free_energy(**coupling):
-        return -ising_potentials(replace(params, **coupling), point).ln_z / point.beta
+        return -replace(params, **coupling).potentials(1.0, point).ln_z / point.beta
 
-    h_j, _ = central_diff(lambda l1: free_energy(lambda1=l1), 1.0)
-    h_h, _ = central_diff(lambda l2: free_energy(lambda2=l2), 1.0)
+    h_j, _ = central_diff(lambda l1: free_energy(coupling_j=l1 * params.coupling_j), 1.0)
+    h_h, _ = central_diff(lambda l2: free_energy(field_h=l2 * params.field_h), 1.0)
     return h_j, h_h
 
 
@@ -131,16 +130,16 @@ def test_criterion_4_ising_hf_decomposition():
     params = IsingChain(2.0, 1.0, 10)
     point = EnsemblePoint.from_temperature(temperature_grid(0.1, 30.0, 60))
     h_j, h_h = hf_term_averages(params, point)
-    dev = max_abs(h_j + h_h - ising_potentials(params, point).energy)
+    dev = max_abs(h_j + h_h - params.potentials(1.0, point).energy)
     ok_sum = dev <= 1e-6 * params.n_spins
 
     cold = EnsemblePoint.from_temperature(0.1)
     hj, hh = (x / 10 for x in hf_term_averages(params, cold))
-    e_cold = ising_potentials(params, cold).energy / 10
+    e_cold = params.potentials(1.0, cold).energy / 10
     ok_cold = abs(hj + 2.0) <= 0.01 and abs(hh + 1.0) <= 0.01 and abs(e_cold + 3.0) <= 0.01
 
     t_hot = 300.0
-    e_hot = ising_potentials(params, EnsemblePoint.from_temperature(t_hot)).energy / 10
+    e_hot = params.potentials(1.0, EnsemblePoint.from_temperature(t_hot)).energy / 10
     law = -(2.0**2 + 1.0**2) / t_hot
     ok_hot = abs(e_hot - law) <= 0.05 * abs(law)
     report(

@@ -134,7 +134,7 @@ class TestHellmannFeynman:
     @pytest.mark.parametrize("lam", [0.4, 2.5])
     def test_closed_form_h1_off_unit_coupling(self, lam):
         # truncated for T = 20 at a coupling below every abscissa
-        model = HarmonicOscillator(n_max=truncation_level(20.0, 0.3))
+        model = HarmonicOscillator(n_max=truncation_level(20.0 / math.sqrt(0.3)))
         point = EnsemblePoint.from_temperature(np.geomspace(0.02, 20.0, 25))
         deriv = lambda_derivatives(lambda x: model.potentials(x, point), lam).free_energy
         h1 = model.potentials(lam, point).h1
@@ -157,7 +157,7 @@ class TestPerTemperatureTruncation:
 
     GRID = np.geomspace(0.02, 40.0, 400)
 
-    @pytest.mark.parametrize("n_max", [truncation_level(40.0, 0.3), 700],
+    @pytest.mark.parametrize("n_max", [truncation_level(40.0 / math.sqrt(0.3)), 700],
                              ids=["below-cap", "capped"])
     @pytest.mark.parametrize("lam", [0.3, 1.0, 1.0 + 1e-5, 2.5])
     def test_levels_per_temperature(self, lam, n_max, monkeypatch):
@@ -196,7 +196,7 @@ class TestPerTemperatureTruncation:
         edges = 64.0 * 2.0 ** np.arange(5) / 40.0
         temps = np.sort(np.concatenate([edges, np.nextafter(edges, 0.0),
                                         np.nextafter(edges, np.inf)]))
-        model = HarmonicOscillator(n_max=truncation_level(float(temps.max()), 0.9))
+        model = HarmonicOscillator(n_max=truncation_level(float(temps.max()) / math.sqrt(0.9)))
         point = EnsemblePoint.from_temperature(temps)
         deriv = lambda_derivatives(lambda lam: model.potentials(lam, point, h1=False),
                                    1.0).free_energy

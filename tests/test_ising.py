@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermohf import EnsemblePoint
-from thermohf.models.ising import (
-    IsingChain,
-    ising_potentials,
-    ising_term_averages,
-    ising_transfer,
-)
+from thermohf.models.ising import IsingChain, ising_term_averages, ising_transfer
 from thermohf.oracles import ising_enumerate
 
 
@@ -30,14 +25,14 @@ class TestLogZ:
     def test_zero_field_closed_form(self):
         # lnZ = ln[(2 cosh bJ)^N + (2 sinh bJ)^N]
         for n, j, beta in [(4, 1.0, 0.7), (7, 2.0, 0.3), (10, 0.5, 1.4)]:
-            got = ising_potentials(IsingChain(j, 0.0, n), EnsemblePoint(beta=beta)).ln_z
+            got = IsingChain(j, 0.0, n).potentials(1.0, EnsemblePoint(beta=beta)).ln_z
             expected = math.log(
                 (2 * math.cosh(beta * j)) ** n + (2 * math.sinh(beta * j)) ** n
             )
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_two_spins_hand_sum(self):
-        got = ising_potentials(IsingChain(1.0, 0.0, 2), EnsemblePoint(beta=1.0)).ln_z
+        got = IsingChain(1.0, 0.0, 2).potentials(1.0, EnsemblePoint(beta=1.0)).ln_z
         assert math.exp(got) == pytest.approx(4 * math.cosh(2.0), rel=1e-14)
 
     def test_couplings_identity_matches_enumeration(self):
@@ -50,7 +45,7 @@ class TestLogZ:
             )
             point = EnsemblePoint(beta=float(rng.uniform(0.1, 2.0)))
             exact = ising_enumerate(params, point)
-            assert ising_potentials(params, point).ln_z == pytest.approx(
+            assert params.potentials(1.0, point).ln_z == pytest.approx(
                 exact.ln_z, rel=1e-12, abs=1e-12
             )
 
@@ -61,19 +56,19 @@ class TestLogZ:
             h = float(rng.uniform(0, 2))
             n = int(rng.integers(2, 13))
             point = EnsemblePoint(beta=float(rng.uniform(0.1, 2.0)))
-            assert ising_potentials(IsingChain(j, h, n), point).ln_z == pytest.approx(
-                ising_potentials(IsingChain(j, -h, n), point).ln_z, abs=1e-13
+            assert IsingChain(j, h, n).potentials(1.0, point).ln_z == pytest.approx(
+                IsingChain(j, -h, n).potentials(1.0, point).ln_z, abs=1e-13
             )
 
     def test_large_system_no_overflow(self):
-        got = ising_potentials(IsingChain(2.0, 1.0, 10**6), EnsemblePoint(beta=5.0)).ln_z
+        got = IsingChain(2.0, 1.0, 10**6).potentials(1.0, EnsemblePoint(beta=5.0)).ln_z
         assert math.isfinite(got)
 
 
 class TestTransferOverChains:
     def test_one_call_per_size_matches_per_chain_calls(self):
         # chains of one size in one call, against a call per chain with
-        # Python floats (as ising_potentials makes them), bit for bit. Zero
+        # Python floats (as IsingChain.potentials makes them), bit for bit. Zero
         # field puts rho = tanh(beta J) near +-1, where rho^N shows in every
         # output; odd antiferromagnets with strong coupling take the
         # cancellation branch.
@@ -93,6 +88,32 @@ class TestTransferOverChains:
                 a, b = beta * np.abs(field), beta * coupling
                 r = np.sqrt(np.sinh(a) ** 2 + np.exp(-4.0 * b))
                 assert np.any((np.cosh(a) - r) / (np.cosh(a) + r) < -0.5)
+
+    @pytest.mark.parametrize("lam", [1.0, 1.0 - 1e-5, 0.7, 1.4])
+    def test_chain_potentials_are_the_transfer_at_scaled_couplings(self, lam):
+        # IsingChain(J, h, N).potentials(lam, .) is ising_transfer at
+        # (lam J, lam h) and its completion to F, E, S and h1, bit for bit;
+        # the odd antiferromagnets take the cancellation branch
+        rng = np.random.default_rng(11)
+        chains = [IsingChain(float(rng.uniform(-2.5, 2.5)), float(rng.uniform(-2.5, 2.5)), n)
+                  for n in range(2, 14)]
+        chains += [IsingChain(-2.0, 0.3, 7), IsingChain(-1.3, 0.0, 9), IsingChain(-2.5, -0.7, 3)]
+        point = EnsemblePoint.from_temperature(np.geomspace(0.05, 40.0, 60))
+        beta = point.beta
+        for chain in chains:
+            got = chain.potentials(lam, point)
+            ln_z, h_j, h_h = ising_transfer(chain.n_spins, lam * chain.coupling_j,
+                                            lam * chain.field_h, beta)
+            free_energy = -ln_z / beta
+            energy = h_j + h_h
+            want = (ln_z, free_energy, energy, beta * (energy - free_energy), energy / lam)
+            for value, expected in zip((got.ln_z, got.free_energy, got.energy, got.entropy,
+                                        got.h1), want):
+                assert np.array_equal(value, expected)
+        for chain in chains[-3:]:
+            a, b = beta * abs(lam * chain.field_h), beta * lam * chain.coupling_j
+            r = np.sqrt(np.sinh(a) ** 2 + np.exp(-4.0 * b))
+            assert np.any((np.cosh(a) - r) / (np.cosh(a) + r) < -0.5)
 
 
 class TestTermAverages:
@@ -141,27 +162,27 @@ class TestTotalEnergy:
             beta = float(rng.uniform(0.1, 2.0))
             h = 1e-6 * beta
             numeric = -(
-                ising_potentials(params, EnsemblePoint(beta=beta + h)).ln_z
-                - ising_potentials(params, EnsemblePoint(beta=beta - h)).ln_z
+                params.potentials(1.0, EnsemblePoint(beta=beta + h)).ln_z
+                - params.potentials(1.0, EnsemblePoint(beta=beta - h)).ln_z
             ) / (2 * h)
-            got = ising_potentials(params, EnsemblePoint(beta=beta)).energy
+            got = params.potentials(1.0, EnsemblePoint(beta=beta)).energy
             assert got == pytest.approx(numeric, rel=1e-7, abs=1e-6)
 
     def test_low_temperature_per_spin(self):
         point = EnsemblePoint.from_temperature(0.05)
-        got = ising_potentials(IsingChain(2.0, 1.0, 10), point).energy
+        got = IsingChain(2.0, 1.0, 10).potentials(1.0, point).energy
         assert got / 10 == pytest.approx(-3.0, abs=1e-6)
 
     def test_high_temperature_decay(self):
         t = 300.0
         point = EnsemblePoint.from_temperature(t)
-        got = ising_potentials(IsingChain(2.0, 1.0, 10), point).energy / 10
+        got = IsingChain(2.0, 1.0, 10).potentials(1.0, point).energy / 10
         assert got == pytest.approx(-(4.0 + 1.0) / t, rel=0.05)
 
     def test_equals_sum_of_term_averages(self):
         params = IsingChain(2.0, 1.0, 10)
         point = EnsemblePoint.from_temperature(np.geomspace(0.1, 30.0, 12))
-        total = ising_potentials(params, point).energy
+        total = params.potentials(1.0, point).energy
         h_j, h_h = ising_term_averages(params, point)
         assert total == pytest.approx(h_j + h_h, abs=1e-6)
 
@@ -169,7 +190,7 @@ class TestTotalEnergy:
         params = IsingChain(2.0, 1.0, 10)
         for t in (0.5, 3.0, 20.0):
             point = EnsemblePoint.from_temperature(t)
-            pots = ising_potentials(params, point)
+            pots = params.potentials(1.0, point)
             assert pots.free_energy == pytest.approx(
                 pots.energy - t * pots.entropy, rel=1e-12, abs=1e-10
             )
@@ -182,7 +203,7 @@ class TestGrid:
     @pytest.mark.parametrize("params", [
         IsingChain(2.0, 1.0, 10),
         IsingChain(-1.5, 0.4, 7),  # odd antiferromagnet: the cancellation branch
-        IsingChain(-0.8, -1.2, 12, lambda1=1.3, lambda2=0.6),
+        IsingChain(1.3 * -0.8, 0.6 * -1.2, 12),
     ], ids=["ferro", "odd-antiferro", "scaled"])
     def test_potentials_match_pointwise(self, params):
         temps = np.geomspace(0.02, 40.0, 300)
@@ -194,15 +215,20 @@ class TestGrid:
                 assert abs(got[k] - value) <= 1e-14 * max(1.0, abs(value))
 
 
+def scaled_chain(coupling_j, field_h, n_spins, lam1, lam2):
+    """The chain with couplings lam1 J and lam2 h."""
+    return IsingChain(lam1 * coupling_j, lam2 * field_h, n_spins)
+
+
 def chains(max_spins):
     """Both signs of J and h (and h = 0), odd and even N."""
     return st.builds(
-        IsingChain,
+        scaled_chain,
         coupling_j=st.floats(-2.5, 2.5),
         field_h=st.one_of(st.just(0.0), st.floats(-2.5, 2.5)),
         n_spins=st.integers(2, max_spins),
-        lambda1=st.floats(0.5, 1.5),
-        lambda2=st.floats(0.5, 1.5),
+        lam1=st.floats(0.5, 1.5),
+        lam2=st.floats(0.5, 1.5),
     )
 
 
@@ -213,8 +239,7 @@ properties = settings(max_examples=300, deadline=None, derandomize=True)
 def energy_scale(params):
     """Largest magnitude either term average can reach, at least 1."""
     n = params.n_spins
-    return max(1.0, n * (abs(params.lambda1 * params.coupling_j)
-                         + abs(params.lambda2 * params.field_h)))
+    return max(1.0, n * (abs(params.coupling_j) + abs(params.field_h)))
 
 
 class TestTransferProperties:
@@ -225,9 +250,9 @@ class TestTransferProperties:
     def test_finite_even_in_field_and_consistent(self, params, beta):
         point = EnsemblePoint(beta=beta)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            pots = ising_potentials(params, point)
+            pots = params.potentials(1.0, point)
             h_j, h_h = ising_term_averages(params, point)
-            flipped = ising_potentials(replace(params, field_h=-params.field_h), point).ln_z
+            flipped = replace(params, field_h=-params.field_h).potentials(1.0, point).ln_z
         values = (pots.ln_z, pots.free_energy, pots.energy, pots.entropy, h_j, h_h)
         assert all(math.isfinite(x) for x in values)
         assert flipped == pytest.approx(pots.ln_z, rel=1e-15, abs=1e-15)
@@ -241,7 +266,7 @@ class TestTransferProperties:
         exact = ising_enumerate(params, point)
         h_j, h_h = ising_term_averages(params, point)
         scale = energy_scale(params)
-        ln_z = ising_potentials(params, point).ln_z
+        ln_z = params.potentials(1.0, point).ln_z
         assert ln_z == pytest.approx(exact.ln_z, rel=1e-12, abs=1e-12)
         assert abs(h_j - exact.h_j_average) <= 1e-12 * scale
         assert abs(h_h - exact.h_h_average) <= 1e-12 * scale

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from thermohf import EnsemblePoint, oracles, potentials
-from thermohf.models.ising import IsingChain, ising_potentials
+from thermohf.models.ising import IsingChain
 from thermohf.models.lipkin import LipkinModel, lipkin_spectrum
 from thermohf.oracles import ising_enumerate, lipkin_fock
 
@@ -21,24 +21,23 @@ class TestIsingEnumeration:
     def test_energy_is_sum_of_parts(self):
         rng = np.random.default_rng(53)
         for _ in range(8):
-            params = IsingChain(
-                coupling_j=float(rng.uniform(-2, 2)),
-                field_h=float(rng.uniform(-2, 2)),
-                n_spins=int(rng.integers(2, 10)),
-                lambda1=float(rng.uniform(0.5, 1.5)),
-                lambda2=float(rng.uniform(0.5, 1.5)),
-            )
+            j = float(rng.uniform(-2, 2))
+            h = float(rng.uniform(-2, 2))
+            n = int(rng.integers(2, 10))
+            lam1 = float(rng.uniform(0.5, 1.5))
+            lam2 = float(rng.uniform(0.5, 1.5))
+            params = IsingChain(lam1 * j, lam2 * h, n)
             point = EnsemblePoint(beta=0.7)
             result = ising_enumerate(params, point)
             assert result.h_j_average + result.h_h_average == pytest.approx(
-                ising_potentials(params, point).energy, abs=1e-12
+                params.potentials(1.0, point).energy, abs=1e-12
             )
 
     def test_matches_transfer_matrix_default_figure_params(self):
         params = IsingChain(2.0, 1.0, 10)
         point = EnsemblePoint(beta=1.0)
         result = ising_enumerate(params, point)
-        assert ising_potentials(params, point).ln_z == pytest.approx(result.ln_z, rel=1e-12)
+        assert params.potentials(1.0, point).ln_z == pytest.approx(result.ln_z, rel=1e-12)
 
     def test_capacity_cap(self):
         with pytest.raises(ValueError):
@@ -46,7 +45,7 @@ class TestIsingEnumeration:
 
     def test_interleaved_sizes_equal_fresh_enumerations(self):
         # the configuration sums are cached for one chain size at a time
-        chains = [IsingChain(-1.3, 0.4, n, lambda1=1.1, lambda2=0.8) for n in (5, 7, 5)]
+        chains = [IsingChain(1.1 * -1.3, 0.8 * 0.4, n) for n in (5, 7, 5)]
         point = EnsemblePoint(beta=0.9)
         got = [ising_enumerate(chain, point) for chain in chains]
         assert oracles._configuration_sums.cache_info().currsize == 1
