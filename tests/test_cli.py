@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermohf import cli
+from thermohf import cli, verify
 from thermohf.cli import main
-from thermohf.sweep import CSV_HEADER
+from thermohf.models import ising
+from thermohf.sweep import CSV_HEADER, rows_to_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -388,6 +389,32 @@ class TestVerifyCommand:
         direct = table[:, columns.index("H1_direct")]
         deviation = np.max(np.abs(df - direct) / np.maximum(1.0, np.abs(direct)))
         assert printed.split(name)[1].split()[0] == "%.3e" % deviation
+
+    def test_verify_ho_reads_the_table_sweep_prints(self, monkeypatch, capsys):
+        tables = []
+        swept = verify.sweep
+
+        def kept(*args):
+            tables.append(swept(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(verify, "sweep", kept)
+        verify.verify_ho()
+        code, csv, _ = run(["sweep", "--model", "ho"], capsys)
+        assert code == 0
+        (table,) = tables
+        assert rows_to_csv(table) == csv
+
+    def test_ising_even_in_h_sees_a_transfer_without_field(self, monkeypatch, capsys):
+        # lnZ of a transfer that drops h' is even in h, wrongly; the check
+        # compares it with the enumeration at -h, so it fails
+        transfer = ising.ising_transfer
+        monkeypatch.setattr(ising, "ising_transfer",
+                            lambda n, coupling, field, beta: transfer(n, coupling, 0.0 * field,
+                                                                      beta))
+        code, out, _ = run(["verify", "--scope", "ising"], capsys)
+        assert code == 1
+        assert "FAIL  ising lnZ even in h: " in out
 
 
 class TestParserReuse:
