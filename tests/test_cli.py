@@ -409,9 +409,11 @@ class TestVerifyCommand:
         # lnZ of a transfer that drops h' is even in h, wrongly; the check
         # compares it with the enumeration at -h, so it fails
         transfer = ising.ising_transfer
-        monkeypatch.setattr(ising, "ising_transfer",
-                            lambda n, coupling, field, beta: transfer(n, coupling, 0.0 * field,
-                                                                      beta))
+
+        def without_field(n, coupling, field, beta):
+            return transfer(n, coupling, 0.0 * field, beta)
+
+        monkeypatch.setattr(ising, "ising_transfer", without_field)
         code, out, _ = run(["verify", "--scope", "ising"], capsys)
         assert code == 1
         assert "FAIL  ising lnZ even in h: " in out
