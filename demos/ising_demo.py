@@ -16,7 +16,7 @@ configurations.
 from dataclasses import replace
 
 from thermohf import EnsemblePoint, central_diff
-from thermohf.models.ising import IsingChain, ising_term_averages
+from thermohf.models.ising import IsingChain, ising_transfer
 from thermohf.oracles import ising_enumerate
 from thermohf.sweep import temperature_grid
 
@@ -44,7 +44,8 @@ def main():
     point = EnsemblePoint.from_temperature(temps)
     energies = params.potentials(1.0, point, h1=False).energy
     hf = zip(*hf_term_averages(params, point))
-    closed = zip(*ising_term_averages(params, point))
+    _, *term_averages = ising_transfer(n, params.coupling_j, params.field_h, point.beta)
+    closed = zip(*term_averages)
     for t, e, (hf_j, hf_h), (hj, hh) in zip(temps, energies, hf, closed):
         dev = max(abs(hf_j - hj), abs(hf_h - hh))
         print(f"{t:8.2f} {e / n:10.5f} {hf_j / n:10.5f} {hf_h / n:10.5f} "
@@ -52,7 +53,7 @@ def main():
 
     # Ground state: all spins aligned with the field, so per site
     # <H_J>/N -> -J, <H_h>/N -> -h.
-    hj, hh = ising_term_averages(params, EnsemblePoint.from_temperature(0.05))
+    _, hj, hh = ising_transfer(n, params.coupling_j, params.field_h, 1.0 / 0.05)
     print(f"\nT=0.05 per-site averages: "
           f"bonds {hj / n:.4f} (-> -J), "
           f"field {hh / n:.4f} (-> -h)")
@@ -60,14 +61,15 @@ def main():
     # Cross-check a small chain against exhaustive enumeration.
     small = IsingChain(1.3, -0.7, 8)
     point = EnsemblePoint(beta=0.9)
-    exact = ising_enumerate(small, point)
+    couplings = (small.n_spins, small.coupling_j, small.field_h, point.beta)
+    _, exact_hj, exact_hh = ising_enumerate(*couplings)
     hf_j, hf_h = hf_term_averages(small, point)
-    hj, hh = ising_term_averages(small, point)
+    _, hj, hh = ising_transfer(*couplings)
     print(f"\nN=8 enumeration cross-check at beta=0.9:")
     print(f"  <H_J>: dF/dlam1 {hf_j:.12f}  eigenvectors {hj:.12f}  "
-          f"enumeration {exact.h_j_average:.12f}")
+          f"enumeration {exact_hj:.12f}")
     print(f"  <H_h>: dF/dlam2 {hf_h:.12f}  eigenvectors {hh:.12f}  "
-          f"enumeration {exact.h_h_average:.12f}")
+          f"enumeration {exact_hh:.12f}")
 
 
 if __name__ == "__main__":

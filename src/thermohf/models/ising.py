@@ -7,13 +7,13 @@ brute-force enumeration).
 
 lnZ and the thermal averages of the bond and field terms come from one
 eigensystem of the 2x2 transfer matrix, with no derivative in beta or in
-the couplings: ising_transfer gives all three, IsingChain.potentials forms
-lnZ, F, E and S from them, ising_term_averages returns the two term
-averages. Scaling the bond term alone by lam1 is the chain with coupling
-lam1 J (the field term likewise), so by the Hellmann-Feynman theorem the
-term averages equal the derivatives of F in those factors, which makes
-them an independent check. Every function takes a single temperature or a
-grid, and ising_transfer a set of chains of one size as well.
+the couplings: ising_transfer gives all three, and IsingChain.potentials
+forms lnZ, F, E and S from them. Scaling the bond term alone by lam1 is the
+chain with coupling lam1 J (the field term likewise), so by the
+Hellmann-Feynman theorem the term averages equal the derivatives of F in
+those factors, which makes them an independent check. ising_transfer takes
+a single temperature or a grid, and a set of chains of one size as well;
+oracles.ising_enumerate takes the same arguments.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from ..ensemble import EnsemblePoint, ThermoPotentials
 
-__all__ = ["IsingChain", "ising_term_averages", "ising_transfer"]
+__all__ = ["IsingChain", "ising_transfer"]
 
 
 @dataclass(frozen=True)
@@ -113,9 +113,3 @@ def ising_transfer(n_spins: int, coupling, field, beta):
     bond = pair + cos2 * cos2 * (1.0 - pair)  # cos^2 2phi + sin^2 2phi pair
     return ln_z, -jj * n * bond, -abs(hh) * n * spin
 
-
-def ising_term_averages(params: IsingChain, point: EnsemblePoint):
-    """<H_J> and <H_h> of the terms -J sum s_i s_{i+1} and -h sum s_i, from
-    the transfer eigenvectors: no derivative taken."""
-    _, h_j, h_h = ising_transfer(params.n_spins, params.coupling_j, params.field_h, point.beta)
-    return h_j, h_h

@@ -126,21 +126,17 @@ def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig()) -> list[C
     dev_lnz = 0.0
     dev_avg = 0.0
     for n in range(2, n_spins + 1):
-        # per chain: the couplings lam1 J and lam2 h, beta and the
-        # enumeration's lnZ, <H_J> and <H_h>
+        # per chain: the couplings lam1 J and lam2 h, and beta
         draws = []
         for _ in range(20):
             j = float(rng.uniform(-2.5, 2.5))
             h = float(rng.uniform(-2.5, 2.5))
             lam1 = float(rng.uniform(0.5, 1.5))
             lam2 = float(rng.uniform(0.5, 1.5))
-            params = IsingChain(lam1 * j, lam2 * h, n)
-            beta = float(rng.uniform(0.05, 3.0))
-            exact = ising_enumerate(params, EnsemblePoint(beta=beta))
-            draws.append((params.coupling_j, params.field_h, beta,
-                          exact.ln_z, exact.h_j_average, exact.h_h_average))
-        coupling, field, beta, exact_ln_z, exact_hj, exact_hh = np.array(draws).T
-        # the chains of one size in one transfer call
+            draws.append((lam1 * j, lam2 * h, float(rng.uniform(0.05, 3.0))))
+        coupling, field, beta = np.array(draws).T
+        # the chains of one size in one call of each route
+        exact_ln_z, exact_hj, exact_hh = ising_enumerate(n, coupling, field, beta)
         ln_z, hj, hh = ising_transfer(n, coupling, field, beta)
         dev_lnz = max(dev_lnz, _max_abs((ln_z - exact_ln_z) / np.maximum(np.abs(exact_ln_z),
                                                                           1e-300)))
@@ -174,9 +170,8 @@ def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig()) -> list[C
         h = float(rng.uniform(0.0, 2.0))
         n = int(rng.integers(2, 13))
         beta = float(rng.uniform(0.1, 2.0))
-        point = EnsemblePoint(beta=beta)
-        lz_p = IsingChain(j, h, n).potentials(1.0, point, h1=False).ln_z
-        lz_m = ising_enumerate(IsingChain(j, -h, n), point).ln_z
+        lz_p = IsingChain(j, h, n).potentials(1.0, EnsemblePoint(beta=beta), h1=False).ln_z
+        lz_m, _, _ = ising_enumerate(n, j, -h, beta)
         dev_sym = max(dev_sym, abs(lz_p - lz_m))
     checks.append(CheckResult("ising lnZ even in h", dev_sym, 1e-13))
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermohf import EnsemblePoint
-from thermohf.models.ising import IsingChain, ising_term_averages, ising_transfer
+from thermohf.models.ising import IsingChain, ising_transfer
 from thermohf.oracles import ising_enumerate
 
 
@@ -43,10 +43,10 @@ class TestLogZ:
                 field_h=float(rng.uniform(-2, 2)),
                 n_spins=int(rng.integers(2, 11)),
             )
-            point = EnsemblePoint(beta=float(rng.uniform(0.1, 2.0)))
-            exact = ising_enumerate(params, point)
-            assert params.potentials(1.0, point).ln_z == pytest.approx(
-                exact.ln_z, rel=1e-12, abs=1e-12
+            beta = float(rng.uniform(0.1, 2.0))
+            ln_z, _, _ = ising_enumerate(params.n_spins, params.coupling_j, params.field_h, beta)
+            assert params.potentials(1.0, EnsemblePoint(beta=beta)).ln_z == pytest.approx(
+                ln_z, rel=1e-12, abs=1e-12
             )
 
     def test_even_in_field(self):
@@ -118,34 +118,28 @@ class TestTransferOverChains:
 
 class TestTermAverages:
     def test_zero_bond_coupling(self):
-        params = IsingChain(0.0, 1.0, 6)
         for t in (0.2, 1.0, 10.0):
-            got, _ = ising_term_averages(params, EnsemblePoint.from_temperature(t))
+            _, got, _ = ising_transfer(6, 0.0, 1.0, 1.0 / t)
             assert got == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_field(self):
-        params = IsingChain(1.5, 0.0, 6)
         for t in (0.2, 1.0, 10.0):
-            _, got = ising_term_averages(params, EnsemblePoint.from_temperature(t))
+            _, _, got = ising_transfer(6, 1.5, 0.0, 1.0 / t)
             assert got == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_enumeration(self):
-        params = IsingChain(1.0, 0.5, 4)
-        point = EnsemblePoint(beta=1.0)
-        exact = ising_enumerate(params, point)
-        h_j, h_h = ising_term_averages(params, point)
-        assert h_j == pytest.approx(exact.h_j_average, abs=1e-13)
-        assert h_h == pytest.approx(exact.h_h_average, abs=1e-13)
+        _, exact_hj, exact_hh = ising_enumerate(4, 1.0, 0.5, 1.0)
+        _, h_j, h_h = ising_transfer(4, 1.0, 0.5, 1.0)
+        assert h_j == pytest.approx(exact_hj, abs=1e-13)
+        assert h_h == pytest.approx(exact_hh, abs=1e-13)
 
     def test_low_temperature_per_spin_limits(self):
-        params = IsingChain(2.0, 1.0, 10)
-        h_j, h_h = ising_term_averages(params, EnsemblePoint.from_temperature(0.05))
+        _, h_j, h_h = ising_transfer(10, 2.0, 1.0, 1.0 / 0.05)
         assert h_j / 10 == pytest.approx(-2.0, abs=1e-3)
         assert h_h / 10 == pytest.approx(-1.0, abs=1e-3)
 
     def test_field_average_vanishes_at_high_temperature(self):
-        params = IsingChain(2.0, 1.0, 10)
-        _, h_h = ising_term_averages(params, EnsemblePoint.from_temperature(500.0))
+        _, _, h_h = ising_transfer(10, 2.0, 1.0, 1.0 / 500.0)
         got = h_h / 10
         assert abs(got) < 1e-2
 
@@ -183,7 +177,7 @@ class TestTotalEnergy:
         params = IsingChain(2.0, 1.0, 10)
         point = EnsemblePoint.from_temperature(np.geomspace(0.1, 30.0, 12))
         total = params.potentials(1.0, point).energy
-        h_j, h_h = ising_term_averages(params, point)
+        _, h_j, h_h = ising_transfer(10, 2.0, 1.0, point.beta)
         assert total == pytest.approx(h_j + h_h, abs=1e-6)
 
     def test_free_energy_entropy_identity(self):
@@ -251,7 +245,8 @@ class TestTransferProperties:
         point = EnsemblePoint(beta=beta)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             pots = params.potentials(1.0, point)
-            h_j, h_h = ising_term_averages(params, point)
+            _, h_j, h_h = ising_transfer(params.n_spins, params.coupling_j, params.field_h,
+                                         beta)
             flipped = replace(params, field_h=-params.field_h).potentials(1.0, point).ln_z
         values = (pots.ln_z, pots.free_energy, pots.energy, pots.entropy, h_j, h_h)
         assert all(math.isfinite(x) for x in values)
@@ -262,11 +257,11 @@ class TestTransferProperties:
     @properties
     @given(params=chains(12), beta=betas)
     def test_matches_enumeration(self, params, beta):
-        point = EnsemblePoint(beta=beta)
-        exact = ising_enumerate(params, point)
-        h_j, h_h = ising_term_averages(params, point)
+        couplings = (params.n_spins, params.coupling_j, params.field_h, beta)
+        exact_ln_z, exact_hj, exact_hh = ising_enumerate(*couplings)
+        _, h_j, h_h = ising_transfer(*couplings)
         scale = energy_scale(params)
-        ln_z = params.potentials(1.0, point).ln_z
-        assert ln_z == pytest.approx(exact.ln_z, rel=1e-12, abs=1e-12)
-        assert abs(h_j - exact.h_j_average) <= 1e-12 * scale
-        assert abs(h_h - exact.h_h_average) <= 1e-12 * scale
+        ln_z = params.potentials(1.0, EnsemblePoint(beta=beta)).ln_z
+        assert ln_z == pytest.approx(exact_ln_z, rel=1e-12, abs=1e-12)
+        assert abs(h_j - exact_hj) <= 1e-12 * scale
+        assert abs(h_h - exact_hh) <= 1e-12 * scale

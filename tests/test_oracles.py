@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thermohf import EnsemblePoint, oracles, potentials
+from thermohf import EnsemblePoint, potentials
 from thermohf.models.ising import IsingChain
 from thermohf.models.lipkin import LipkinModel, lipkin_spectrum
 from thermohf.oracles import ising_enumerate, lipkin_fock
@@ -11,12 +11,12 @@ from thermohf.oracles import ising_enumerate, lipkin_fock
 
 class TestIsingEnumeration:
     def test_two_spins_hand_sum(self):
-        result = ising_enumerate(IsingChain(1.0, 0.0, 2), EnsemblePoint(beta=1.0))
-        assert math.exp(result.ln_z) == pytest.approx(4 * math.cosh(2.0), rel=1e-14)
+        ln_z, _, _ = ising_enumerate(2, 1.0, 0.0, 1.0)
+        assert math.exp(ln_z) == pytest.approx(4 * math.cosh(2.0), rel=1e-14)
 
     def test_independent_spins(self):
-        result = ising_enumerate(IsingChain(0.0, 1.0, 3), EnsemblePoint(beta=1.0))
-        assert math.exp(result.ln_z) == pytest.approx((2 * math.cosh(1.0)) ** 3, rel=1e-13)
+        ln_z, _, _ = ising_enumerate(3, 0.0, 1.0, 1.0)
+        assert math.exp(ln_z) == pytest.approx((2 * math.cosh(1.0)) ** 3, rel=1e-13)
 
     def test_energy_is_sum_of_parts(self):
         rng = np.random.default_rng(53)
@@ -27,44 +27,46 @@ class TestIsingEnumeration:
             lam1 = float(rng.uniform(0.5, 1.5))
             lam2 = float(rng.uniform(0.5, 1.5))
             params = IsingChain(lam1 * j, lam2 * h, n)
-            point = EnsemblePoint(beta=0.7)
-            result = ising_enumerate(params, point)
-            assert result.h_j_average + result.h_h_average == pytest.approx(
-                params.potentials(1.0, point).energy, abs=1e-12
+            _, h_j, h_h = ising_enumerate(n, params.coupling_j, params.field_h, 0.7)
+            assert h_j + h_h == pytest.approx(
+                params.potentials(1.0, EnsemblePoint(beta=0.7)).energy, abs=1e-12
             )
 
     def test_matches_transfer_matrix_default_figure_params(self):
         params = IsingChain(2.0, 1.0, 10)
-        point = EnsemblePoint(beta=1.0)
-        result = ising_enumerate(params, point)
-        assert params.potentials(1.0, point).ln_z == pytest.approx(result.ln_z, rel=1e-12)
+        ln_z, _, _ = ising_enumerate(10, 2.0, 1.0, 1.0)
+        assert params.potentials(1.0, EnsemblePoint(beta=1.0)).ln_z == pytest.approx(
+            ln_z, rel=1e-12)
 
     def test_capacity_cap(self):
         with pytest.raises(ValueError):
-            ising_enumerate(IsingChain(1.0, 1.0, 21), EnsemblePoint(beta=1.0))
+            ising_enumerate(21, 1.0, 1.0, 1.0)
 
-    def test_interleaved_sizes_equal_fresh_enumerations(self):
-        # the configuration sums are cached for one chain size at a time
-        chains = [IsingChain(1.1 * -1.3, 0.8 * 0.4, n) for n in (5, 7, 5)]
-        point = EnsemblePoint(beta=0.9)
-        got = [ising_enumerate(chain, point) for chain in chains]
-        assert oracles._configuration_sums.cache_info().currsize == 1
-        for chain, result in zip(chains, got):
-            oracles._configuration_sums.cache_clear()
-            assert ising_enumerate(chain, point) == result
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_needs_two_spins(self, n):
+        with pytest.raises(ValueError):
+            ising_enumerate(n, 1.0, 1.0, 1.0)
 
-    def test_cached_sums_are_read_only(self):
-        bond_sum, site_sum = oracles._configuration_sums(4)
-        assert bond_sum.shape == site_sum.shape == (16,)
-        for array in (bond_sum, site_sum):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+    def test_scalars_give_floats(self):
+        assert all(type(x) is np.float64 for x in ising_enumerate(5, -1.3, 0.4, 0.9))
+
+    def test_broadcast_equals_one_call_per_chain(self):
+        # each chain's sums depend on its own couplings and beta alone
+        rng = np.random.default_rng(59)
+        coupling = rng.uniform(-2.5, 2.5, (3, 1))
+        field = rng.uniform(-2.5, 2.5, 4)
+        beta = rng.uniform(0.05, 3.0, (3, 4))
+        got = ising_enumerate(7, coupling, field, beta)
+        assert all(x.shape == (3, 4) for x in got)
+        for i, k in np.ndindex(3, 4):
+            want = ising_enumerate(7, float(coupling[i, 0]), float(field[k]),
+                                   float(beta[i, k]))
+            assert [x[i, k] for x in got] == list(want)
 
     def test_large_beta_anchored(self):
-        result = ising_enumerate(IsingChain(2.0, 1.0, 6), EnsemblePoint(beta=200.0))
-        assert math.isfinite(result.ln_z)
-        energy = result.h_j_average + result.h_h_average
-        assert energy / 6 == pytest.approx(-3.0, abs=1e-12)
+        ln_z, h_j, h_h = ising_enumerate(6, 2.0, 1.0, 200.0)
+        assert math.isfinite(ln_z)
+        assert (h_j + h_h) / 6 == pytest.approx(-3.0, abs=1e-12)
 
 
 class TestLipkinFock:
@@ -98,3 +100,46 @@ class TestLipkinFock:
             assert potentials(block, point).ln_z == pytest.approx(
                 potentials(fock, point).ln_z, abs=1e-9
             )
+
+
+def kronecker_fock_hamiltonian(model, lam):
+    """H(lam) on the 2^N Fock space from site operators and matrix products:
+    eps*J0 - lam*(V/2)(Jp^2 + Jm^2), site 0 the leading Kronecker factor and
+    level 0 of each site the upper one."""
+    n = model.n_particles
+
+    def site_operator(op, site):
+        out = np.array([[1.0]])
+        for p in range(n):
+            out = np.kron(out, op if p == site else np.eye(2))
+        return out
+
+    sz_half = np.array([[0.5, 0.0], [0.0, -0.5]])
+    sp = np.array([[0.0, 1.0], [0.0, 0.0]])  # raises bottom -> top
+    dim = 2**n
+    j0 = np.zeros((dim, dim))
+    jp = np.zeros((dim, dim))
+    for site in range(n):
+        j0 += site_operator(sz_half, site)
+        jp += site_operator(sp, site)
+    jm = jp.T
+    return model.epsilon * j0 - lam * 0.5 * model.v_coupling * (jp @ jp + jm @ jm)
+
+
+class TestFockHamiltonian:
+    """lipkin_fock's matrix, bit for bit the Kronecker construction's."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("v", [-3.3, 3.3])
+    def test_equals_kronecker_construction(self, n, v, monkeypatch):
+        solved, solve = [], np.linalg.eigvalsh
+
+        def eigvalsh(h):
+            solved.append(h.copy())
+            return solve(h)
+
+        model = LipkinModel(n, 0.7, v)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        lipkin_fock(model, 1.3)
+        monkeypatch.undo()
+        assert np.array_equal(solved[0], kronecker_fock_hamiltonian(model, 1.3))
