@@ -10,6 +10,7 @@ average of the interaction term. A model is any object with
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -47,9 +48,12 @@ CHUNK_ROWS = 512
 
 def temperature_grid(t_min: float, t_max: float, steps: int, kind: str = "linear") -> np.ndarray:
     """Strictly increasing temperature grid, linear or geometric, of 2 to
-    MAX_GRID_POINTS points; raises ValueError before allocating otherwise."""
+    MAX_GRID_POINTS points, whose every 1/T is a finite float (t_min at
+    least about 5.6e-309); raises ValueError before allocating otherwise."""
     if not (0.0 < t_min < t_max < np.inf):
         raise ValueError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
+    if math.isinf(1.0 / float(t_min)):
+        raise ValueError(f"need a t_min whose 1/t_min is a finite float, got {t_min}")
     if steps < 2:
         raise ValueError(f"need at least 2 grid points, got {steps}")
     if steps > MAX_GRID_POINTS:

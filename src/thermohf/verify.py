@@ -5,8 +5,9 @@ closed forms vs. the generic spectrum engine, transfer matrix vs.
 exhaustive enumeration, block decomposition vs. full Fock diagonalization,
 and the free-energy derivative vs. directly computed thermal averages.
 The oscillator and Lipkin checks read the table sweep returns, the one
-`thermohf sweep` prints; the Ising ones read IsingChain.potentials and
-ising_transfer.
+`thermohf sweep` prints; the Ising ones read IsingChain.potentials, and
+ising_transfer and ising_enumerate on the same chains. The eigensolver
+checks solve the padded sector stacks of the Lipkin model's own solves.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ from .models.ho import (
     truncation_level,
 )
 from .models.ising import IsingChain, ising_transfer
-from .models.lipkin import LipkinModel, lipkin_levels_with_h1, lipkin_spectrum, multiplicity
+from .models.lipkin import (
+    LipkinModel,
+    _padded_stack,
+    lipkin_levels_with_h1,
+    lipkin_spectrum,
+    multiplicity,
+)
 from .numdiff import DiffConfig, central_diff
 from .oracles import MAX_ENUM_SPINS, MAX_FOCK_PARTICLES, ising_enumerate, lipkin_fock
 from .sweep import sweep, temperature_grid
@@ -33,7 +40,7 @@ from .sweep import sweep, temperature_grid
 __all__ = ["CheckResult", "check_oracle_size", "verify_ho", "verify_ising", "verify_lipkin",
            "verify_all"]
 
-# Seeds the random chains of verify_ising and the random matrices of verify_lipkin.
+# Seeds the random chains of verify_ising.
 _SEED = 20260823
 
 
@@ -243,20 +250,28 @@ def verify_lipkin(n_oracle: int = 8, config: DiffConfig = DiffConfig()) -> list[
         "lipkin S(T=1e4) -> N ln 2", abs(s_hot - model.n_particles * math.log(2)), 1e-3
     ))
 
-    rng = np.random.default_rng(_SEED)
+    # the padded stacks lipkin_levels_with_h1 solves at lam = 1, for the
+    # model above and for N = 200, which takes several batches
     dev_res = 0.0
     dev_orth = 0.0
-    for _ in range(25):
-        order = int(rng.integers(2, 65))
-        m = rng.standard_normal((order, order))
-        m = 0.5 * (m + m.T)
-        values, vectors = np.linalg.eigh(m)
-        fro = np.linalg.norm(m)
-        residual = np.linalg.norm(m @ vectors - vectors * values, axis=0).max()
-        dev_res = max(dev_res, residual / fro)
-        dev_orth = max(dev_orth, float(np.max(np.abs(vectors.T @ vectors - np.eye(order)))))
+    above_pads = 0
+    for stacked in (model, LipkinModel(n_particles=200, epsilon=1.0, v_coupling=3.0)):
+        for batch in stacked._layout.batches:
+            stack = _padded_stack(batch, 1.0)
+            values, vectors = np.linalg.eigh(stack)
+            residual = np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=1)
+            fro = np.linalg.norm(stack, axis=(1, 2))
+            dev_res = max(dev_res, _max_abs(residual.max(axis=1) / fro))
+            gram = vectors.transpose(0, 2, 1) @ vectors
+            dev_orth = max(dev_orth, _max_abs(gram - np.eye(values.shape[1])))
+            # a sector's levels are its stack's lowest eigenvalues only if
+            # they lie below every pad of that stack
+            diagonal = np.diagonal(stack, axis1=1, axis2=2)
+            lowest_pad = np.where(batch.rows, np.inf, diagonal).min(axis=1)
+            above_pads += np.count_nonzero(batch.rows & (values >= lowest_pad[:, None]))
     checks.append(CheckResult("eigensolver residual / ||A||_F", dev_res, 1e-10))
     checks.append(CheckResult("eigensolver orthonormality", dev_orth, 1e-12))
+    checks.append(CheckResult("eigensolver sector levels below pads", float(above_pads), 0.0))
     return checks
 
 

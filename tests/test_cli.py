@@ -167,9 +167,13 @@ class TestUsageErrors:
         ["verify", "--scope", "ising", "--N", "1"],
         ["sweep", "--model", "ho", "--t-max", "1e7"],
         ["sweep", "--model", "ho", "--t-max", "1e308"],
+        # 1/t-min overflows; these once exited 3
+        *(["sweep", "--model", model, "--t-min", "1e-310", "--t-max", "1e-300",
+           "--t-steps", "3"] for model in ("ho", "ising", "lipkin")),
     ], ids=["ising-N1", "lipkin-N0", "lipkin-negative-epsilon", "lipkin-V-nan",
             "ising-J-nan", "t-max-inf", "verify-lipkin-N13", "verify-ising-N21",
-            "verify-ising-N1", "ho-t-max-1e7", "ho-t-max-1e308"])
+            "verify-ising-N1", "ho-t-max-1e7", "ho-t-max-1e308", "ho-t-min-1e-310",
+            "ising-t-min-1e-310", "lipkin-t-min-1e-310"])
     def test_invalid_parameter_is_usage_error(self, argv, monkeypatch, capsys):
         def must_not_run(*args, **kwargs):
             raise AssertionError("computation started before the parameters were checked")
@@ -417,6 +421,24 @@ class TestVerifyCommand:
         code, out, _ = run(["verify", "--scope", "ising"], capsys)
         assert code == 1
         assert "FAIL  ising lnZ even in h: " in out
+
+    def test_lowered_pads_fail_the_pad_check(self, monkeypatch, capsys):
+        # pads below a sector's levels would take their place among its
+        # lowest eigenvalues; the stacks stay symmetric and well solved
+        padded_stack = verify._padded_stack
+
+        def lowered(batch, lam):
+            stack = padded_stack(batch, lam)
+            rows = np.arange(stack.shape[1])
+            stack[:, rows, rows] = np.where(batch.rows, stack[:, rows, rows], -1e3)
+            return stack
+
+        monkeypatch.setattr(verify, "_padded_stack", lowered)
+        code, out, _ = run(["verify", "--scope", "lipkin"], capsys)
+        assert code == 1
+        assert "FAIL  eigensolver sector levels below pads: " in out
+        assert "PASS  eigensolver residual / ||A||_F: " in out
+        assert "9/10 checks passed" in out
 
 
 class TestParserReuse:

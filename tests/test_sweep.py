@@ -45,6 +45,13 @@ class TestTemperatureGrid:
         with pytest.raises(ValueError):
             temperature_grid(1.0, 2.0, 1)
 
+    def test_reciprocal_of_t_min_must_be_finite(self):
+        # the smallest t_min whose 1/t_min is finite, and the float below it
+        assert 1.0 / temperature_grid(5.56268464626801e-309, 1.0, 2)[0] < math.inf
+        for t_min in (5.562684646268003e-309, 1e-310, 5e-324):
+            with pytest.raises(ValueError, match="1/t_min"):
+                temperature_grid(t_min, 1.0, 2)
+
     def test_point_cap(self):
         assert temperature_grid(0.1, 1.0, MAX_GRID_POINTS).size == MAX_GRID_POINTS == 10**6
         with pytest.raises(ValueError, match="at most"):

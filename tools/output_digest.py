@@ -8,8 +8,9 @@ Each invocation runs in-process through `thermohf.cli.main`, with the BLAS
 and OpenMP pools on one thread, and its argv, exit code, stdout and stderr
 go into the digest in order. The list is both benchmark pools at seeds
 1-3 (from perfbench/workloads.py), `fig ho|ising|lipkin` as CSV and JSON,
-`verify` for every scope, and a few edge sweeps, two of which exit 3, and
-six of which reach the float-text kernel's edge cases. --root names the checkout
+`verify` for every scope and for both oracles past their default sizes,
+and a few edge sweeps: one exits 2, one exits 3, and six reach the
+float-text kernel's edge cases. --root names the checkout
 whose `src/` and `perfbench/` are imported (default: the one holding this
 script), so a change's digest can be compared with its parent's by running
 this file once against each checkout. Equal digests mean byte-identical
@@ -41,6 +42,8 @@ FIXED = [
     *(["fig", model, *fmt] for model in ("ho", "ising", "lipkin")
       for fmt in ([], ["--format", "json"])),
     *(["verify", "--scope", scope] for scope in ("all", "ho", "ising", "lipkin")),
+    ["verify", "--scope", "ising", "--N", "16"],
+    ["verify", "--scope", "lipkin", "--N", "10"],
     *(["sweep", "--model", "lipkin", "--N", n, "--t-steps", "20"] for n in ("70", "200")),
     ["sweep", "--model", "ho", "--t-max", "26214.4", "--t-steps", "5"],
     # float-text edge cases, each as CSV and JSON: integral and power-of-two
@@ -52,7 +55,8 @@ FIXED = [
         ["sweep", "--model", "ising", "--h", "0", "--t-min", "1e-5", "--t-max", "1e20",
          "--t-steps", "7", "--grid", "geometric"],
     ) for fmt in ([], ["--format", "json"])),
-    # numerical errors, exit 3: 1/T overflows, and beta * J overflows
+    # a t-min whose 1/T overflows is a usage error (exit 2); beta * J
+    # overflowing is a numerical error (exit 3)
     ["sweep", "--model", "ho", "--t-min", "1e-310", "--t-max", "1e-300", "--t-steps", "3"],
     ["sweep", "--model", "ising", "--t-min", "5.6e-309", "--t-max", "1", "--t-steps", "3"],
 ]
