@@ -47,7 +47,7 @@ def ising_enumerate(n_spins: int, coupling, field, beta):
         e_min = total.min()
         w = np.exp(-beta[i] * (total - e_min))
         z0 = w.sum()
-        ln_z[i] = -beta[i] * e_min + float(np.log(z0))
+        ln_z[i] = -beta[i] * e_min + np.log(z0)
         h_j_avg[i] = np.dot(w, h_j) / z0
         h_h_avg[i] = np.dot(w, h_h) / z0
     return ln_z[()], h_j_avg[()], h_h_avg[()]
