@@ -9,7 +9,7 @@ Hellmann-Feynman identity dF/dlam = <x^2/2> along the way.
 
 import numpy as np
 
-from thermohf import EnsemblePoint, lambda_derivatives
+from thermohf import EnsemblePoint
 from thermohf.models.ho import (
     HarmonicOscillator,
     ho_closed_potentials,
@@ -17,29 +17,29 @@ from thermohf.models.ho import (
     ho_potential_average,
     truncation_level,
 )
-from thermohf.sweep import temperature_grid
+from thermohf.sweep import sweep, temperature_grid
 
 
 def main():
     t_grid = temperature_grid(0.05, 20.0, 40)
     model = HarmonicOscillator(n_max=truncation_level(float(t_grid[-1])))
 
-    # The engine takes the whole grid at once.
+    # The engine takes the whole grid at once; sweep's table holds the
+    # potentials, their coupling derivatives and the direct <x^2/2>.
     temps = t_grid[::5]
     point = EnsemblePoint.from_temperature(temps)
-    numeric = model.potentials(1.0, point)
+    table = sweep(model, temps)
     closed = ho_closed_potentials(1.0, point)
-    deriv = lambda_derivatives(lambda lam: model.potentials(lam, point))
-    direct = ho_potential_average(point)
+    direct = table.h1_direct
     ds_exact = ho_entropy_lambda_derivative(point)
 
     print(f"{'T':>8} {'F num':>12} {'F exact':>12} {'dF/dlam':>12} "
           f"{'<x^2/2>':>12} {'dS/dlam':>12} {'exact':>12}")
-    for row in zip(temps, numeric.free_energy, closed.free_energy,
-                   deriv.free_energy, direct, deriv.entropy, ds_exact):
+    for row in zip(temps, table.free_energy, closed.free_energy,
+                   table.df_dlambda, direct, table.ds_dlambda, ds_exact):
         print("{:8.2f} {:12.6f} {:12.6f} {:12.6f} {:12.6f} {:12.6f} {:12.6f}".format(*row))
-    worst = max(np.max(np.abs(deriv.free_energy - direct)),
-                np.max(np.abs(deriv.entropy - ds_exact)))
+    worst = max(np.max(np.abs(table.df_dlambda - direct)),
+                np.max(np.abs(table.ds_dlambda - ds_exact)))
 
     print()
     print(f"worst Hellmann-Feynman residual over the grid: {worst:.3e}")

@@ -13,7 +13,7 @@ from .ensemble import (
     ThermoPotentials,
     potentials,
 )
-from .numdiff import DiffConfig, central_diff, lambda_derivatives
+from .numdiff import DiffConfig, central_diff
 
 __all__ = [
     "EnsemblePoint",
@@ -22,5 +22,4 @@ __all__ = [
     "potentials",
     "DiffConfig",
     "central_diff",
-    "lambda_derivatives",
 ]

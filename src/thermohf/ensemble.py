@@ -165,8 +165,7 @@ class ThermoPotentials:
     h1 is the derivative-free thermal average <H1>_T. Every model's
     ``potentials(lam, point)`` fills it, and leaves it None when called with
     ``h1=False``; the engine's ``potentials`` leaves it None when given no
-    per-level H1 values. numdiff.lambda_derivatives returns the lam-derivatives
-    of F, E and S in this bundle, with ln_z None.
+    per-level H1 values.
     """
 
     ln_z: float | np.ndarray

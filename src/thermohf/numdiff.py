@@ -11,9 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import ThermoPotentials
-
-__all__ = ["DiffConfig", "central_diff", "lambda_derivatives"]
+__all__ = ["DiffConfig", "central_diff"]
 
 
 @dataclass(frozen=True)
@@ -69,20 +67,3 @@ def central_diff(f, x0, config: DiffConfig = DiffConfig()):
         return diag[0], math.nan
     return diag[-1], abs(diag[-1] - diag[-2])
 
-
-def lambda_derivatives(potentials_of_lambda, x0: float = 1.0,
-                       config: DiffConfig = DiffConfig()) -> ThermoPotentials:
-    """dF/dlam, dE/dlam and dS/dlam from shared evaluations, as the
-    free_energy, energy and entropy of the result (its ln_z is None).
-
-    One central difference of the stacked (F, E, S) serves all three
-    derivatives, so each abscissa is evaluated once; with arrays over a
-    temperature grid, all temperatures share it.
-    """
-
-    def stacked(lam):
-        p = potentials_of_lambda(lam)
-        return np.array([p.free_energy, p.energy, p.entropy])
-
-    d_f, d_e, d_s = central_diff(stacked, x0, config)[0]
-    return ThermoPotentials(ln_z=None, free_energy=d_f, energy=d_e, entropy=d_s)

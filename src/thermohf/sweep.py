@@ -16,7 +16,7 @@ import numpy as np
 
 from . import floattext
 from .ensemble import EnsemblePoint
-from .numdiff import DiffConfig, lambda_derivatives
+from .numdiff import DiffConfig, central_diff
 
 __all__ = [
     "SWEEP_DTYPE",
@@ -77,9 +77,15 @@ def sweep(model, t_grid, config: DiffConfig = DiffConfig()) -> np.recarray:
     t_grid = np.asarray(t_grid, dtype=float)
     point = EnsemblePoint.from_temperature(t_grid)
     pots = model.potentials(1.0, point)
-    deriv = lambda_derivatives(lambda lam: model.potentials(lam, point, h1=False), 1.0, config)
-    columns = (t_grid, pots.energy, pots.free_energy, pots.entropy,
-               deriv.free_energy, deriv.energy, deriv.entropy, pots.h1)
+
+    def stacked(lam):
+        p = model.potentials(lam, point, h1=False)
+        return np.array([p.free_energy, p.energy, p.entropy])
+
+    # one central difference of the stacked (F, E, S): each abscissa is
+    # evaluated once for all three derivatives and every temperature
+    (d_f, d_e, d_s), _ = central_diff(stacked, 1.0, config)
+    columns = (t_grid, pots.energy, pots.free_energy, pots.entropy, d_f, d_e, d_s, pots.h1)
     # the values row after row, a table row's fields side by side
     values = np.empty((*t_grid.shape, len(columns)))
     for k, column in enumerate(columns):

@@ -4,9 +4,10 @@ Automates the agreement checks between independent computation routes:
 closed forms vs. the generic spectrum engine, transfer matrix vs.
 exhaustive enumeration, block decomposition vs. full Fock diagonalization,
 and the free-energy derivative vs. directly computed thermal averages.
-The oscillator and Lipkin checks read the table sweep returns, the one
-`thermohf sweep` prints; the Ising ones read IsingChain.potentials, and
-ising_transfer and ising_enumerate on the same chains. The eigensolver
+The oscillator and Lipkin checks, and the Ising HF checks over a grid, read
+the table sweep returns, the one `thermohf sweep` prints; the other Ising
+ones read IsingChain.potentials, and ising_transfer and ising_enumerate on
+the same chains. The eigensolver
 checks solve the padded sector stacks of the Lipkin model's own solves.
 """
 
@@ -153,14 +154,19 @@ def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig()) -> list[C
     checks.append(CheckResult("ising lnZ vs enumeration (relative)", dev_lnz, 1e-12))
     checks.append(CheckResult("ising <H_J>, <H_h> vs enumeration", dev_avg, 1e-12))
 
-    # the HF side: term averages as coupling derivatives of F
+    # the HF side: term averages as coupling derivatives of F, and the
+    # sweep table's dF/dlam against its direct <H1>
     base = IsingChain(coupling_j=2.0, field_h=1.0, n_spins=10)
-    point = EnsemblePoint.from_temperature(temperature_grid(0.1, 30.0, 40))
-    hj, hh = _ising_hf_terms(base, point, config)
-    dev_terms = _max_abs(hj + hh - base.potentials(1.0, point, h1=False).energy)
+    t_grid = temperature_grid(0.1, 30.0, 40)
+    table = sweep(base, t_grid, config)
+    hj, hh = _ising_hf_terms(base, EnsemblePoint.from_temperature(t_grid), config)
+    dev_terms = _max_abs(hj + hh - table.energy)
     checks.append(CheckResult(
         "ising <H_J> + <H_h> = E over sweep", dev_terms, 1e-6 * base.n_spins
     ))
+    direct = table.h1_direct
+    dev_hf = _max_abs((table.df_dlambda - direct) / np.maximum(1.0, np.abs(direct)))
+    checks.append(CheckResult("ising dF/dlam vs H1_direct over sweep", dev_hf, 1e-6))
 
     cold = EnsemblePoint.from_temperature(0.1)
     hj, hh = (x / base.n_spins for x in _ising_hf_terms(base, cold, config))

@@ -13,7 +13,6 @@ import numpy as np
 from thermohf import (
     EnsemblePoint,
     central_diff,
-    lambda_derivatives,
     potentials,
 )
 from thermohf.cli import main as cli_main
@@ -31,7 +30,7 @@ from thermohf.models.lipkin import (
     multiplicity,
 )
 from thermohf.oracles import ising_enumerate, lipkin_fock
-from thermohf.sweep import temperature_grid
+from thermohf.sweep import sweep, temperature_grid
 
 
 def report(name, passed, detail=""):
@@ -49,15 +48,14 @@ def test_criterion_1_ho_closed_form_agreement():
     t_grid = temperature_grid(0.05, 20.0, 200)
     model = HarmonicOscillator(n_max=truncation_level(20.0))
     point = EnsemblePoint.from_temperature(t_grid)
-    numeric = model.potentials(1.0, point)
+    table = sweep(model, t_grid)
     closed = ho_closed_potentials(1.0, point)
-    deriv = lambda_derivatives(lambda lam: model.potentials(lam, point))
     dev = max(
-        max_abs(numeric.free_energy - closed.free_energy),
-        max_abs(numeric.energy - closed.energy),
-        max_abs(numeric.entropy - closed.entropy),
-        max_abs(deriv.free_energy - ho_potential_average(point)),
-        max_abs(deriv.entropy - ho_entropy_lambda_derivative(point)),
+        max_abs(table.free_energy - closed.free_energy),
+        max_abs(table.energy - closed.energy),
+        max_abs(table.entropy - closed.entropy),
+        max_abs(table.df_dlambda - ho_potential_average(point)),
+        max_abs(table.ds_dlambda - ho_entropy_lambda_derivative(point)),
     )
     elapsed = time.perf_counter() - start
     report(
@@ -72,8 +70,7 @@ def test_criterion_2_ho_paper_limits():
     ok_cold = abs(cold - 0.25) < 1e-12
 
     model = HarmonicOscillator(n_max=truncation_level(50.0))
-    hot = EnsemblePoint.from_temperature(20.0)
-    d_f = lambda_derivatives(lambda lam: model.potentials(lam, hot)).free_energy
+    d_f = float(sweep(model, [20.0]).df_dlambda[0])
     ok_df = abs(d_f - 10.0) / 10.0 <= 0.02
 
     d_s = ho_entropy_lambda_derivative(EnsemblePoint.from_temperature(50.0))
@@ -177,10 +174,9 @@ def test_criterion_5_lipkin_fock_cross_validation():
 
 def test_criterion_6_lipkin_hf_theorem():
     model = LipkinModel(10, 1.0, 3.0)
-    point = EnsemblePoint.from_temperature(temperature_grid(0.1, 100.0, 50, "geometric"))
-    d_f = lambda_derivatives(lambda lam: model.potentials(lam, point)).free_energy
-    direct = model.potentials(1.0, point).h1
-    dev = float(np.max(np.abs(d_f - direct) / np.maximum(1.0, np.abs(direct))))
+    table = sweep(model, temperature_grid(0.1, 100.0, 50, "geometric"))
+    direct = table.h1_direct
+    dev = float(np.max(np.abs(table.df_dlambda - direct) / np.maximum(1.0, np.abs(direct))))
     report(
         "criterion 6: Lipkin dF/dlam vs direct <H1> <= 1e-6",
         dev <= 1e-6,
@@ -191,8 +187,7 @@ def test_criterion_6_lipkin_hf_theorem():
 def test_criterion_7_lipkin_entropy_corollary():
     model = LipkinModel(10, 1.0, 3.0)
     t_grid = temperature_grid(0.1, 100.0, 50, "geometric")[1:-1]
-    point = EnsemblePoint.from_temperature(t_grid)
-    d_s = lambda_derivatives(lambda lam: model.potentials(lam, point)).entropy
+    d_s = sweep(model, t_grid).ds_dlambda
     dh1_dt, _ = central_diff(
         lambda temps: model.potentials(1.0, EnsemblePoint.from_temperature(temps)).h1,
         t_grid,
@@ -213,8 +208,7 @@ def test_criterion_8_lipkin_limits():
     ok_entropy = abs(s_hot - 10 * math.log(2)) <= 1e-3
 
     t_grid = temperature_grid(0.5, 100.0, 60, "geometric")
-    point = EnsemblePoint.from_temperature(t_grid)
-    de = lambda_derivatives(lambda lam: model.potentials(lam, point)).energy
+    de = sweep(model, t_grid).de_dlambda
     idx = int(np.argmin(de))
     t_min_loc = float(t_grid[idx])
     ok_min = 0 < idx < len(de) - 1 and 5.0 <= t_min_loc <= 20.0

@@ -1,6 +1,7 @@
 import json
 import math
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -421,6 +422,21 @@ class TestVerifyCommand:
         code, out, _ = run(["verify", "--scope", "ising"], capsys)
         assert code == 1
         assert "FAIL  ising lnZ even in h: " in out
+
+    def test_perturbed_ising_h1_fails_the_sweep_check(self, monkeypatch, capsys):
+        # a direct <H1> off by 1e-5 relative leaves the table's dF/dlam
+        # behind; the other Ising checks read no h1
+        chain_potentials = ising.IsingChain.potentials
+
+        def perturbed(self, lam, point, *, h1=True):
+            pots = chain_potentials(self, lam, point, h1=h1)
+            return pots if pots.h1 is None else replace(pots, h1=pots.h1 * (1.0 + 1e-5))
+
+        monkeypatch.setattr(ising.IsingChain, "potentials", perturbed)
+        code, out, _ = run(["verify", "--scope", "ising"], capsys)
+        assert code == 1
+        assert "FAIL  ising dF/dlam vs H1_direct over sweep: " in out
+        assert "8/9 checks passed" in out
 
     def test_lowered_pads_fail_the_pad_check(self, monkeypatch, capsys):
         # pads below a sector's levels would take their place among its

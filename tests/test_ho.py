@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thermohf import EnsemblePoint, central_diff, lambda_derivatives
+from thermohf import EnsemblePoint, central_diff
 from thermohf.models import ho
 from thermohf.models.ho import (
     MAX_LEVELS,
@@ -14,6 +14,7 @@ from thermohf.models.ho import (
     ho_spectrum,
     truncation_level,
 )
+from thermohf.sweep import sweep
 
 
 class TestSpectrumConstruction:
@@ -127,16 +128,15 @@ class TestEntropyDerivative:
 class TestHellmannFeynman:
     def test_free_energy_derivative_equals_potential_average(self):
         model = HarmonicOscillator(n_max=truncation_level(50.0))
-        point = EnsemblePoint.from_temperature(np.geomspace(0.02, 50.0, 25))
-        deriv = lambda_derivatives(lambda lam: model.potentials(lam, point)).free_energy
-        assert deriv == pytest.approx(model.potentials(1.0, point).h1, abs=1e-7)
+        table = sweep(model, np.geomspace(0.02, 50.0, 25))
+        assert table.df_dlambda == pytest.approx(table.h1_direct, abs=1e-7)
 
     @pytest.mark.parametrize("lam", [0.4, 2.5])
     def test_closed_form_h1_off_unit_coupling(self, lam):
         # truncated for T = 20 at a coupling below every abscissa
         model = HarmonicOscillator(n_max=truncation_level(20.0 / math.sqrt(0.3)))
         point = EnsemblePoint.from_temperature(np.geomspace(0.02, 20.0, 25))
-        deriv = lambda_derivatives(lambda x: model.potentials(x, point), lam).free_energy
+        deriv, _ = central_diff(lambda x: model.potentials(x, point, h1=False).free_energy, lam)
         h1 = model.potentials(lam, point).h1
         assert np.max(np.abs(deriv - h1) / np.maximum(1.0, np.abs(h1))) <= 1e-7
 
@@ -197,10 +197,9 @@ class TestPerTemperatureTruncation:
         temps = np.sort(np.concatenate([edges, np.nextafter(edges, 0.0),
                                         np.nextafter(edges, np.inf)]))
         model = HarmonicOscillator(n_max=truncation_level(float(temps.max()) / math.sqrt(0.9)))
-        point = EnsemblePoint.from_temperature(temps)
-        deriv = lambda_derivatives(lambda lam: model.potentials(lam, point, h1=False),
-                                   1.0).free_energy
-        assert np.max(np.abs(deriv - ho_potential_average(point))) <= 1e-7
+        deriv = sweep(model, temps).df_dlambda
+        closed = ho_potential_average(EnsemblePoint.from_temperature(temps))
+        assert np.max(np.abs(deriv - closed)) <= 1e-7
 
     @pytest.mark.parametrize("t", [30.0, 100.0, 1000.0])
     def test_default_model_is_not_cut_short(self, t):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thermohf import EnsemblePoint, central_diff, lambda_derivatives, potentials
+from thermohf import EnsemblePoint, central_diff, potentials
 from thermohf.cli import main as cli_main
 from thermohf.models import lipkin
 from thermohf.models.lipkin import (
@@ -307,22 +307,17 @@ class TestDirectAverage:
         assert np.max(np.abs(slope - h1) / np.maximum(1.0, np.abs(h1))) <= 1e-7
 
     def test_matches_free_energy_derivative(self):
-        model = LipkinModel(10, 1.0, 3.0)
-        for t in (0.5, 2.0, 10.0, 50.0):
-            point = EnsemblePoint.from_temperature(t)
-            direct = model.potentials(1.0, point).h1
-            deriv = lambda_derivatives(lambda lam: model.potentials(lam, point)).free_energy
-            assert deriv == pytest.approx(direct, abs=1e-6 * max(1.0, abs(direct)))
+        table = sweep(LipkinModel(10, 1.0, 3.0), [0.5, 2.0, 10.0, 50.0])
+        direct = table.h1_direct
+        assert np.all(np.abs(table.df_dlambda - direct) <= 1e-6 * np.maximum(1.0, np.abs(direct)))
 
     def test_entropy_corollary(self):
         model = LipkinModel(8, 1.0, 3.0)
-        for t in (1.0, 5.0, 20.0):
-            point = EnsemblePoint.from_temperature(t)
-            d_s = lambda_derivatives(lambda lam: model.potentials(lam, point)).entropy
-            dh1_dt, _ = central_diff(
-                lambda temp: model.potentials(1.0, EnsemblePoint.from_temperature(temp)).h1, t
-            )
-            assert d_s == pytest.approx(-dh1_dt, abs=1e-5)
+        temps = np.array([1.0, 5.0, 20.0])
+        dh1_dt, _ = central_diff(
+            lambda t: model.potentials(1.0, EnsemblePoint.from_temperature(t)).h1, temps
+        )
+        assert sweep(model, temps).ds_dlambda == pytest.approx(-dh1_dt, abs=1e-5)
 
     def test_equipartition_limit(self):
         model = LipkinModel(10, 1.0, 3.0)

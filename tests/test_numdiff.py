@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from thermohf import DiffConfig, EnsemblePoint, central_diff, lambda_derivatives, potentials
+from thermohf import DiffConfig, EnsemblePoint, central_diff, potentials
 from thermohf.models.ho import (
     HarmonicOscillator,
     ho_entropy_lambda_derivative,
     ho_potential_average,
     ho_spectrum,
 )
+from thermohf.sweep import sweep
 
 
 class TestDiffConfig:
@@ -85,13 +86,13 @@ class TestLambdaDerivative:
     def test_flat_model_gives_zero(self):
         point = EnsemblePoint(beta=1.0)
         spectrum = ho_spectrum(1.0, 128)  # frozen: ignores lam
-        deriv = lambda_derivatives(lambda lam: potentials(spectrum, point)).free_energy
+        deriv, _ = central_diff(lambda lam: potentials(spectrum, point).free_energy, 1.0)
         assert deriv == pytest.approx(0.0, abs=1e-10)
 
     def test_entropy_derivative_matches_closed_form(self):
         model = HarmonicOscillator(n_max=1024)
         point = EnsemblePoint(beta=1.0)
-        deriv = lambda_derivatives(lambda lam: model.potentials(lam, point)).entropy
+        (deriv,) = sweep(model, [1.0]).ds_dlambda
         assert deriv == pytest.approx(ho_entropy_lambda_derivative(point), abs=1e-6)
         # closed form at beta=1: -(1/2) e^-1/(1-e^-1)^2
         assert deriv == pytest.approx(-0.4603367971038962, abs=1e-6)
@@ -99,9 +100,7 @@ class TestLambdaDerivative:
     def test_chain_consistency(self):
         # dF/dlam = dE/dlam - T dS/dlam
         model = HarmonicOscillator(n_max=2048)
-        for temperature in (0.5, 2.0, 10.0):
-            point = EnsemblePoint.from_temperature(temperature)
-            deriv = lambda_derivatives(lambda lam: model.potentials(lam, point))
-            assert deriv.free_energy == pytest.approx(
-                deriv.energy - temperature * deriv.entropy, abs=1e-7
-            )
+        table = sweep(model, [0.5, 2.0, 10.0])
+        assert table.df_dlambda == pytest.approx(
+            table.de_dlambda - table.temperature * table.ds_dlambda, abs=1e-7
+        )
