@@ -70,9 +70,9 @@ def sweep(model, t_grid, config: DiffConfig = DiffConfig()) -> np.recarray:
     of shape (len(t_grid),).
 
     model.potentials is called once per coupling abscissa, each time on the
-    whole grid. The derivative columns differentiate with respect to the
-    model's lam, from abscissae evaluated without <H1>; h1_direct is the
-    model's derivative-free <H1>_T at lam = 1.
+    whole grid. The derivative columns are one central_diff in the model's
+    lam of the stacked (F, E, S), from abscissae evaluated without <H1>;
+    h1_direct is the model's derivative-free <H1>_T at lam = 1.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     point = EnsemblePoint.from_temperature(t_grid)
@@ -82,8 +82,6 @@ def sweep(model, t_grid, config: DiffConfig = DiffConfig()) -> np.recarray:
         p = model.potentials(lam, point, h1=False)
         return np.array([p.free_energy, p.energy, p.entropy])
 
-    # one central difference of the stacked (F, E, S): each abscissa is
-    # evaluated once for all three derivatives and every temperature
     (d_f, d_e, d_s), _ = central_diff(stacked, 1.0, config)
     columns = (t_grid, pots.energy, pots.free_energy, pots.entropy, d_f, d_e, d_s, pots.h1)
     # the values row after row, a table row's fields side by side
