@@ -1,13 +1,15 @@
-"""Exact float text for whole float64 arrays: the bytes of '%.17g' % v and of
-json.dumps(v) for every value at once.
+"""Exact float text for whole float64 tables: the bytes of '%.17g' % v and of
+json.dumps(v) for every value at once, between fixed separators.
 
-Each token is written as one row of WORDS uint64 words of NUL-padded bytes;
-dropping the NULs of the rows, in order, gives the tokens side by side. For
-a finite normal value, |v| is scaled to N = |v|·10**s in [10**16, 10**17)
-by a double-double product with a table entry of 10**s, with an error below
-1e-14 of a unit of N. N rounded to an integer gives the 17 digits of
-'%.17g'. repr's digits are those of N rounded to the fewest digits that
-still lie within v's rounding interval, half an ulp to either side.
+rows_text writes each token as one row of 7 uint64 words of
+NUL-padded bytes, with the words of the text before and after its field on
+either side; dropping the NULs of the rows, in order, gives the table's
+text. For a finite normal value, |v| is scaled to N = |v|·10**s in
+[10**16, 10**17) by a double-double product with a table entry of 10**s,
+with an error below 1e-14 of a unit of N. N rounded to an integer gives the
+17 digits of '%.17g'. repr's digits are those of N rounded to the fewest
+digits that still lie within v's rounding interval, half an ulp to either
+side.
 
 Python's own formatter writes every value whose rounding or interval test
 lies within TOLERANCE (of a unit of N) of its decision, every zero,
@@ -22,7 +24,7 @@ import json
 
 import numpy as np
 
-__all__ = ["WORDS", "TOLERANCE", "write_g17", "write_json", "byte_rows", "text"]
+__all__ = ["TOLERANCE", "CHUNK_ROWS", "rows_text"]
 
 # A token's bytes before masking, in 7 little-endian uint64 words; a mask
 # per layout case keeps the bytes that case shows:
@@ -32,8 +34,12 @@ __all__ = ["WORDS", "TOLERANCE", "write_g17", "write_json", "byte_rows", "text"]
 #   bytes 28-47  "000" and the 17 digits   the digits after the point
 #   bytes 48-51  "0", "e", "+", "-"      the "0" of repr's "N.0"; exponent
 #   bytes 52-55  the exponent's four digits, zero-padded
-WORDS = 7
+_WORDS = 7
 TOLERANCE = 1e-9
+# Rows rows_text formats per step. Besides the text, it holds one chunk's
+# words and temporaries (under 1 MB at 512 rows of 8 fields) whatever the
+# table's length; much smaller chunks pay numpy's per-call cost more often.
+CHUNK_ROWS = 512
 _MIN_NORMAL = 2.2250738585072014e-308
 _DIGITS = 17
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for a 53-bit product
@@ -46,26 +52,38 @@ _FIXED = 21
 _FORMS = _FIXED + 4
 
 
-def write_g17(values, out: np.ndarray) -> None:
-    """Write '%.17g' % values[i] into out[i], an (n, WORDS) uint64 row."""
-    _write(values, out, shortest=False)
+def rows_text(values, before, after, shortest: bool) -> list[str]:
+    """The text of a (rows, fields) float table, CHUNK_ROWS rows per chunk:
+    each value's '%.17g' or, if shortest, json.dumps token, between the
+    strings before[k] and after[k] of its field k."""
+    before, after = _word_rows(tuple(before), tuple(after))
+    fields = len(before)
+    first, last = before.shape[1], before.shape[1] + _WORDS
+    block = np.empty((min(len(values), CHUNK_ROWS) * fields, last + after.shape[1]), np.uint64)
+    words = block.reshape(-1, fields, block.shape[1])
+    words[:, :, :first] = before
+    words[:, :, last:] = after
+    parts = []
+    for start in range(0, len(values), CHUNK_ROWS):
+        rows = values[start:start + CHUNK_ROWS]
+        chunk = block[:rows.size]
+        _write(rows, chunk[:, first:last], shortest)
+        parts.append(chunk.tobytes().translate(None, b"\0").decode("ascii"))
+    return parts
 
 
-def write_json(values, out: np.ndarray) -> None:
-    """Write json.dumps(values[i]) into out[i], an (n, WORDS) uint64 row:
-    repr for finite values, NaN, Infinity and -Infinity otherwise."""
-    _write(values, out, shortest=True)
+@functools.cache
+def _word_rows(before: tuple, after: tuple) -> tuple[np.ndarray, ...]:
+    """The read-only words of each field's text before and after its token,
+    NUL-padded to the widest of each kind; built once per separator tuple."""
+    return tuple(_byte_rows(texts, -(-max(map(len, texts)) // 8) * 8).view(np.uint64)
+                 for texts in (before, after))
 
 
-def byte_rows(texts, width: int) -> np.ndarray:
+def _byte_rows(texts, width: int) -> np.ndarray:
     """(len(texts), width) uint8: row i holds ASCII texts[i], NUL-padded."""
     padded = "".join(t.ljust(width, "\0") for t in texts)
     return np.frombuffer(padded.encode("ascii"), np.uint8).reshape(len(texts), width)
-
-
-def text(rows: np.ndarray) -> str:
-    """The bytes of an array, row after row, with their NULs dropped."""
-    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 @functools.lru_cache(maxsize=None)
@@ -139,7 +157,7 @@ def _write(values, out, shortest: bool) -> None:
     if slow.size:
         python = json.dumps if shortest else "%.17g".__mod__
         texts = [python(x) for x in v[slow].tolist()]
-        out[slow] = byte_rows(texts, 8 * WORDS).view(np.uint64)
+        out[slow] = _byte_rows(texts, 8 * _WORDS).view(np.uint64)
 
 
 def _shorten(digits, n, frac, half_ulp, near) -> None:
@@ -196,7 +214,7 @@ def _layout_tables(shortest: bool):
     fraction = ~scientific & (x < 0)
     last = np.where(whole, x, np.where(scientific, 0, -1))  # last digit before the point
     column = np.arange(_DIGITS)
-    keep = np.zeros((len(form_), 8 * WORDS), bool)
+    keep = np.zeros((len(form_), 8 * _WORDS), bool)
     keep[:, 2:3] = negative == 1
     keep[:, 3:4] = fraction
     keep[:, 7:24] = column <= last

@@ -26,7 +26,6 @@ __all__ = [
     "rows_to_json",
     "CSV_HEADER",
     "MAX_GRID_POINTS",
-    "CHUNK_ROWS",
 ]
 
 CSV_HEADER = "T,E,F,S,dF_dlambda,dE_dlambda,dS_dlambda,H1_direct"
@@ -40,10 +39,6 @@ SWEEP_DTYPE = np.dtype([(name, np.float64) for name in (
 # Most temperatures in one grid; bounds a sweep's memory (a default sweep at
 # the cap peaks near 0.5 GB RSS, see README).
 MAX_GRID_POINTS = 10**6
-# Rows the serializers format per step. Besides the text, they hold one
-# chunk's words and temporaries (under 1 MB at 512 rows) whatever the
-# table's length; much smaller chunks pay numpy's per-call cost more often.
-CHUNK_ROWS = 512
 
 
 def temperature_grid(t_min: float, t_max: float, steps: int, kind: str = "linear") -> np.ndarray:
@@ -85,44 +80,26 @@ def sweep(model, t_grid, config: DiffConfig = DiffConfig()) -> np.recarray:
     (d_f, d_e, d_s), _ = central_diff(stacked, 1.0, config)
     columns = (t_grid, pots.energy, pots.free_energy, pots.entropy, d_f, d_e, d_s, pots.h1)
     # the values row after row, a table row's fields side by side
-    values = np.empty((*t_grid.shape, len(columns)))
-    for k, column in enumerate(columns):
-        values[..., k] = column
+    values = np.stack(columns, axis=-1)
     return values.view(SWEEP_DTYPE)[..., 0].view(np.recarray)
 
 
 _FIELDS = len(SWEEP_DTYPE.names)
-# The words before and after each field's token: CSV's separators, and a
+# The text before and after each field's value: CSV's separators, and a
 # JSON row's keys (the first after the row's "{") and its closing "},"
 # (the table's last "," is cut).
-_NO_WORDS = np.empty((_FIELDS, 0), np.uint64)
-_CSV_ENDS = floattext.byte_rows([","] * (_FIELDS - 1) + ["\n"], 8).view(np.uint64)
-_JSON_KEYS = floattext.byte_rows([("    {\n" if k == 0 else ",\n") + f"      {json.dumps(key)}: "
-                                  for k, key in enumerate(CSV_HEADER.split(","))], 24).view(np.uint64)
-_JSON_ENDS = floattext.byte_rows([""] * (_FIELDS - 1) + ["\n    },\n"], 8).view(np.uint64)
-
-
-def _serialize(table, write, before, after) -> list[str]:
-    """The table's rows as text, CHUNK_ROWS at a time, each value written by
-    write between the words of before and after (one row of each per field)."""
-    first, last = before.shape[1], before.shape[1] + floattext.WORDS
-    block = np.empty((min(len(table), CHUNK_ROWS) * _FIELDS, last + after.shape[1]), np.uint64)
-    fields = block.reshape(-1, _FIELDS, block.shape[1])
-    fields[:, :, :first] = before
-    fields[:, :, last:] = after
-    parts = []
-    for start in range(0, len(table), CHUNK_ROWS):
-        values = np.ascontiguousarray(table[start:start + CHUNK_ROWS]).view(np.float64)
-        chunk = block[:len(values)]
-        write(values, chunk[:, first:last])
-        parts.append(floattext.text(chunk))
-    return parts
+_CSV_BEFORE = ("",) * _FIELDS
+_CSV_AFTER = (",",) * (_FIELDS - 1) + ("\n",)
+_JSON_BEFORE = tuple(("    {\n" if k == 0 else ",\n") + f"      {json.dumps(key)}: "
+                     for k, key in enumerate(CSV_HEADER.split(",")))
+_JSON_AFTER = ("",) * (_FIELDS - 1) + ("\n    },\n",)
 
 
 def rows_to_csv(table) -> str:
     """Deterministic CSV with 17-significant-digit floats, each the bytes
-    of "%.17g" % v, written CHUNK_ROWS rows at a time."""
-    parts = _serialize(table, floattext.write_g17, _NO_WORDS, _CSV_ENDS)
+    of "%.17g" % v, written floattext.CHUNK_ROWS rows at a time."""
+    values = np.asarray(table).view((np.float64, _FIELDS))  # a table row per row
+    parts = floattext.rows_text(values, _CSV_BEFORE, _CSV_AFTER, shortest=False)
     return "".join([CSV_HEADER + "\n", *parts])
 
 
@@ -130,12 +107,13 @@ def rows_to_json(table, config_echo: dict) -> str:
     """Same rows as JSON objects, plus an echo of the run configuration.
 
     The text is json.dumps(payload, indent=2): the config is dumped as is,
-    and each row, CHUNK_ROWS at a time, is laid out with json.dumps's
-    tokens for its values.
+    and the rows, floattext.CHUNK_ROWS at a time, are laid out with
+    json.dumps's tokens for their values.
     """
     text = json.dumps({"config": config_echo, "rows": []}, indent=2)
     if not len(table):
         return text + "\n"
-    parts = _serialize(table, floattext.write_json, _JSON_KEYS, _JSON_ENDS)
+    values = np.asarray(table).view((np.float64, _FIELDS))
+    parts = floattext.rows_text(values, _JSON_BEFORE, _JSON_AFTER, shortest=True)
     parts[-1] = parts[-1][:-len(",\n")]
     return "".join([text[:-len("[]\n}")] + "[\n", *parts, "\n  ]\n}\n"])

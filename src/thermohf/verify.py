@@ -53,10 +53,6 @@ class CheckResult:
     deviation: float
     tolerance: float
 
-    @property
-    def passed(self) -> bool:
-        return self.deviation <= self.tolerance
-
 
 def _max_abs(values) -> float:
     return float(np.max(np.abs(values)))

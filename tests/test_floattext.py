@@ -12,14 +12,14 @@ from thermohf.models.ising import IsingChain
 from thermohf.sweep import sweep, temperature_grid
 
 
-def kernel_lines(values, write) -> list[str]:
-    """Each value's token from the kernel, one per line; cli.main raises on
-    over, divide and invalid, so the kernel must run clean under all of them."""
-    block = np.zeros((len(values), floattext.WORDS + 1), np.uint64)
-    block[:, -1] = ord("\n")
+def kernel_lines(values, shortest) -> list[str]:
+    """Each value's token from the kernel, one per line of a one-field table;
+    cli.main raises on over, divide and invalid, so the kernel must run
+    clean under all of them."""
+    table = np.asarray(values, dtype=np.float64).reshape(-1, 1)
     with np.errstate(all="raise"):
-        write(values, block[:, :-1])
-    return floattext.text(block).split("\n")[:-1]
+        parts = floattext.rows_text(table, ("",), ("\n",), shortest)
+    return "".join(parts).split("\n")[:-1]
 
 
 def assert_python_tokens(values):
@@ -28,14 +28,14 @@ def assert_python_tokens(values):
     values = np.asarray(values, dtype=np.float64)
     listed = values.tolist()
     expected = {
-        floattext.write_g17: ("%.17g\n" * len(listed) % tuple(listed)).split("\n")[:-1],
-        floattext.write_json: json.dumps(listed)[1:-1].split(", ") if listed else [],
+        "%.17g": ("%.17g\n" * len(listed) % tuple(listed)).split("\n")[:-1],
+        "json.dumps": json.dumps(listed)[1:-1].split(", ") if listed else [],
     }
-    for write, want in expected.items():
-        got = kernel_lines(values, write)
+    for (name, want), shortest in zip(expected.items(), (False, True)):
+        got = kernel_lines(values, shortest)
         if got != want:
             bad = [(x, g, w) for x, g, w in zip(listed, got, want) if g != w]
-            pytest.fail(f"{write.__name__}: {len(bad)} of {len(listed)} tokens differ, "
+            pytest.fail(f"{name}: {len(bad)} of {len(listed)} tokens differ, "
                         f"first (value, kernel, python): {bad[:5]}")
 
 
@@ -125,20 +125,23 @@ def test_powers_of_ten_table():
 class TestWrite:
     def test_writes_only_its_words(self):
         values = np.array([1.5, -0.0, math.nan, 1e300, -2.5e-7])
-        block = np.full((len(values), floattext.WORDS + 2), 0x4141414141414141, np.uint64)
-        floattext.write_g17(values, block[:, 1:-1])
+        block = np.full((len(values), floattext._WORDS + 2), 0x4141414141414141, np.uint64)
+        floattext._write(values, block[:, 1:-1], shortest=False)
         assert (block[:, 0] == 0x4141414141414141).all()
         assert (block[:, -1] == 0x4141414141414141).all()
-        lines = floattext.text(block).replace("AAAAAAAA", "\n").split()
+        text = block.tobytes().translate(None, b"\0").decode("ascii")
+        lines = text.replace("AAAAAAAA", "\n").split()
         assert lines == ["%.17g" % v for v in values.tolist()]
 
     def test_empty(self):
-        out = np.zeros((0, floattext.WORDS), np.uint64)
-        floattext.write_g17(np.zeros(0), out)
-        floattext.write_json(np.zeros(0), out)
+        for shortest in (False, True):
+            assert floattext.rows_text(np.zeros((0, 1)), ("",), ("\n",), shortest) == []
+            assert floattext.rows_text(np.zeros((0, 3)), ("",) * 3, (",", ",", "\n"),
+                                       shortest) == []
+            floattext._write(np.zeros(0), np.zeros((0, floattext._WORDS), np.uint64), shortest)
 
-    @pytest.mark.parametrize("write", [floattext.write_g17, floattext.write_json])
-    def test_python_formats_few_sweep_values(self, write, monkeypatch):
+    @pytest.mark.parametrize("shortest", [False, True], ids=["g17", "json"])
+    def test_python_formats_few_sweep_values(self, shortest, monkeypatch):
         # the vectorized path writes all but a sliver of a real table; the
         # fallback count is the number of texts Python formats
         fallback = []
@@ -147,9 +150,17 @@ class TestWrite:
             fallback.extend(texts)
             return byte_rows(texts, width)
 
-        byte_rows = floattext.byte_rows
-        monkeypatch.setattr(floattext, "byte_rows", counted)
+        byte_rows = floattext._byte_rows
+        monkeypatch.setattr(floattext, "_byte_rows", counted)
         table = sweep(IsingChain(-1.3, 0.7, 9), temperature_grid(0.05, 30.0, 500, "geometric"))
         values = np.ascontiguousarray(table).view(np.float64)
-        write(values, np.zeros((values.size, floattext.WORDS), np.uint64))
+        floattext._write(values, np.zeros((values.size, floattext._WORDS), np.uint64), shortest)
         assert len(fallback) <= values.size // 100
+
+
+def test_word_rows_built_once_per_separators():
+    before, after = ("<",), (">\n",)
+    misses = floattext._word_rows.cache_info().misses
+    for _ in range(3):
+        assert floattext.rows_text(np.array([[1.5], [2.0]]), before, after, False) == ["<1.5>\n<2>\n"]
+    assert floattext._word_rows.cache_info().misses == misses + 1

@@ -11,8 +11,8 @@ from thermohf.models.ising import IsingChain
 from thermohf.ensemble import EnsemblePoint, potentials
 from thermohf.models.lipkin import LipkinModel
 from thermohf.numdiff import DiffConfig, central_diff
+from thermohf.floattext import CHUNK_ROWS
 from thermohf.sweep import (
-    CHUNK_ROWS,
     CSV_HEADER,
     MAX_GRID_POINTS,
     SWEEP_DTYPE,
