@@ -98,7 +98,7 @@ _JSON_AFTER = ("",) * (_FIELDS - 1) + ("\n    },\n",)
 def rows_to_csv(table) -> str:
     """Deterministic CSV with 17-significant-digit floats, each the bytes
     of "%.17g" % v, written floattext.CHUNK_ROWS rows at a time."""
-    values = np.asarray(table).view((np.float64, _FIELDS))  # a table row per row
+    values = np.asarray(table).view((np.float64, _FIELDS))  # (rows, fields), no copy
     parts = floattext.rows_text(values, _CSV_BEFORE, _CSV_AFTER, shortest=False)
     return "".join([CSV_HEADER + "\n", *parts])
 
