@@ -16,6 +16,7 @@ share its blocks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,7 +85,7 @@ def ho_potential_average(point: EnsemblePoint, lam: float = 1.0):
     Equals dF/dlam: (1/2 + 1/(e^{beta w} - 1)) / (2 w) with w = sqrt(lam),
     which is 1/4 + (1/2) e^{-beta}/(1 - e^{-beta}) at lam = 1.
     """
-    w = math.sqrt(lam)
+    w = _frequency(lam)
     bw = point.beta * w
     return (0.5 + np.exp(-bw) / (-np.expm1(-bw))) / (2.0 * w)
 
@@ -118,15 +119,17 @@ class HarmonicOscillator:
 
     Each temperature T gets max(64, ceil(40 T / sqrt(lam))) levels, the
     truncation_level rule at that T and coupling, rounded up to 64 * 2^k and
-    capped at n_max. n_max must lie in [64, MAX_LEVELS]; where it satisfies
-    the rule at every temperature the model is evaluated at, the cap never
-    cuts one short. The default, MAX_LEVELS, does so up to T = 26214.4 at
+    capped at n_max. n_max must be an integer in [64, MAX_LEVELS]; where it
+    satisfies the rule at every temperature the model is evaluated at, the
+    cap never cuts one short. The default, MAX_LEVELS, does so up to T = 26214.4 at
     lam = 1, and costs nothing at the temperatures that need fewer levels.
     """
 
     n_max: int = MAX_LEVELS
 
     def __post_init__(self):
+        if not isinstance(self.n_max, numbers.Integral):
+            raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
         if not 64 <= self.n_max <= MAX_LEVELS:
             raise ValueError(f"n_max must be in [64, {MAX_LEVELS}], got {self.n_max}")
 

@@ -19,6 +19,7 @@ oracles.ising_enumerate takes the same arguments.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,8 @@ class IsingChain:
     n_spins: int = 10
 
     def __post_init__(self):
+        if not isinstance(self.n_spins, numbers.Integral):
+            raise ValueError(f"n_spins must be an integer, got {self.n_spins!r}")
         if self.n_spins < 2:
             raise ValueError(f"need at least 2 spins, got {self.n_spins}")
         for name in ("coupling_j", "field_h"):

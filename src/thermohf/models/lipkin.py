@@ -25,6 +25,7 @@ ints from N = 63 on.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -214,6 +215,8 @@ class LipkinModel:
     v_coupling: float = 3.0
 
     def __post_init__(self):
+        if not isinstance(self.n_particles, numbers.Integral):
+            raise ValueError(f"n_particles must be an integer, got {self.n_particles!r}")
         if self.n_particles < 1:
             raise ValueError(f"need at least one particle, got {self.n_particles}")
         if not 0 < self.epsilon < math.inf:

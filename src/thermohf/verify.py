@@ -4,11 +4,13 @@ Automates the agreement checks between independent computation routes:
 closed forms vs. the generic spectrum engine, transfer matrix vs.
 exhaustive enumeration, block decomposition vs. full Fock diagonalization,
 and the free-energy derivative vs. directly computed thermal averages.
-The oscillator and Lipkin checks, and the Ising HF checks over a grid, read
-the table sweep returns, the one `thermohf sweep` prints; the other Ising
-ones read IsingChain.potentials, and ising_transfer and ising_enumerate on
-the same chains. The eigensolver
-checks solve the padded sector stacks of the Lipkin model's own solves.
+Each suite is one pass over what the CLI prints: the oscillator and Lipkin
+checks, and the Ising HF and low-T checks over a grid, read the table sweep
+returns, the one `thermohf sweep` prints; the Ising oracle and symmetry
+checks read ising_transfer and ising_enumerate on the same chains, and the
+Fock oracle is compared with the lam = 1 levels the printed Lipkin rows come
+from. The eigensolver checks solve the padded sector stacks of the Lipkin
+model's own solves.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .models.lipkin import (
     LipkinModel,
     _padded_stack,
     lipkin_levels_with_h1,
-    lipkin_spectrum,
     multiplicity,
 )
 from .numdiff import DiffConfig, central_diff
@@ -93,16 +94,13 @@ def verify_ho(config: DiffConfig = DiffConfig()) -> list[CheckResult]:
     checks.append(CheckResult(
         "ho low-T potential average -> 1/4", abs(ho_potential_average(cold) - 0.25), 1e-12
     ))
-    hot = table[-1]  # the grid's last point, T = 20
+    hot = table[-1]  # the grid's last row, T = 20
     half_t = 0.5 * hot.temperature
     checks.append(CheckResult(
         "ho high-T dF/dlam -> T/2", abs(hot.df_dlambda - half_t) / half_t, 0.02
     ))
-    hot50 = EnsemblePoint.from_temperature(50.0)
     checks.append(CheckResult(
-        "ho high-T dS/dlam -> -1/2",
-        abs(ho_entropy_lambda_derivative(hot50) + 0.5) / 0.5,
-        0.02,
+        "ho high-T dS/dlam -> -1/2", abs(hot.ds_dlambda + 0.5) / 0.5, 0.02
     ))
     ground, _ = central_diff(lambda lam: 0.5 * math.sqrt(lam), 1.0, config)
     checks.append(CheckResult("ho zero-T dE0/dlam = 1/4", abs(ground - 0.25), 1e-10))
@@ -127,8 +125,7 @@ def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig()) -> list[C
     checks = []
     rng = np.random.default_rng(_SEED)
 
-    dev_lnz = 0.0
-    dev_avg = 0.0
+    dev_lnz = dev_avg = dev_sym = 0.0
     for n in range(2, n_spins + 1):
         # per chain: the couplings lam1 J and lam2 h, and beta
         draws = []
@@ -139,14 +136,18 @@ def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig()) -> list[C
             lam2 = float(rng.uniform(0.5, 1.5))
             draws.append((lam1 * j, lam2 * h, float(rng.uniform(0.05, 3.0))))
         coupling, field, beta = np.array(draws).T
-        # the chains of one size in one call of each route
-        exact_ln_z, exact_hj, exact_hh = ising_enumerate(n, coupling, field, beta)
+        # the chains of one size in one call of each route, the enumeration
+        # at -h' as well: ising_transfer takes |h'| itself, so the symmetry
+        # check compares its lnZ at +h' with the enumeration at -h'
+        (exact_ln_z, mirror_ln_z), (exact_hj, _), (exact_hh, _) = ising_enumerate(
+            n, coupling, np.stack([field, -field]), beta)
         ln_z, hj, hh = ising_transfer(n, coupling, field, beta)
         dev_lnz = max(dev_lnz, _max_abs((ln_z - exact_ln_z) / np.maximum(np.abs(exact_ln_z),
                                                                           1e-300)))
         # scaled by the largest magnitude either term can reach
         scale = np.maximum(1.0, n * (np.abs(coupling) + np.abs(field)))
         dev_avg = max(dev_avg, _max_abs((hj - exact_hj) / scale), _max_abs((hh - exact_hh) / scale))
+        dev_sym = max(dev_sym, _max_abs(ln_z - mirror_ln_z))
     checks.append(CheckResult("ising lnZ vs enumeration (relative)", dev_lnz, 1e-12))
     checks.append(CheckResult("ising <H_J>, <H_h> vs enumeration", dev_avg, 1e-12))
 
@@ -164,24 +165,11 @@ def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig()) -> list[C
     dev_hf = _max_abs((table.df_dlambda - direct) / np.maximum(1.0, np.abs(direct)))
     checks.append(CheckResult("ising dF/dlam vs H1_direct over sweep", dev_hf, 1e-6))
 
-    cold = EnsemblePoint.from_temperature(0.1)
-    hj, hh = (x / base.n_spins for x in _ising_hf_terms(base, cold, config))
-    e = base.potentials(1.0, cold, h1=False).energy / base.n_spins
-    checks.append(CheckResult("ising low-T <H_J>/N -> -J", abs(hj + 2.0), 0.01))
-    checks.append(CheckResult("ising low-T <H_h>/N -> -h", abs(hh + 1.0), 0.01))
-    checks.append(CheckResult("ising low-T E/N -> -(J+h)", abs(e + 3.0), 0.01))
-
-    # the transfer lnZ at +h against the enumeration at -h: ising_transfer
-    # takes |h| itself, so its own lnZ at -h would be the same bits
-    dev_sym = 0.0
-    for _ in range(20):
-        j = float(rng.uniform(-2.0, 2.0))
-        h = float(rng.uniform(0.0, 2.0))
-        n = int(rng.integers(2, 13))
-        beta = float(rng.uniform(0.1, 2.0))
-        lz_p = IsingChain(j, h, n).potentials(1.0, EnsemblePoint(beta=beta), h1=False).ln_z
-        lz_m, _, _ = ising_enumerate(n, j, -h, beta)
-        dev_sym = max(dev_sym, abs(lz_p - lz_m))
+    # the grid's first row, T = 0.1
+    cold_hj, cold_hh, cold_e = (x[0] / base.n_spins for x in (hj, hh, table.energy))
+    checks.append(CheckResult("ising low-T <H_J>/N -> -J", abs(cold_hj + 2.0), 0.01))
+    checks.append(CheckResult("ising low-T <H_h>/N -> -h", abs(cold_hh + 1.0), 0.01))
+    checks.append(CheckResult("ising low-T E/N -> -(J+h)", abs(cold_e + 3.0), 0.01))
     checks.append(CheckResult("ising lnZ even in h", dev_sym, 1e-13))
 
     t_hot = 100.0 * max(base.coupling_j, base.field_h)
@@ -208,7 +196,8 @@ def verify_lipkin(n_oracle: int = 8, config: DiffConfig = DiffConfig()) -> list[
     checks.append(CheckResult("lipkin weighted dimension = 2^N (N<=64)", float(dev_dim), 0.0))
 
     model_oracle = LipkinModel(n_particles=n_oracle, epsilon=1.0, v_coupling=3.0)
-    block = lipkin_spectrum(model_oracle)
+    # the lam = 1 levels the printed rows come from
+    block, _ = lipkin_levels_with_h1(model_oracle)
     fock = lipkin_fock(model_oracle)
     expanded = np.repeat(block.energies, block.degeneracies)
     dev_levels = float(np.max(np.abs(expanded - fock.energies)))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shlex
 from dataclasses import replace
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermohf import cli, verify
+from thermohf import Spectrum, cli, verify
 from thermohf.cli import main
 from thermohf.models import ising
 from thermohf.sweep import CSV_HEADER, rows_to_csv
@@ -412,13 +413,14 @@ class TestVerifyCommand:
 
     def test_ising_even_in_h_sees_a_transfer_without_field(self, monkeypatch, capsys):
         # lnZ of a transfer that drops h' is even in h, wrongly; the check
-        # compares it with the enumeration at -h, so it fails
-        transfer = ising.ising_transfer
+        # compares the oracle chains' transfer lnZ with the enumeration at
+        # -h, so it fails
+        transfer = verify.ising_transfer
 
         def without_field(n, coupling, field, beta):
             return transfer(n, coupling, 0.0 * field, beta)
 
-        monkeypatch.setattr(ising, "ising_transfer", without_field)
+        monkeypatch.setattr(verify, "ising_transfer", without_field)
         code, out, _ = run(["verify", "--scope", "ising"], capsys)
         assert code == 1
         assert "FAIL  ising lnZ even in h: " in out
@@ -438,6 +440,20 @@ class TestVerifyCommand:
         assert "FAIL  ising dF/dlam vs H1_direct over sweep: " in out
         assert "8/9 checks passed" in out
 
+    def test_shifted_levels_fail_the_fock_spectrum_check(self, monkeypatch, capsys):
+        # the Fock oracle is compared with the lam = 1 levels the printed
+        # Lipkin rows come from; shifting those by 1e-6 shows there
+        levels_with_h1 = verify.lipkin_levels_with_h1
+
+        def shifted(model, lam=1.0):
+            spectrum, h1 = levels_with_h1(model, lam)
+            return Spectrum(spectrum.energies + 1e-6, spectrum.degeneracies), h1
+
+        monkeypatch.setattr(verify, "lipkin_levels_with_h1", shifted)
+        code, out, _ = run(["verify", "--scope", "lipkin"], capsys)
+        assert code == 1
+        assert "FAIL  lipkin block vs Fock spectrum (N=8): " in out
+
     def test_lowered_pads_fail_the_pad_check(self, monkeypatch, capsys):
         # pads below a sector's levels would take their place among its
         # lowest eigenvalues; the stacks stay symmetric and well solved
@@ -455,6 +471,66 @@ class TestVerifyCommand:
         assert "FAIL  eigensolver sector levels below pads: " in out
         assert "PASS  eigensolver residual / ||A||_F: " in out
         assert "9/10 checks passed" in out
+
+
+class TestCheckNames:
+    """`--tolerance NAME` matches these names, so their order and text are
+    pinned; the T of the dE/dlam minimum is matched by pattern."""
+
+    HO = [
+        "ho closed-form F agreement",
+        "ho closed-form E agreement",
+        "ho closed-form S agreement",
+        "ho dF/dlam vs potential average",
+        "ho dS/dlam vs closed form",
+        "ho virial <x^2/2> = E/2",
+        "ho low-T potential average -> 1/4",
+        "ho high-T dF/dlam -> T/2",
+        "ho high-T dS/dlam -> -1/2",
+        "ho zero-T dE0/dlam = 1/4",
+    ]
+    ISING = [
+        "ising lnZ vs enumeration (relative)",
+        "ising <H_J>, <H_h> vs enumeration",
+        "ising <H_J> + <H_h> = E over sweep",
+        "ising dF/dlam vs H1_direct over sweep",
+        "ising low-T <H_J>/N -> -J",
+        "ising low-T <H_h>/N -> -h",
+        "ising low-T E/N -> -(J+h)",
+        "ising lnZ even in h",
+        "ising high-T E/N -> -(J^2+h^2)/T",
+    ]
+    LIPKIN = [
+        "lipkin weighted dimension = 2^N (N<=64)",
+        "lipkin block vs Fock spectrum (N=8)",
+        "lipkin block vs Fock lnZ (N=8)",
+        "lipkin dF/dlam vs direct <H1>",
+        "lipkin dS/dlam = -d<H1>/dT",
+        "lipkin dE/dlam minimum at T=<T> in [5, 20]",
+        "lipkin S(T=1e4) -> N ln 2",
+        "eigensolver residual / ||A||_F",
+        "eigensolver orthonormality",
+        "eigensolver sector levels below pads",
+    ]
+
+    @staticmethod
+    def printed_names(scope, capsys):
+        code, out, _ = run(["verify", "--scope", scope], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks passed"
+        names = [re.fullmatch(r"PASS  (.*): deviation \S+ \(tolerance \S+\)", line)[1]
+                 for line in lines[:-1]]
+        return [re.sub(r"(minimum at T=)\d+\.\d\d( in)", r"\1<T>\2", name) for name in names]
+
+    @pytest.mark.parametrize("scope", ["ho", "ising", "lipkin"])
+    def test_scope_names(self, scope, capsys):
+        assert self.printed_names(scope, capsys) == getattr(self, scope.upper())
+
+    def test_all_names(self, capsys):
+        names = self.printed_names("all", capsys)
+        assert len(names) == 29
+        assert names == self.HO + self.ISING + self.LIPKIN
 
 
 class TestParserReuse:

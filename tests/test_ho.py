@@ -50,6 +50,14 @@ class TestSpectrumConstruction:
         with pytest.raises(ValueError, match="n_max"):
             HarmonicOscillator(n_max=MAX_LEVELS + 1)
 
+    def test_rejects_non_integer_level_cap(self):
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            HarmonicOscillator(n_max=100.5)
+        point = EnsemblePoint.from_temperature(np.array([0.5, 2.0]))
+        numpy_capped = HarmonicOscillator(n_max=np.int64(100)).potentials(1.0, point)
+        assert np.array_equal(numpy_capped.energy,
+                              HarmonicOscillator(n_max=100).potentials(1.0, point).energy)
+
 
 class TestClosedForms:
     def test_energy_at_beta_one(self):
@@ -223,3 +231,9 @@ class TestPerTemperatureTruncation:
         point = EnsemblePoint.from_temperature(np.array([0.1, 10.0]))
         with pytest.raises(ValueError, match="coupling must be positive"):
             HarmonicOscillator().potentials(lam, point)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_potential_average_rejects_nonpositive_coupling(self, lam):
+        # unchecked, lam = 0 would give inf and lam = -1 a math domain error
+        with pytest.raises(ValueError, match="coupling must be positive"):
+            ho_potential_average(EnsemblePoint.from_temperature(1.0), lam)

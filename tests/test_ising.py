@@ -20,6 +20,14 @@ class TestParams:
         with pytest.raises(ValueError):
             IsingChain(coupling_j=math.inf)
 
+    def test_rejects_non_integer_size(self):
+        # the transfer formulas would give NaN potentials for 9.5 spins
+        with pytest.raises(ValueError, match="n_spins must be an integer"):
+            IsingChain(-1.0, 0.5, 9.5)
+        point = EnsemblePoint(beta=1.0)
+        assert (IsingChain(-1.0, 0.5, np.int64(9)).potentials(1.0, point)
+                == IsingChain(-1.0, 0.5, 9).potentials(1.0, point))
+
 
 class TestLogZ:
     def test_zero_field_closed_form(self):

@@ -339,6 +339,12 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             LipkinModel(0, 1.0, 1.0)
 
+    def test_rejects_non_integer_size(self):
+        with pytest.raises(ValueError, match="n_particles must be an integer"):
+            LipkinModel(7.5)
+        numpy_sized = lipkin_spectrum(LipkinModel(np.int64(7)))
+        assert np.array_equal(numpy_sized.energies, lipkin_spectrum(LipkinModel(7)).energies)
+
     def test_rejects_nonpositive_splitting(self):
         with pytest.raises(ValueError):
             LipkinModel(4, 0.0, 1.0)
