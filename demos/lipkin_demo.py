@@ -12,7 +12,7 @@ the same grid.
 import numpy as np
 
 from thermohf import EnsemblePoint, potentials
-from thermohf.models.lipkin import LipkinModel, lipkin_spectrum, multiplicity
+from thermohf.models.lipkin import LipkinModel, lipkin_levels, multiplicity
 from thermohf.numdiff import central_diff
 from thermohf.sweep import sweep, temperature_grid
 
@@ -49,7 +49,7 @@ def main():
 
     # Thermodynamic limits: the entropy saturates at N ln 2 once T dwarfs
     # every level spacing, and dE/dlam dips at intermediate temperature.
-    s_hot = potentials(lipkin_spectrum(model),
+    s_hot = potentials(lipkin_levels(model, h1=False)[0],
                        EnsemblePoint.from_temperature(1e4)).entropy
     print(f"S(T=1e4) = {s_hot:.6f}   (N ln 2 = {10 * np.log(2):.6f})")
 

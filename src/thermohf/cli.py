@@ -99,6 +99,13 @@ def _tolerance_override(item: str) -> tuple[str, float]:
     return name, tolerance
 
 
+def _add_diff_flags(parser: argparse.ArgumentParser):
+    parser.add_argument("--lambda-step", type=float, default=DiffConfig.relative_step,
+                        help="relative step of the coupling derivatives")
+    parser.add_argument("--richardson", type=int, default=DiffConfig.richardson_levels,
+                        help="Richardson extrapolation levels (1-5)")
+
+
 def _add_sweep_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--model", choices=tuple(_MODELS))
     parser.add_argument("--t-min", type=float)
@@ -110,10 +117,7 @@ def _add_sweep_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--N", type=int, help="particle / spin count")
     parser.add_argument("--epsilon", type=float, help="Lipkin level splitting")
     parser.add_argument("--V", type=float, help="Lipkin interaction strength")
-    parser.add_argument("--lambda-step", type=float, default=DiffConfig.relative_step,
-                        help="relative step of the coupling derivatives")
-    parser.add_argument("--richardson", type=int, default=DiffConfig.richardson_levels,
-                        help="Richardson extrapolation levels (1-5)")
+    _add_diff_flags(parser)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--config", help="flat key/value config file")
@@ -141,8 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--scope", choices=("all", "ho", "ising", "lipkin"),
                         default="all")
     verify.add_argument("--N", type=int, help="system size for the oracles")
-    verify.add_argument("--lambda-step", type=float, default=DiffConfig.relative_step)
-    verify.add_argument("--richardson", type=int, default=DiffConfig.richardson_levels)
+    _add_diff_flags(verify)
     verify.add_argument("--tolerance", action="append", default=[],
                         type=_tolerance_override, metavar="NAME=VALUE",
                         help="override the tolerance of checks whose name "

@@ -11,11 +11,11 @@ per-level multiplicities and their logarithms, kept read-only on the model),
 and diagonalized by one stacked LAPACK call per batch: each sector is padded
 to the batch's largest with decoupled diagonal entries above the batch's
 Gershgorin bound, so its eigenvalues come out bit for bit as from its own
-call. A batch holds at most _BATCH_ELEMENTS matrix elements. Both solvers
-walk the same padded stacks: ``lipkin_levels_with_h1`` calls ``eigh``, and
+call. A batch holds at most _BATCH_ELEMENTS matrix elements. One loop,
+``lipkin_levels``, walks the padded stacks: with h1 it calls ``eigh``, and
 each eigenvector's <H1> is 2 sum_i o_i v_i v_i+1 over the sector's
-off-diagonal o, O(n) per vector; ``lipkin_spectrum`` calls ``eigvalsh`` and
-forms no eigenvectors.
+off-diagonal o, O(n) per vector; without, it calls ``eigvalsh`` and forms
+no eigenvectors.
 
 Half-integer j is carried as twice-j integers so all bookkeeping is exact.
 Multiplicities stay exact integers at any N: int64 while they fit, Python
@@ -34,14 +34,9 @@ import numpy as np
 
 from ..ensemble import EnsemblePoint, Spectrum, ThermoPotentials, potentials
 
-__all__ = [
-    "LipkinModel",
-    "multiplicity",
-    "lipkin_spectrum",
-    "lipkin_levels_with_h1",
-]
+__all__ = ["LipkinModel", "multiplicity", "lipkin_levels"]
 
-# Most matrix elements in one stacked eigh; bounds its memory at large N.
+# Most matrix elements in one stacked LAPACK call; bounds its memory at large N.
 _BATCH_ELEMENTS = 2**18
 
 
@@ -196,16 +191,6 @@ def _padded_stack(batch: _Batch, lam: float) -> np.ndarray:
     return stack
 
 
-def _sorted_spectrum(layout: _SectorLayout, energies: np.ndarray):
-    """(Spectrum, order): sector levels sorted ascending, stable, so ties keep
-    the sector order, each with its block multiplicity."""
-    order = energies.argsort(kind="stable")
-    spectrum = Spectrum._from_valid_levels(
-        energies.take(order), layout.degeneracies.take(order), layout.log_degeneracies.take(order)
-    )
-    return spectrum, order
-
-
 @dataclass(frozen=True)
 class LipkinModel:
     """N particles on two levels split by epsilon, interacting with strength V."""
@@ -236,37 +221,34 @@ class LipkinModel:
         Boltzmann-averaged with the block multiplicities. With h1=False the
         result's h1 is None and the spectrum comes from eigenvalues alone.
         """
-        if not h1:
-            return potentials(lipkin_spectrum(self, lam), point)
-        spectrum, h1_values = lipkin_levels_with_h1(self, lam)
+        spectrum, h1_values = lipkin_levels(self, lam, h1=h1)
         return potentials(spectrum, point, h1_values)
 
 
-def lipkin_levels_with_h1(model: LipkinModel, lam: float = 1.0):
-    """(Spectrum, aligned per-level H1 expectations) over all blocks.
+def lipkin_levels(model: LipkinModel, lam: float = 1.0, *, h1: bool = True):
+    """(Spectrum, aligned per-level <H1> or None) of H(lam) over all blocks;
+    the weighted dimension is 2^N.
 
     Each sector eigenvalue enters once with its block's multiplicity as the
-    degeneracy; levels are globally sorted ascending (stable, so ties keep
-    the sector order). One stacked eigh per batch; the eigenvalues within a
-    sector are simple (nonzero off-diagonal), so each eigenvector's
-    <v|H1|v> = 2 sum_i o_i v_i v_i+1 is basis independent.
+    degeneracy; levels are sorted ascending (stable, so ties keep the sector
+    order). With h1, eigh's eigenvectors give <v|H1|v>, basis independent as
+    a sector's eigenvalues are simple (nonzero off-diagonal); without,
+    eigvalsh's levels may differ from eigh's by rounding.
     """
+    layout = model._layout
     energies, h1_values = [], []
-    for batch in model._layout.batches:
-        values, vectors = np.linalg.eigh(_padded_stack(batch, lam))
+    for batch in layout.batches:
+        stack = _padded_stack(batch, lam)
+        if h1:
+            values, vectors = np.linalg.eigh(stack)
+            h1_values.append(2 * np.einsum("si,sij,sij->sj", batch.off, vectors[:, :-1],
+                                           vectors[:, 1:])[batch.rows])
+        else:
+            values = np.linalg.eigvalsh(stack)
         energies.append(values[batch.rows])
-        h1_values.append(2 * np.einsum("si,sij,sij->sj", batch.off, vectors[:, :-1],
-                                       vectors[:, 1:])[batch.rows])
-    spectrum, order = _sorted_spectrum(model._layout, np.concatenate(energies))
-    return spectrum, np.concatenate(h1_values).take(order)
-
-
-def lipkin_spectrum(model: LipkinModel, lam: float = 1.0) -> Spectrum:
-    """Multiplicity-weighted spectrum of H(lam); weighted dimension is 2^N.
-
-    The levels of lipkin_levels_with_h1, from eigenvalues alone (one stacked
-    eigvalsh per batch), so they may differ from its levels by rounding.
-    """
-    energies = [np.linalg.eigvalsh(_padded_stack(batch, lam))[batch.rows]
-                for batch in model._layout.batches]
-    return _sorted_spectrum(model._layout, np.concatenate(energies))[0]
+    energies = np.concatenate(energies)
+    order = energies.argsort(kind="stable")
+    spectrum = Spectrum._from_valid_levels(
+        energies.take(order), layout.degeneracies.take(order), layout.log_degeneracies.take(order)
+    )
+    return spectrum, np.concatenate(h1_values).take(order) if h1 else None

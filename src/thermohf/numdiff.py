@@ -7,6 +7,7 @@ for temperature derivatives of thermal averages.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ class DiffConfig:
     def __post_init__(self):
         if not (1e-12 < self.relative_step < 1e-1):
             raise ValueError(f"relative_step out of range: {self.relative_step}")
+        if not isinstance(self.richardson_levels, numbers.Integral):
+            raise ValueError(f"richardson_levels must be an integer: {self.richardson_levels!r}")
         if not (1 <= self.richardson_levels <= 5):
             raise ValueError(f"richardson_levels out of range: {self.richardson_levels}")
 

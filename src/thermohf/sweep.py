@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -49,6 +50,8 @@ def temperature_grid(t_min: float, t_max: float, steps: int, kind: str = "linear
         raise ValueError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
     if math.isinf(1.0 / float(t_min)):
         raise ValueError(f"need a t_min whose 1/t_min is a finite float, got {t_min}")
+    if not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 2:
         raise ValueError(f"need at least 2 grid points, got {steps}")
     if steps > MAX_GRID_POINTS:

@@ -32,7 +32,7 @@ from .models.ising import IsingChain, ising_transfer
 from .models.lipkin import (
     LipkinModel,
     _padded_stack,
-    lipkin_levels_with_h1,
+    lipkin_levels,
     multiplicity,
 )
 from .numdiff import DiffConfig, central_diff
@@ -197,7 +197,7 @@ def verify_lipkin(n_oracle: int = 8, config: DiffConfig = DiffConfig()) -> list[
 
     model_oracle = LipkinModel(n_particles=n_oracle, epsilon=1.0, v_coupling=3.0)
     # the lam = 1 levels the printed rows come from
-    block, _ = lipkin_levels_with_h1(model_oracle)
+    block, _ = lipkin_levels(model_oracle)
     fock = lipkin_fock(model_oracle)
     expanded = np.repeat(block.energies, block.degeneracies)
     dev_levels = float(np.max(np.abs(expanded - fock.energies)))
@@ -217,7 +217,7 @@ def verify_lipkin(n_oracle: int = 8, config: DiffConfig = DiffConfig()) -> list[
     dev_hf = float(np.max(np.abs(table.df_dlambda - direct) / np.maximum(1.0, np.abs(direct))))
     # the lam = 1 eigensystem of model.potentials(1.0, ...), built once for
     # the corollary's temperature abscissae and the high-T entropy
-    spectrum, h1 = lipkin_levels_with_h1(model)
+    spectrum, h1 = lipkin_levels(model)
     dh1_dt, _ = central_diff(
         lambda temps: potentials(spectrum, EnsemblePoint.from_temperature(temps), h1).h1,
         t_grid, config,
@@ -241,8 +241,8 @@ def verify_lipkin(n_oracle: int = 8, config: DiffConfig = DiffConfig()) -> list[
         "lipkin S(T=1e4) -> N ln 2", abs(s_hot - model.n_particles * math.log(2)), 1e-3
     ))
 
-    # the padded stacks lipkin_levels_with_h1 solves at lam = 1, for the
-    # model above and for N = 200, which takes several batches
+    # the padded stacks lipkin_levels solves at lam = 1, for the model
+    # above and for N = 200, which takes several batches
     dev_res = 0.0
     dev_orth = 0.0
     above_pads = 0

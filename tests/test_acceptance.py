@@ -26,7 +26,7 @@ from thermohf.models.ho import (
 from thermohf.models.ising import IsingChain
 from thermohf.models.lipkin import (
     LipkinModel,
-    lipkin_spectrum,
+    lipkin_levels,
     multiplicity,
 )
 from thermohf.oracles import ising_enumerate, lipkin_fock
@@ -153,7 +153,7 @@ def test_criterion_4_ising_hf_decomposition():
 def test_criterion_5_lipkin_fock_cross_validation():
     start = time.perf_counter()
     model = LipkinModel(8, 1.0, 3.0)
-    block = lipkin_spectrum(model)
+    block, _ = lipkin_levels(model, h1=False)
     fock = lipkin_fock(model)
     expanded = np.repeat(block.energies, block.degeneracies)
     dev_levels = float(np.max(np.abs(expanded - fock.energies)))
@@ -203,7 +203,7 @@ def test_criterion_7_lipkin_entropy_corollary():
 def test_criterion_8_lipkin_limits():
     model = LipkinModel(10, 1.0, 3.0)
     s_hot = potentials(
-        lipkin_spectrum(model), EnsemblePoint.from_temperature(1e4)
+        lipkin_levels(model, h1=False)[0], EnsemblePoint.from_temperature(1e4)
     ).entropy
     ok_entropy = abs(s_hot - 10 * math.log(2)) <= 1e-3
 

@@ -443,13 +443,13 @@ class TestVerifyCommand:
     def test_shifted_levels_fail_the_fock_spectrum_check(self, monkeypatch, capsys):
         # the Fock oracle is compared with the lam = 1 levels the printed
         # Lipkin rows come from; shifting those by 1e-6 shows there
-        levels_with_h1 = verify.lipkin_levels_with_h1
+        levels = verify.lipkin_levels
 
-        def shifted(model, lam=1.0):
-            spectrum, h1 = levels_with_h1(model, lam)
-            return Spectrum(spectrum.energies + 1e-6, spectrum.degeneracies), h1
+        def shifted(model, lam=1.0, *, h1=True):
+            spectrum, h1_values = levels(model, lam, h1=h1)
+            return Spectrum(spectrum.energies + 1e-6, spectrum.degeneracies), h1_values
 
-        monkeypatch.setattr(verify, "lipkin_levels_with_h1", shifted)
+        monkeypatch.setattr(verify, "lipkin_levels", shifted)
         code, out, _ = run(["verify", "--scope", "lipkin"], capsys)
         assert code == 1
         assert "FAIL  lipkin block vs Fock spectrum (N=8): " in out

@@ -1,7 +1,7 @@
 """Accuracy of the dense symmetric eigensolver, numpy's LAPACK ``eigh``.
 
 The Lipkin model diagonalizes its stacked parity sectors with it, so the
-block-shaped cases go through ``lipkin_levels_with_h1`` itself.
+block-shaped cases go through ``lipkin_levels`` itself.
 """
 
 import math
@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from thermohf.models.lipkin import LipkinModel, lipkin_levels_with_h1
+from thermohf.models.lipkin import LipkinModel, lipkin_levels
 
 
 def random_symmetric(rng, order):
@@ -31,7 +31,7 @@ class TestEigh:
         # N = 2: the j = 0 singlet at 0, and the j = 1 block, whose m = -1, +1
         # sector is diag (-1, 1) with off-diagonal -3, eigenvalues -+sqrt(10);
         # its m = 0 sector stays at 0
-        spectrum, h1_values = lipkin_levels_with_h1(LipkinModel(2, 1.0, 3.0), 1.0)
+        spectrum, h1_values = lipkin_levels(LipkinModel(2, 1.0, 3.0), 1.0)
         root = math.sqrt(10.0)
         assert spectrum.energies == pytest.approx([-root, 0.0, 0.0, root], abs=1e-13)
         assert h1_values.sum() == pytest.approx(0.0, abs=1e-13)  # trace of H1
@@ -46,7 +46,7 @@ class TestEigh:
         d1 = np.linalg.eigh(m)
         d2 = np.linalg.eigh(m)
         assert all(np.array_equal(x, y) for x, y in zip(d1, d2))
-        (s1, h1), (s2, h2) = (lipkin_levels_with_h1(LipkinModel(24, 1.0, 3.0), 1.0)
+        (s1, h1), (s2, h2) = (lipkin_levels(LipkinModel(24, 1.0, 3.0), 1.0)
                               for _ in range(2))
         assert np.array_equal(s1.energies, s2.energies)
         assert np.array_equal(s1.degeneracies, s2.degeneracies)

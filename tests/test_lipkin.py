@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from thermohf import EnsemblePoint, central_diff, potentials
+from thermohf import DiffConfig, EnsemblePoint, central_diff, potentials
 from thermohf.cli import main as cli_main
 from thermohf.models import lipkin
 from thermohf.models.lipkin import (
     LipkinModel,
-    lipkin_levels_with_h1,
-    lipkin_spectrum,
+    lipkin_levels,
     multiplicity,
 )
 from thermohf.sweep import sweep, temperature_grid
@@ -71,25 +70,25 @@ class TestBlocks:
 
 class TestSpectrum:
     def test_single_particle(self):
-        s = lipkin_spectrum(LipkinModel(1, 1.0, 3.0))
+        s, _ = lipkin_levels(LipkinModel(1, 1.0, 3.0), h1=False)
         assert np.allclose(s.energies, [-0.5, 0.5])
         assert np.array_equal(s.degeneracies, [1, 1])
 
     def test_two_particles(self):
-        s = lipkin_spectrum(LipkinModel(2, 1.0, 3.0))
+        s, _ = lipkin_levels(LipkinModel(2, 1.0, 3.0), h1=False)
         root = math.sqrt(10.0)
         assert s.energies == pytest.approx([-root, 0.0, 0.0, root], abs=1e-13)
         assert np.array_equal(s.degeneracies, [1, 1, 1, 1])
 
     def test_weighted_dimension(self):
         for n in (3, 6, 10):
-            s = lipkin_spectrum(LipkinModel(n, 1.0, 3.0))
+            s, _ = lipkin_levels(LipkinModel(n, 1.0, 3.0), h1=False)
             assert sum(s.degeneracies.tolist()) == 2**n
 
     @pytest.mark.parametrize("n", [63, 64, 70, 200])
     def test_multiplicities_beyond_int64(self, n, capsys):
         # from N = 63 the exact multiplicities and their sum outgrow int64
-        degeneracies = lipkin_spectrum(LipkinModel(n, 1.0, 3.0)).degeneracies
+        degeneracies = lipkin_levels(LipkinModel(n, 1.0, 3.0), h1=False)[0].degeneracies
         assert sum(degeneracies.tolist()) == 2**n
         code = cli_main(["sweep", "--model", "lipkin", "--N", str(n), "--t-steps", "5"])
         out = capsys.readouterr().out
@@ -99,12 +98,12 @@ class TestSpectrum:
         assert np.all(np.isfinite(rows))
 
     def test_no_interaction_symmetric_about_zero(self):
-        s = lipkin_spectrum(LipkinModel(7, 1.0, 0.0))
+        s, _ = lipkin_levels(LipkinModel(7, 1.0, 0.0), h1=False)
         expanded = np.repeat(s.energies, s.degeneracies)
         assert np.allclose(np.sort(-expanded), np.sort(expanded))
 
     def test_negating_splitting_negates_levels(self):
-        up = lipkin_spectrum(LipkinModel(6, 1.0, 2.0))
+        up, _ = lipkin_levels(LipkinModel(6, 1.0, 2.0), h1=False)
         down_block = [
             build_block(two_j, -1.0, 2.0) for two_j in range(0, 7, 2)
         ]  # epsilon < 0 rejected by the model type, compare block spectra directly
@@ -183,12 +182,13 @@ def sector_loop_cases(n):
 
 
 def assert_matches_sector_loop(model: LipkinModel, lam: float):
-    spectrum, h1 = lipkin_levels_with_h1(model, lam)
+    spectrum, h1 = lipkin_levels(model, lam)
     energies, degeneracies, h1_ref = reference_levels_with_h1(model, lam)
     assert np.array_equal(spectrum.energies, energies)
     assert np.array_equal(spectrum.degeneracies, degeneracies)
     assert np.max(np.abs(h1 - h1_ref)) <= 1e-14 * max(1.0, np.max(np.abs(h1_ref)))
-    values_only = lipkin_spectrum(model, lam)
+    values_only, no_h1 = lipkin_levels(model, lam, h1=False)
+    assert no_h1 is None
     energies, degeneracies = reference_eigenvalues(model, lam)
     assert np.array_equal(values_only.energies, energies)
     assert np.array_equal(values_only.degeneracies, degeneracies)
@@ -233,12 +233,12 @@ class TestStackedSectors:
 
     def test_one_eigh_per_spectrum(self, monkeypatch):
         stacks = self.count_eigh(monkeypatch)
-        lipkin_levels_with_h1(LipkinModel(37, 1.0, 3.0), 1.0)
+        lipkin_levels(LipkinModel(37, 1.0, 3.0), 1.0)
         assert stacks == [(38, 19, 19)]
 
     def test_batches_within_element_budget(self, monkeypatch):
         stacks = self.count_eigh(monkeypatch)
-        spectrum, _ = lipkin_levels_with_h1(LipkinModel(400, 1.0, 3.0), 1.0)
+        spectrum, _ = lipkin_levels(LipkinModel(400, 1.0, 3.0), 1.0)
         assert len(stacks) > 1
         assert all(math.prod(shape) <= lipkin._BATCH_ELEMENTS for shape in stacks)
         assert sum(shape[0] for shape in stacks) == 2 * 201  # every sector once
@@ -246,16 +246,16 @@ class TestStackedSectors:
 
 
 class TestEigenvalueSpectrum:
-    """lipkin_spectrum against the eigh levels, and the spectra a sweep
-    builds from the model's cached sector layout."""
+    """lipkin_levels' eigvalsh levels against its eigh levels, and the
+    spectra a sweep builds from the model's cached sector layout."""
 
     @pytest.mark.parametrize("n", [*range(1, 81, 3), 150, 260])
     def test_agrees_with_eigh_levels(self, n):
         # measured over these cases and all N up to 80: at most 4.4e-15 of
         # the largest |E|; the bound leaves a margin of 2.3
         for model, lam in sector_loop_cases(n):
-            levels, _ = lipkin_levels_with_h1(model, lam)
-            energies = lipkin_spectrum(model, lam).energies
+            levels, _ = lipkin_levels(model, lam)
+            energies = lipkin_levels(model, lam, h1=False)[0].energies
             assert np.max(np.abs(energies - levels.energies)) <= 1e-14 * np.max(
                 np.abs(levels.energies))
 
@@ -270,12 +270,38 @@ class TestEigenvalueSpectrum:
         sweep(LipkinModel(37, 1.0, 3.0), temperature_grid(0.1, 100.0, 200, "geometric"))
         assert sorted(calls) == ["eigh"] + ["eigvalsh"] * 4
 
+    def test_sweep_one_solve_per_batch_and_abscissa(self, monkeypatch):
+        # N = 200 takes four batches: the lam = 1 row solves each with eigh,
+        # each of the four derivative abscissae with eigvalsh, once
+        model = LipkinModel(200, 1.0, 3.0)
+        batches = model._layout.batches
+        assert len(batches) == 4
+        step = DiffConfig().relative_step
+        lams = (1.0, 1.0 + step, 1.0 - step, 1.0 + step / 2, 1.0 - step / 2)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(a, _name=name, _solve=getattr(np.linalg, name)):
+                calls.append((_name, a))
+                return _solve(a)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        sweep(model, temperature_grid(0.1, 100.0, 20, "geometric"))
+        # each solved stack is the padded stack of one (batch, lam)
+        stacks = {(b, lam): lipkin._padded_stack(batch, lam)
+                  for b, batch in enumerate(batches) for lam in lams}
+        solved = [(name, *key) for name, stack in calls for key, padded in stacks.items()
+                  if np.array_equal(stack, padded)]
+        expected = [("eigh", b, 1.0) for b in range(4)]
+        expected += [("eigvalsh", b, lam) for lam in lams[1:] for b in range(4)]
+        assert len(calls) == len(solved) == 20
+        assert sorted(solved) == sorted(expected)
+
     def test_layout_built_once_and_read_only(self, monkeypatch):
         model = LipkinModel(37, 1.0, 3.0)
-        lipkin_spectrum(model, 1.0)
+        lipkin_levels(model, 1.0, h1=False)
         monkeypatch.setattr(lipkin, "_sectors", None)  # a rebuild would fail
-        levels, _ = lipkin_levels_with_h1(model, 1.0 + 1e-5)
-        spectrum = lipkin_spectrum(model, 1.0 - 1e-5)
+        levels, _ = lipkin_levels(model, 1.0 + 1e-5)
+        spectrum, _ = lipkin_levels(model, 1.0 - 1e-5, h1=False)
         layout = model._layout
         batches = [array for batch in layout.batches for array in batch[:4]]
         for array in (*batches, *layout[1:], *vars(levels).values(), *vars(spectrum).values()):
@@ -294,7 +320,7 @@ class TestDirectAverage:
         # low-lying parity doublets converge slowly, so go well below the gap
         cold = model.potentials(1.0, EnsemblePoint.from_temperature(0.005)).h1
         ground, _ = central_diff(
-            lambda lam: float(lipkin_spectrum(model, lam).energies[0]), 1.0
+            lambda lam: float(lipkin_levels(model, lam, h1=False)[0].energies[0]), 1.0
         )  # dE0/dlam at lam = 1
         assert cold == pytest.approx(ground, abs=1e-4)
 
@@ -302,8 +328,9 @@ class TestDirectAverage:
     def test_per_level_h1_is_level_slope(self, n, v):
         # T = 0 Hellmann-Feynman theorem: <n|H1|n> = dE_n/dlam for every level
         model = LipkinModel(n, 1.0, v)
-        _, h1 = lipkin_levels_with_h1(model, 1.0)
-        slope, _ = central_diff(lambda lam: lipkin_spectrum(model, lam).energies, 1.0)
+        _, h1 = lipkin_levels(model, 1.0)
+        slope, _ = central_diff(
+            lambda lam: lipkin_levels(model, lam, h1=False)[0].energies, 1.0)
         assert np.max(np.abs(slope - h1) / np.maximum(1.0, np.abs(h1))) <= 1e-7
 
     def test_matches_free_energy_derivative(self):
@@ -323,7 +350,7 @@ class TestDirectAverage:
         model = LipkinModel(10, 1.0, 3.0)
         t_hot = 1e4 * max(model.epsilon, model.v_coupling * model.n_particles)
         point = EnsemblePoint.from_temperature(t_hot)
-        spectrum, _ = lipkin_levels_with_h1(model)
+        spectrum, _ = lipkin_levels(model)
         pots = potentials(spectrum, point)
         assert pots.entropy == pytest.approx(10 * math.log(2), abs=1e-3)
         # occupations uniform to 1e-3 relative
@@ -342,8 +369,9 @@ class TestModelValidation:
     def test_rejects_non_integer_size(self):
         with pytest.raises(ValueError, match="n_particles must be an integer"):
             LipkinModel(7.5)
-        numpy_sized = lipkin_spectrum(LipkinModel(np.int64(7)))
-        assert np.array_equal(numpy_sized.energies, lipkin_spectrum(LipkinModel(7)).energies)
+        numpy_sized, _ = lipkin_levels(LipkinModel(np.int64(7)), h1=False)
+        assert np.array_equal(numpy_sized.energies,
+                              lipkin_levels(LipkinModel(7), h1=False)[0].energies)
 
     def test_rejects_nonpositive_splitting(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,16 @@ class TestDiffConfig:
         with pytest.raises(ValueError):
             DiffConfig(richardson_levels=levels)
 
+    @pytest.mark.parametrize("levels", [2.0, 2.5, "2"])
+    def test_rejects_non_integer_levels(self, levels):
+        with pytest.raises(ValueError, match="richardson_levels must be an integer"):
+            DiffConfig(1e-5, levels)
+
+    def test_accepts_numpy_integer_levels(self):
+        config = DiffConfig(1e-5, np.int64(3))
+        value, _ = central_diff(np.exp, 0.0, config)
+        assert value == central_diff(np.exp, 0.0, DiffConfig(1e-5, 3))[0]
+
 
 class TestCentralDiff:
     def test_quadratic(self):

@@ -5,7 +5,7 @@ import pytest
 
 from thermohf import EnsemblePoint, potentials
 from thermohf.models.ising import IsingChain
-from thermohf.models.lipkin import LipkinModel, lipkin_spectrum
+from thermohf.models.lipkin import LipkinModel, lipkin_levels
 from thermohf.oracles import ising_enumerate, lipkin_fock
 
 
@@ -86,14 +86,14 @@ class TestLipkinFock:
     @pytest.mark.parametrize("n,v,lam", [(3, 2.0, 1.0), (4, 3.0, 0.8), (6, 1.5, 1.2)])
     def test_matches_block_spectrum(self, n, v, lam):
         model = LipkinModel(n, 1.0, v)
-        block = lipkin_spectrum(model, lam)
+        block, _ = lipkin_levels(model, lam, h1=False)
         fock = lipkin_fock(model, lam)
         expanded = np.repeat(block.energies, block.degeneracies)
         assert fock.energies == pytest.approx(expanded, abs=1e-9)
 
     def test_log_partition_agreement(self):
         model = LipkinModel(6, 1.0, 3.0)
-        block = lipkin_spectrum(model)
+        block, _ = lipkin_levels(model, h1=False)
         fock = lipkin_fock(model)
         for beta in np.geomspace(0.05, 20.0, 8):
             point = EnsemblePoint(beta=float(beta))

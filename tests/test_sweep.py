@@ -45,6 +45,15 @@ class TestTemperatureGrid:
         with pytest.raises(ValueError):
             temperature_grid(1.0, 2.0, 1)
 
+    @pytest.mark.parametrize("steps", [3.0, 2.5, "3"])
+    def test_rejects_non_integer_steps(self, steps):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            temperature_grid(0.1, 1.0, steps)
+
+    def test_accepts_numpy_integer_steps(self):
+        assert np.array_equal(temperature_grid(0.1, 1.0, np.int32(3)),
+                              temperature_grid(0.1, 1.0, 3))
+
     def test_reciprocal_of_t_min_must_be_finite(self):
         # the smallest t_min whose 1/t_min is finite, and the float below it
         assert 1.0 / temperature_grid(5.56268464626801e-309, 1.0, 2)[0] < math.inf
@@ -99,19 +108,20 @@ class TestSweeps:
 
     def test_lipkin_one_spectrum_per_coupling(self, monkeypatch):
         calls = []
-        for name in ("lipkin_levels_with_h1", "lipkin_spectrum"):
-            def counted(model, lam, _name=name, _build=getattr(lipkin, name)):
-                calls.append((_name, lam))
-                return _build(model, lam)
+        levels = lipkin.lipkin_levels
 
-            monkeypatch.setattr(lipkin, name, counted)
+        def counted(model, lam=1.0, *, h1=True):
+            calls.append((lam, h1))
+            return levels(model, lam, h1=h1)
+
+        monkeypatch.setattr(lipkin, "lipkin_levels", counted)
         sweep(LipkinModel(12, 1.0, 3.0), temperature_grid(0.1, 100.0, 50, "geometric"))
         # lam = 1 once with <H1>, plus two eigenvalue-only abscissae per
         # Richardson level, each lam once
         assert len(calls) == 1 + 2 * DiffConfig().richardson_levels
-        assert calls[0] == ("lipkin_levels_with_h1", 1.0)
-        assert all(name == "lipkin_spectrum" for name, _ in calls[1:])
-        assert len({lam for _, lam in calls}) == len(calls)
+        assert calls[0] == (1.0, True)
+        assert all(h1 is False for _, h1 in calls[1:])
+        assert len({lam for lam, _ in calls}) == len(calls)
 
     @pytest.mark.parametrize("model,t_grid", [
         (HarmonicOscillator(n_max=1600), temperature_grid(0.02, 40.0, 2000)),
@@ -197,11 +207,11 @@ class TestPotentialsWithoutH1:
         model = LipkinModel(n, 1.0, v)
         full = model.potentials(lam, self.POINT)
         bare = model.potentials(lam, self.POINT, h1=False)
-        engine = potentials(lipkin.lipkin_spectrum(model, lam), self.POINT)
+        engine = potentials(lipkin.lipkin_levels(model, lam, h1=False)[0], self.POINT)
         assert full.h1 is not None and bare.h1 is None
         for name in ("ln_z", "free_energy", "energy", "entropy"):
             assert np.array_equal(getattr(bare, name), getattr(engine, name))
-        scale = np.max(np.abs(lipkin.lipkin_levels_with_h1(model, lam)[0].energies))
+        scale = np.max(np.abs(lipkin.lipkin_levels(model, lam)[0].energies))
         assert np.max(np.abs(bare.free_energy - full.free_energy)) <= 1e-14 * scale
         assert np.max(np.abs(bare.energy - full.energy)) <= 1e-14 * scale
 
