@@ -14,7 +14,6 @@ from thermohf.models.ho import (
     HarmonicOscillator,
     ho_closed_potentials,
     ho_entropy_lambda_derivative,
-    ho_potential_average,
     truncation_level,
 )
 from thermohf.sweep import sweep, temperature_grid
@@ -46,8 +45,8 @@ def main():
 
     # The two classic limits: <x^2/2> -> 1/4 as T -> 0 (zero-point motion)
     # and dF/dlam -> T/2 at high temperature (equipartition).
-    cold = ho_potential_average(EnsemblePoint.from_temperature(0.01))
-    hot = ho_potential_average(EnsemblePoint.from_temperature(100.0))
+    cold = ho_closed_potentials(1.0, EnsemblePoint.from_temperature(0.01)).h1
+    hot = ho_closed_potentials(1.0, EnsemblePoint.from_temperature(100.0)).h1
     print(f"<x^2/2> at T=0.01:  {cold:.6f}   (zero-point value 0.25)")
     print(f"<x^2/2> at T=100:   {hot:.4f}   (equipartition T/2 = 50)")
 

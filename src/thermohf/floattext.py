@@ -45,6 +45,8 @@ _DIGITS = 17
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for a 53-bit product
 # decimal exponents a finite normal value's 17 digits can have
 _EXP_MIN, _EXP_MAX = -308, 308
+# the scales s of N = |v|·10**s those need, one either side for log10's miss
+_S_MIN, _S_MAX = _DIGITS - 2 - _EXP_MAX, _DIGITS - _EXP_MIN
 # Layout forms: 21 fixed-point exponents -4..16, then four scientific ones
 # (exponent >= 0 or < 0, below 100 or not); a case is a form, a digit count
 # and a sign.
@@ -86,7 +88,6 @@ def _byte_rows(texts, width: int) -> np.ndarray:
     return np.frombuffer(padded.encode("ascii"), np.uint8).reshape(len(texts), width)
 
 
-@functools.lru_cache(maxsize=None)
 def _power_of_ten(s: int) -> tuple[float, float, int]:
     """(hi, lo, e) with (hi + lo)·2**e = 10**s to 2**-105 relative, hi in [1, 2]."""
     num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
@@ -95,6 +96,19 @@ def _power_of_ten(s: int) -> tuple[float, float, int]:
     top = m.bit_length() - 1
     hi = float(m)
     return hi / 2.0**top, float(m - int(hi)) / 2.0**top, top - shift
+
+
+@functools.cache
+def _power_table() -> tuple[np.ndarray, ...]:
+    """Read-only columns hi, lo, e of _power_of_ten(s) and hi's Dekker halves,
+    at index s - _S_MIN for every s in [_S_MIN, _S_MAX]."""
+    hi_t, lo_t, exp_t = np.array([_power_of_ten(s) for s in range(_S_MIN, _S_MAX + 1)]).T
+    big_t = hi_t * _SPLIT
+    big_t -= big_t - hi_t
+    table = (hi_t, lo_t, exp_t.astype(np.int32), big_t, hi_t - big_t)
+    for column in table:
+        column.setflags(write=False)
+    return table
 
 
 def _floor_and_fraction(m, exp2, s, table):
@@ -128,14 +142,9 @@ def _write(values, out, shortest: bool) -> None:
     if shortest:
         fast &= m != 0.5
 
-    # N = |v|·10**s in [1e16, 1e17); log10 may miss the exponent by one
-    s = (_DIGITS - 1) - np.floor(np.log10(a)).astype(np.int32)
-    base = int(s.min()) - 1
-    hi_t, lo_t, exp_t = np.array([_power_of_ten(x) for x in range(base, int(s.max()) + 2)]).T
-    big_t = hi_t * _SPLIT
-    big_t -= big_t - hi_t
-    table = (hi_t, lo_t, exp_t.astype(np.int32), big_t, hi_t - big_t)
-    s -= base
+    # N = |v|·10**s in [1e16, 1e17), s as its table index; log10 may miss by one
+    s = (_DIGITS - 1 - _S_MIN) - np.floor(np.log10(a)).astype(np.int32)
+    table = _power_table()
     n, frac = _floor_and_fraction(m, exp2, s, table)
     off = (n < 10**(_DIGITS - 1)).astype(np.int32) - (n >= 10**_DIGITS)
     redo = np.flatnonzero(off)
@@ -145,9 +154,9 @@ def _write(values, out, shortest: bool) -> None:
     near = np.abs(frac - 0.5) < TOLERANCE
     digits = n + (frac > 0.5)
     if shortest:
-        half_ulp = np.ldexp(hi_t.take(s), exp2 + table[2].take(s) - 54)
+        half_ulp = np.ldexp(table[0].take(s), exp2 + table[2].take(s) - 54)
         _shorten(digits, n, frac, half_ulp, near)
-    exp10 = (_DIGITS - 1 - base) - s
+    exp10 = (_DIGITS - 1 - _S_MIN) - s
     top = digits == 10**_DIGITS
     digits[top] = 10**(_DIGITS - 1)
     exp10 += top

@@ -1,10 +1,9 @@
 """One-dimensional harmonic oscillator in h.o. units.
 
 The coupling lam multiplies the potential term, which renormalizes the
-frequency by sqrt(lam): E_n(lam) = (n + 1/2) sqrt(lam). Closed forms for
-all potentials exist and serve as the oracle for the generic spectrum +
-finite-difference machinery. The closed forms take a single temperature
-or a grid.
+frequency by sqrt(lam): E_n(lam) = (n + 1/2) sqrt(lam). ho_closed_potentials
+gives lnZ, F, E, S and <x^2/2> in closed form, the oracle for the generic
+spectrum + finite-difference machinery, at a single temperature or a grid.
 
 The engine sums a truncated spectrum, each temperature with the levels
 the truncation rule asks for at that temperature and coupling, rounded up
@@ -27,7 +26,6 @@ __all__ = [
     "HarmonicOscillator",
     "ho_spectrum",
     "ho_closed_potentials",
-    "ho_potential_average",
     "ho_entropy_lambda_derivative",
     "truncation_level",
 ]
@@ -66,7 +64,9 @@ def ho_spectrum(lam: float, n_max: int) -> Spectrum:
 
 
 def ho_closed_potentials(lam: float, point: EnsemblePoint) -> ThermoPotentials:
-    """Exact lnZ, F, E, S of the oscillator with frequency sqrt(lam)."""
+    """Exact lnZ, F, E, S and h1 = <x^2/2> = dF/dlam of the oscillator with
+    frequency w = sqrt(lam), the bundle the model's potentials returns:
+    h1 = (1/2 + 1/(e^{beta w} - 1)) / (2 w), the virial E / (2 lam)."""
     beta = point.beta
     w = _frequency(lam)
     bw = beta * w
@@ -76,25 +76,12 @@ def ho_closed_potentials(lam: float, point: EnsemblePoint) -> ThermoPotentials:
     occupation = np.exp(-bw) / (-np.expm1(-bw))  # 1/(e^{bw}-1)
     energy = w * (0.5 + occupation)
     entropy = beta * (energy - free_energy)
-    return ThermoPotentials(ln_z=ln_z, free_energy=free_energy, energy=energy, entropy=entropy)
-
-
-def ho_potential_average(point: EnsemblePoint, lam: float = 1.0):
-    """Thermal average of the potential term x^2/2 at coupling lam.
-
-    Equals dF/dlam: (1/2 + 1/(e^{beta w} - 1)) / (2 w) with w = sqrt(lam),
-    which is 1/4 + (1/2) e^{-beta}/(1 - e^{-beta}) at lam = 1.
-    """
-    w = _frequency(lam)
-    bw = point.beta * w
-    return (0.5 + np.exp(-bw) / (-np.expm1(-bw))) / (2.0 * w)
+    return ThermoPotentials(ln_z=ln_z, free_energy=free_energy, energy=energy, entropy=entropy,
+                            h1=(0.5 + occupation) / (2.0 * w))
 
 
 def ho_entropy_lambda_derivative(point: EnsemblePoint):
-    """dS/dlam at lam = 1: -(beta^2/2) e^{-beta}/(1 - e^{-beta})^2.
-
-    Also equals minus the temperature derivative of the potential average.
-    """
+    """dS/dlam at lam = 1, which is -d<x^2/2>/dT: -(beta^2/2) e^{-beta}/(1 - e^{-beta})^2."""
     beta = point.beta
     denom = -np.expm1(-beta)
     return -0.5 * beta * beta * np.exp(-beta) / (denom * denom)
@@ -135,10 +122,10 @@ class HarmonicOscillator:
 
     def potentials(self, lam: float, point: EnsemblePoint, *, h1: bool = True) -> ThermoPotentials:
         """Engine potentials of the truncated spectrum, one engine call with
-        each temperature's own level count; h1 is the closed-form average of
-        the potential term, or None with h1=False."""
+        each temperature's own level count; h1 is ho_closed_potentials' <x^2/2>,
+        or None with h1=False."""
         levels = _truncation_levels(lam, point, self.n_max)
         # max's initial keeps an empty grid valid: one level, no temperature
         numeric = potentials(ho_spectrum(lam, int(levels.max(initial=0))), point,
                              n_levels=levels + 1)
-        return replace(numeric, h1=ho_potential_average(point, lam)) if h1 else numeric
+        return replace(numeric, h1=ho_closed_potentials(lam, point).h1) if h1 else numeric

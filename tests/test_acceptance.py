@@ -20,7 +20,6 @@ from thermohf.models.ho import (
     HarmonicOscillator,
     ho_closed_potentials,
     ho_entropy_lambda_derivative,
-    ho_potential_average,
     truncation_level,
 )
 from thermohf.models.ising import IsingChain
@@ -54,7 +53,7 @@ def test_criterion_1_ho_closed_form_agreement():
         max_abs(table.free_energy - closed.free_energy),
         max_abs(table.energy - closed.energy),
         max_abs(table.entropy - closed.entropy),
-        max_abs(table.df_dlambda - ho_potential_average(point)),
+        max_abs(table.df_dlambda - closed.h1),
         max_abs(table.ds_dlambda - ho_entropy_lambda_derivative(point)),
     )
     elapsed = time.perf_counter() - start
@@ -66,7 +65,7 @@ def test_criterion_1_ho_closed_form_agreement():
 
 
 def test_criterion_2_ho_paper_limits():
-    cold = ho_potential_average(EnsemblePoint.from_temperature(0.005))
+    cold = ho_closed_potentials(1.0, EnsemblePoint.from_temperature(0.005)).h1
     ok_cold = abs(cold - 0.25) < 1e-12
 
     model = HarmonicOscillator(n_max=truncation_level(50.0))
@@ -76,10 +75,10 @@ def test_criterion_2_ho_paper_limits():
     d_s = ho_entropy_lambda_derivative(EnsemblePoint.from_temperature(50.0))
     ok_ds = abs(d_s + 0.5) / 0.5 <= 0.02
 
-    grid = EnsemblePoint.from_temperature(temperature_grid(0.05, 20.0, 200))
-    dev_virial = max_abs(
-        ho_potential_average(grid) - 0.5 * ho_closed_potentials(1.0, grid).energy
-    )
+    # the closed-form <x^2/2> against the engine's E, on the 200-point grid
+    t_grid = temperature_grid(0.05, 20.0, 200)
+    table = sweep(HarmonicOscillator(n_max=truncation_level(20.0)), t_grid)
+    dev_virial = max_abs(table.h1_direct - 0.5 * table.energy)
     ok_virial = dev_virial <= 1e-10
     report(
         "criterion 2: HO limits (1/4, T/2, -1/2) and virial",

@@ -10,7 +10,6 @@ from thermohf.models.ho import (
     HarmonicOscillator,
     ho_closed_potentials,
     ho_entropy_lambda_derivative,
-    ho_potential_average,
     ho_spectrum,
     truncation_level,
 )
@@ -92,23 +91,25 @@ class TestClosedForms:
 
 class TestPotentialAverage:
     def test_low_temperature_quarter(self):
-        assert ho_potential_average(EnsemblePoint(beta=100.0)) == pytest.approx(0.25, abs=1e-14)
+        got = ho_closed_potentials(1.0, EnsemblePoint(beta=100.0)).h1
+        assert got == pytest.approx(0.25, abs=1e-14)
 
     def test_high_temperature_half_t(self):
         t = 1000.0
-        got = ho_potential_average(EnsemblePoint.from_temperature(t))
+        got = ho_closed_potentials(1.0, EnsemblePoint.from_temperature(t)).h1
         assert got == pytest.approx(t / 2.0, rel=1e-3)
 
     def test_beta_one_value(self):
-        got = ho_potential_average(EnsemblePoint(beta=1.0))
+        got = ho_closed_potentials(1.0, EnsemblePoint(beta=1.0)).h1
         assert got == pytest.approx(0.25 + 0.5 * math.exp(-1.0) / (1.0 - math.exp(-1.0)), abs=1e-15)
         assert got == pytest.approx(0.5409883534346632, abs=1e-12)
 
     def test_virial_half_energy(self):
+        # the closed-form <x^2/2> against the engine's E, not the closed form's
+        model = HarmonicOscillator(n_max=truncation_level(20.0))
         for t in np.linspace(0.05, 20.0, 100):
-            point = EnsemblePoint.from_temperature(float(t))
-            energy = ho_closed_potentials(1.0, point).energy
-            assert ho_potential_average(point) == pytest.approx(0.5 * energy, abs=1e-12)
+            pots = model.potentials(1.0, EnsemblePoint.from_temperature(float(t)))
+            assert pots.h1 == pytest.approx(0.5 * pots.energy, abs=1e-12)
 
 
 class TestEntropyDerivative:
@@ -127,7 +128,8 @@ class TestEntropyDerivative:
     def test_equals_minus_temperature_derivative_of_average(self):
         for t in (0.5, 2.0, 10.0):
             deriv, _ = central_diff(
-                lambda temp: ho_potential_average(EnsemblePoint.from_temperature(temp)), t
+                lambda temp: ho_closed_potentials(1.0, EnsemblePoint.from_temperature(temp)).h1,
+                t,
             )
             got = ho_entropy_lambda_derivative(EnsemblePoint.from_temperature(t))
             assert got == pytest.approx(-deriv, abs=1e-6)
@@ -206,7 +208,7 @@ class TestPerTemperatureTruncation:
                                         np.nextafter(edges, np.inf)]))
         model = HarmonicOscillator(n_max=truncation_level(float(temps.max()) / math.sqrt(0.9)))
         deriv = sweep(model, temps).df_dlambda
-        closed = ho_potential_average(EnsemblePoint.from_temperature(temps))
+        closed = ho_closed_potentials(1.0, EnsemblePoint.from_temperature(temps)).h1
         assert np.max(np.abs(deriv - closed)) <= 1e-7
 
     @pytest.mark.parametrize("t", [30.0, 100.0, 1000.0])
@@ -236,4 +238,4 @@ class TestPerTemperatureTruncation:
     def test_potential_average_rejects_nonpositive_coupling(self, lam):
         # unchecked, lam = 0 would give inf and lam = -1 a math domain error
         with pytest.raises(ValueError, match="coupling must be positive"):
-            ho_potential_average(EnsemblePoint.from_temperature(1.0), lam)
+            ho_closed_potentials(lam, EnsemblePoint.from_temperature(1.0))

@@ -136,38 +136,29 @@ def build_block(two_j: int, epsilon: float, v_coupling: float, lam: float = 1.0)
     return np.diag(epsilon * m) + lam * build_block_h1(two_j, v_coupling)
 
 
-def reference_levels_with_h1(model: LipkinModel, lam: float):
-    """The per-sector loop: one eigh per m-parity sector of each dense block,
-    and <v|H1|v> from the dense sector matrix."""
+def reference_levels(model: LipkinModel, lam: float, *, h1: bool = True):
+    """The per-sector loop: one unpadded eigh (with h1) or eigvalsh (without)
+    per m-parity sector of each dense block, and with h1 each <v|H1|v> from
+    the dense sector matrix, else None in its place."""
     n = model.n_particles
     energies, degeneracies, h1_values = [], [], []
     for two_j in range(n % 2, n + 1, 2):
         h = build_block(two_j, model.epsilon, model.v_coupling, lam)
-        h1 = build_block_h1(two_j, model.v_coupling)
+        h1_block = build_block_h1(two_j, model.v_coupling)
         for p in (0, 1):
-            values, vectors = np.linalg.eigh(h[p::2, p::2])
-            energies.append(values)
-            degeneracies.append(np.full(values.size, multiplicity(n, two_j), dtype=object))
-            h1_values.append(np.einsum("ij,jk,ki->i", vectors.T, h1[p::2, p::2], vectors))
-    e = np.concatenate(energies)
-    order = np.argsort(e, kind="stable")
-    return e[order], np.concatenate(degeneracies)[order], np.concatenate(h1_values)[order]
-
-
-def reference_eigenvalues(model: LipkinModel, lam: float):
-    """The per-sector loop with eigenvalues alone: one unpadded eigvalsh per
-    m-parity sector of each dense block."""
-    n = model.n_particles
-    energies, degeneracies = [], []
-    for two_j in range(n % 2, n + 1, 2):
-        h = build_block(two_j, model.epsilon, model.v_coupling, lam)
-        for p in (0, 1):
-            values = np.linalg.eigvalsh(h[p::2, p::2])
+            sector = h[p::2, p::2]
+            if h1:
+                values, vectors = np.linalg.eigh(sector)
+                h1_values.append(np.einsum("ij,jk,ki->i", vectors.T, h1_block[p::2, p::2],
+                                           vectors))
+            else:
+                values = np.linalg.eigvalsh(sector)
             energies.append(values)
             degeneracies.append(np.full(values.size, multiplicity(n, two_j), dtype=object))
     e = np.concatenate(energies)
     order = np.argsort(e, kind="stable")
-    return e[order], np.concatenate(degeneracies)[order]
+    return (e[order], np.concatenate(degeneracies)[order],
+            np.concatenate(h1_values)[order] if h1 else None)
 
 
 # lam = 1 and the derivative abscissae of the default DiffConfig
@@ -183,13 +174,13 @@ def sector_loop_cases(n):
 
 def assert_matches_sector_loop(model: LipkinModel, lam: float):
     spectrum, h1 = lipkin_levels(model, lam)
-    energies, degeneracies, h1_ref = reference_levels_with_h1(model, lam)
+    energies, degeneracies, h1_ref = reference_levels(model, lam)
     assert np.array_equal(spectrum.energies, energies)
     assert np.array_equal(spectrum.degeneracies, degeneracies)
     assert np.max(np.abs(h1 - h1_ref)) <= 1e-14 * max(1.0, np.max(np.abs(h1_ref)))
     values_only, no_h1 = lipkin_levels(model, lam, h1=False)
     assert no_h1 is None
-    energies, degeneracies = reference_eigenvalues(model, lam)
+    energies, degeneracies, _ = reference_levels(model, lam, h1=False)
     assert np.array_equal(values_only.energies, energies)
     assert np.array_equal(values_only.degeneracies, degeneracies)
 

@@ -6,8 +6,8 @@ import pytest
 from thermohf import DiffConfig, EnsemblePoint, central_diff, potentials
 from thermohf.models.ho import (
     HarmonicOscillator,
+    ho_closed_potentials,
     ho_entropy_lambda_derivative,
-    ho_potential_average,
     ho_spectrum,
 )
 from thermohf.sweep import sweep
@@ -57,7 +57,7 @@ class TestCentralDiff:
         deriv, _ = central_diff(
             lambda lam: model.potentials(lam, point).free_energy, 1.0
         )
-        assert deriv == pytest.approx(ho_potential_average(point), abs=1e-8)
+        assert deriv == pytest.approx(ho_closed_potentials(1.0, point).h1, abs=1e-8)
 
     def test_single_level_is_plain_central_difference(self):
         config = DiffConfig(relative_step=1e-4, richardson_levels=1)
