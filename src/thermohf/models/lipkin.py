@@ -6,13 +6,14 @@ occurring with an exact integer multiplicity; the full spectrum is the
 multiplicity-weighted union of the block spectra.
 
 A block couples only m <-> m+2, so it falls into two tridiagonal m-parity
-sectors. All sectors are formed in one numpy pass, once per model (with the
-per-level multiplicities and their logarithms, kept read-only on the model),
-and diagonalized by one stacked LAPACK call per batch: each sector is padded
-to the batch's largest with decoupled diagonal entries above the batch's
-Gershgorin bound, so its eigenvalues come out bit for bit as from its own
-call. A batch holds at most _BATCH_ELEMENTS matrix elements. One loop,
-``lipkin_levels``, walks the padded stacks: with h1 it calls ``eigh``, and
+sectors. The sectors come in batches of at most _BATCH_ELEMENTS padded
+matrix elements, each built once per model at its own largest sector size
+(with the per-level multiplicities and their logarithms, kept read-only on
+the model), and diagonalized by one stacked LAPACK call per batch: each
+sector is padded to the batch's largest with decoupled diagonal entries
+above the batch's Gershgorin bound, so its eigenvalues come out bit for bit
+as from its own call. One generator, ``_padded_stacks``, writes the stacks
+of H(lam); ``lipkin_levels`` solves them: with h1 it calls ``eigh``, and
 each eigenvector's <H1> is 2 sum_i o_i v_i v_i+1 over the sector's
 off-diagonal o, O(n) per vector; without, it calls ``eigvalsh`` and forms
 no eigenvectors.
@@ -74,7 +75,7 @@ class _Batch(NamedTuple):
     padded to its largest sector's size k, read-only.
 
     rows: the (sectors, k) mask of each sector's own rows. diagonal and off:
-    the sectors' eps*m and H1 off-diagonals cut to the stack's order.
+    the sectors' eps*m and H1 off-diagonals at the stack's order.
     pad_scale: the factor 1 + (i + 1)/k by which row i's pad entry exceeds
     the Gershgorin bound. diagonal_max and off_max: max |diagonal| and
     max |off| (0 for one-row sectors), the bound's lam-independent parts.
@@ -102,30 +103,6 @@ class _SectorLayout(NamedTuple):
     log_degeneracies: np.ndarray
 
 
-def _sectors(model: LipkinModel):
-    """Sizes, diagonals eps*m and H1 off-diagonals of every m-parity sector.
-
-    A block couples only m <-> m+2, so its even and odd m-offsets form two
-    tridiagonal sectors; H1 conserves that parity too. Sectors come by
-    ascending j, even offset before odd. Row r of a sector is the block's
-    m-index p + 2r; rows past a sector's size hold zeros.
-    """
-    n = model.n_particles
-    two_j = np.array(_block_j_values(n)).repeat(2)
-    parity = np.arange(two_j.size) % 2
-    sizes = (two_j + 2 - parity) // 2
-    r = np.arange(sizes.max())
-    rows = r < sizes[:, None]
-    m = -0.5 * two_j[:, None] + (parity[:, None] + 2 * r)
-    diagonal = np.where(rows, model.epsilon * m, 0.0)
-    # rows are leading runs, so row r + 1 of a sector exists only with row r:
-    # the coupled pairs are (sector, r) where rows[sector, r + 1]
-    sector, row = np.nonzero(rows[:, 1:])
-    off = np.zeros((two_j.size, r.size - 1))
-    off[sector, row] = -0.5 * model.v_coupling * _h1_amplitudes(two_j[sector], m[sector, row])
-    return sizes, diagonal, off
-
-
 def _batches(sizes: np.ndarray):
     """(start, stop) runs of consecutive sectors whose stack, padded to the
     run's largest sector, holds at most _BATCH_ELEMENTS (one sector at least)."""
@@ -138,36 +115,51 @@ def _batches(sizes: np.ndarray):
         start = stop
 
 
-def _batch(sizes, diagonal, off) -> _Batch:
-    """The _Batch of a run of sectors, from views of the layout's arrays."""
+def _batch(model: LipkinModel, two_j, parity, sizes) -> _Batch:
+    """The _Batch of a run of m-parity sectors, at its largest size k.
+
+    A block couples only m <-> m+2, so its even and odd m-offsets form two
+    tridiagonal sectors; H1 conserves that parity too. Row r of a sector is
+    the block's m-index p + 2r; rows past a sector's size hold zeros.
+    """
     k = int(sizes.max())
-    rows = np.arange(k) < sizes[:, None]
-    rows.flags.writeable = False
+    r = np.arange(k)
+    rows = r < sizes[:, None]
+    m = -0.5 * two_j[:, None] + (parity[:, None] + 2 * r)
+    diagonal = np.where(rows, model.epsilon * m, 0.0)
+    # rows are leading runs, so row r + 1 of a sector exists only with row r:
+    # the coupled pairs are (sector, r) where rows[sector, r + 1]
+    sector, row = np.nonzero(rows[:, 1:])
+    off = np.zeros((sizes.size, k - 1))
+    off[sector, row] = -0.5 * model.v_coupling * _h1_amplitudes(two_j[sector], m[sector, row])
     pad_scale = 1.0 + np.arange(1, k + 1) / k
-    pad_scale.flags.writeable = False
-    diagonal, off = diagonal[:, :k], off[:, :k - 1]
+    for array in (rows, diagonal, off, pad_scale):
+        array.flags.writeable = False
     return _Batch(rows, diagonal, off, pad_scale, float(np.abs(diagonal).max()),
                   float(np.abs(off).max(initial=0.0)))
 
 
 def _sector_layout(model: LipkinModel) -> _SectorLayout:
+    """Sectors come by ascending j, even m-offset before odd."""
     n = model.n_particles
     mults = [multiplicity(n, two_j) for two_j in _block_j_values(n)]
     g_dtype = np.int64 if max(mults) <= np.iinfo(np.int64).max else object
-    sizes, diagonal, off = _sectors(model)
-    diagonal.flags.writeable = off.flags.writeable = False
+    two_j = np.array(_block_j_values(n)).repeat(2)
+    parity = np.arange(two_j.size) % 2
+    sizes = (two_j + 2 - parity) // 2
     level_block = np.repeat(np.arange(sizes.size) // 2, sizes)  # two sectors per block
     degeneracies = np.array(mults, dtype=g_dtype)[level_block]
     # math.log takes integers of any size; one call per block
     log_degeneracies = np.array([math.log(x) for x in mults])[level_block]
     degeneracies.flags.writeable = log_degeneracies.flags.writeable = False
-    batches = tuple(_batch(sizes[start:stop], diagonal[start:stop], off[start:stop])
+    batches = tuple(_batch(model, two_j[start:stop], parity[start:stop], sizes[start:stop])
                     for start, stop in _batches(sizes))
     return _SectorLayout(batches, degeneracies, log_degeneracies)
 
 
-def _padded_stack(batch: _Batch, lam: float) -> np.ndarray:
-    """A run of sectors as one (sectors, k, k) stack of H(lam).
+def _padded_stacks(model: LipkinModel, lam: float):
+    """(batch, stack) per batch of the model's layout, the stack its run of
+    sectors as one (sectors, k, k) stack of H(lam).
 
     Each sector is padded with distinct diagonal entries above the run's
     Gershgorin bound and zero coupling, so its lowest `size` eigenvalues are
@@ -179,16 +171,17 @@ def _padded_stack(batch: _Batch, lam: float) -> np.ndarray:
     (k + 1)-th element from 0, the couplings above and below it every
     (k + 1)-th from 1 and from k.
     """
-    sectors, k = batch.rows.shape
-    stack = np.zeros((sectors, k, k))
-    flat = stack.reshape(sectors, k * k)
-    diagonal = flat[:, ::k + 1]
-    np.multiply(batch.diagonal_max + 2 * (abs(lam) * batch.off_max), batch.pad_scale,
-                out=diagonal)
-    np.copyto(diagonal, batch.diagonal, where=batch.rows)
-    np.multiply(lam, batch.off, out=flat[:, 1::k + 1])
-    flat[:, k::k + 1] = flat[:, 1::k + 1]
-    return stack
+    for batch in model._layout.batches:
+        sectors, k = batch.rows.shape
+        stack = np.zeros((sectors, k, k))
+        flat = stack.reshape(sectors, k * k)
+        diagonal = flat[:, ::k + 1]
+        np.multiply(batch.diagonal_max + 2 * (abs(lam) * batch.off_max), batch.pad_scale,
+                    out=diagonal)
+        np.copyto(diagonal, batch.diagonal, where=batch.rows)
+        np.multiply(lam, batch.off, out=flat[:, 1::k + 1])
+        flat[:, k::k + 1] = flat[:, 1::k + 1]
+        yield batch, stack
 
 
 @dataclass(frozen=True)
@@ -237,8 +230,7 @@ def lipkin_levels(model: LipkinModel, lam: float = 1.0, *, h1: bool = True):
     """
     layout = model._layout
     energies, h1_values = [], []
-    for batch in layout.batches:
-        stack = _padded_stack(batch, lam)
+    for batch, stack in _padded_stacks(model, lam):
         if h1:
             values, vectors = np.linalg.eigh(stack)
             h1_values.append(2 * np.einsum("si,sij,sij->sj", batch.off, vectors[:, :-1],

@@ -53,14 +53,14 @@ def ising_enumerate(n_spins: int, coupling, field, beta):
     return ln_z[()], h_j_avg[()], h_h_avg[()]
 
 
-def lipkin_fock(model: LipkinModel, lam: float = 1.0) -> Spectrum:
-    """Full 2^N Fock-space spectrum, bypassing the block decomposition.
+def lipkin_fock(model: LipkinModel) -> Spectrum:
+    """Full 2^N Fock-space spectrum of H(1), bypassing the block decomposition.
 
     Each of the N sites is a two-state system; bit p of a state index is
-    site p's level, 0 the upper. H(lam) = eps*J0 - lam*(V/2)(Jp^2 + Jm^2)
+    site p's level, 0 the upper. H(1) = eps*J0 - (V/2)(Jp^2 + Jm^2)
     is written entry by entry: the diagonal is eps*(N/2 - number of down
     spins), and Jp^2 + Jm^2 raises or lowers a pair of sites, each pair in
-    two orders, so -lam*V joins every state to the one with two of its down
+    two orders, so -V joins every state to the one with two of its down
     spins raised. The dense matrix is diagonalized with numpy's LAPACK
     ``eigvalsh``. All 2^N levels carry degeneracy 1. This stays independent
     of the block route: no angular-momentum structure or multiplicity enters.
@@ -72,7 +72,7 @@ def lipkin_fock(model: LipkinModel, lam: float = 1.0) -> Spectrum:
     states = np.arange(2**n)
     down = (states[:, None] >> np.arange(n)) & 1
     h = np.diag(model.epsilon * (n / 2 - down.sum(axis=1)))
-    coupling = -lam * model.v_coupling
+    coupling = -model.v_coupling
     for p in range(n):
         for q in range(p + 1, n):
             pair_down = states[(down[:, p] & down[:, q]).astype(bool)]

@@ -9,8 +9,8 @@ checks, and the Ising HF and low-T checks over a grid, read the table sweep
 returns, the one `thermohf sweep` prints; the Ising oracle and symmetry
 checks read ising_transfer and ising_enumerate on the same chains, and the
 Fock oracle is compared with the lam = 1 levels the printed Lipkin rows come
-from. The eigensolver checks solve the padded sector stacks of the Lipkin
-model's own solves.
+from. The eigensolver checks solve the padded sector stacks _padded_stacks
+yields to the Lipkin model's own solves.
 """
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ from .models.ho import (
     HarmonicOscillator,
     ho_closed_potentials,
     ho_entropy_lambda_derivative,
+    ho_spectrum,
     truncation_level,
 )
 from .models.ising import IsingChain, ising_transfer
 from .models.lipkin import (
     LipkinModel,
-    _padded_stack,
+    _padded_stacks,
     lipkin_levels,
     multiplicity,
 )
@@ -100,7 +101,8 @@ def verify_ho(config: DiffConfig = DiffConfig()) -> list[CheckResult]:
     checks.append(CheckResult(
         "ho high-T dS/dlam -> -1/2", abs(hot.ds_dlambda + 0.5) / 0.5, 0.02
     ))
-    ground, _ = central_diff(lambda lam: 0.5 * math.sqrt(lam), 1.0, config)
+    # the ground level the engine sums
+    ground, _ = central_diff(lambda lam: ho_spectrum(lam, 0).energies[0], 1.0, config)
     checks.append(CheckResult("ho zero-T dE0/dlam = 1/4", abs(ground - 0.25), 1e-10))
     return checks
 
@@ -240,8 +242,7 @@ def verify_lipkin(n_oracle: int = 8, config: DiffConfig = DiffConfig()) -> list[
     dev_orth = 0.0
     above_pads = 0
     for stacked in (model, LipkinModel(n_particles=200, epsilon=1.0, v_coupling=3.0)):
-        for batch in stacked._layout.batches:
-            stack = _padded_stack(batch, 1.0)
+        for batch, stack in _padded_stacks(stacked, 1.0):
             values, vectors = np.linalg.eigh(stack)
             residual = np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=1)
             fro = np.linalg.norm(stack, axis=(1, 2))

@@ -68,11 +68,13 @@ def test_criterion_2_ho_paper_limits():
     cold = ho_closed_potentials(1.0, EnsemblePoint.from_temperature(0.005)).h1
     ok_cold = abs(cold - 0.25) < 1e-12
 
+    # dF/dlam from the sweep's T = 20 row, dS/dlam from its T = 50 row
     model = HarmonicOscillator(n_max=truncation_level(50.0))
-    d_f = float(sweep(model, [20.0]).df_dlambda[0])
+    hf_rows = sweep(model, [20.0, 50.0])
+    d_f = float(hf_rows.df_dlambda[0])
     ok_df = abs(d_f - 10.0) / 10.0 <= 0.02
 
-    d_s = ho_entropy_lambda_derivative(EnsemblePoint.from_temperature(50.0))
+    d_s = float(hf_rows.ds_dlambda[1])
     ok_ds = abs(d_s + 0.5) / 0.5 <= 0.02
 
     # the closed-form <x^2/2> against the engine's E, on the 200-point grid

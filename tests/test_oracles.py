@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ class TestLipkinFock:
     def test_matches_block_spectrum(self, n, v, lam):
         model = LipkinModel(n, 1.0, v)
         block, _ = lipkin_levels(model, lam, h1=False)
-        fock = lipkin_fock(model, lam)
+        fock = lipkin_fock(replace(model, v_coupling=lam * v))
         expanded = np.repeat(block.energies, block.degeneracies)
         assert fock.energies == pytest.approx(expanded, abs=1e-9)
 
@@ -140,6 +141,6 @@ class TestFockHamiltonian:
 
         model = LipkinModel(n, 0.7, v)
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-        lipkin_fock(model, 1.3)
+        lipkin_fock(replace(model, v_coupling=1.3 * v))  # H(1.3) of model
         monkeypatch.undo()
         assert np.array_equal(solved[0], kronecker_fock_hamiltonian(model, 1.3))
