@@ -14,14 +14,13 @@ from thermohf.models.ho import (
     HarmonicOscillator,
     ho_closed_potentials,
     ho_entropy_lambda_derivative,
-    truncation_level,
 )
 from thermohf.sweep import sweep, temperature_grid
 
 
 def main():
     t_grid = temperature_grid(0.05, 20.0, 40)
-    model = HarmonicOscillator(n_max=truncation_level(float(t_grid[-1])))
+    model = HarmonicOscillator(t_max=float(t_grid[-1]))
 
     # The engine takes the whole grid at once; sweep's table holds the
     # potentials, their coupling derivatives and the direct <x^2/2>.

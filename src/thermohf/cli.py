@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models.ho import HarmonicOscillator, truncation_level
+from .models.ho import HarmonicOscillator
 from .models.ising import IsingChain
 from .models.lipkin import LipkinModel
 from .numdiff import DiffConfig
@@ -35,15 +35,16 @@ class _Model(NamedTuple):
 
 
 _MODELS = {
-    "ho": _Model(HarmonicOscillator, {},
+    "ho": _Model(HarmonicOscillator, {"t_max": "t_max"},
                  {"t_min": 0.05, "t_max": 20.0, "t_steps": 200, "grid": "linear"}),
     "ising": _Model(IsingChain, {"J": "coupling_j", "h": "field_h", "N": "n_spins"},
                     {"t_min": 0.1, "t_max": 30.0, "t_steps": 200, "grid": "linear"}),
     "lipkin": _Model(LipkinModel, {"N": "n_particles", "epsilon": "epsilon", "V": "v_coupling"},
                      {"t_min": 0.1, "t_max": 100.0, "t_steps": 200, "grid": "geometric"}),
 }
-# every model parameter flag; a model refuses those it does not read
-_MODEL_FLAGS = tuple(dict.fromkeys(flag for model in _MODELS.values() for flag in model.fields))
+# every model parameter flag, grid keys left out; a model refuses those it does not read
+_MODEL_FLAGS = tuple(dict.fromkeys(flag for model in _MODELS.values() for flag in model.fields
+                                   if flag not in model.grid))
 _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
@@ -200,10 +201,6 @@ def _run_sweep(args) -> int:
         t_grid = temperature_grid(args.t_min, args.t_max, args.t_steps, args.grid)
         params = {field: getattr(args, flag) for flag, field in entry.fields.items()
                   if getattr(args, flag) is not None}
-        if entry.cls is HarmonicOscillator:
-            # as many levels as the hottest temperature needs; a t-max past
-            # MAX_LEVELS' reach is refused
-            params["n_max"] = truncation_level(float(t_grid.max()))
         backend = entry.cls(**params)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

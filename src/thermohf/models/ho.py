@@ -7,15 +7,14 @@ spectrum + finite-difference machinery, at a single temperature or a grid.
 
 The engine sums a truncated spectrum, each temperature with the levels
 the truncation rule asks for at that temperature and coupling, rounded up
-to 64 * 2^k and capped at the model's n_max; one engine call per coupling
-takes every temperature, and temperatures that round to the same count
-share its blocks.
+to 64 * 2^k and capped at the rule's count at the model's t_max; one engine
+call per coupling takes every temperature, and temperatures that round to
+the same count share its blocks.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -102,29 +101,28 @@ def _truncation_levels(lam: float, point: EnsemblePoint, n_max: int) -> np.ndarr
 
 @dataclass(frozen=True)
 class HarmonicOscillator:
-    """Truncated-spectrum oscillator backend.
+    """Truncated-spectrum oscillator backend serving temperatures up to t_max.
 
     Each temperature T gets max(64, ceil(40 T / sqrt(lam))) levels, the
     truncation_level rule at that T and coupling, rounded up to 64 * 2^k and
-    capped at n_max. n_max must be an integer in [64, MAX_LEVELS]; where it
-    satisfies the rule at every temperature the model is evaluated at, the
-    cap never cuts one short. The default, MAX_LEVELS, does so up to T = 26214.4 at
-    lam = 1, and costs nothing at the temperatures that need fewer levels.
+    capped at truncation_level(t_max), so no temperature up to t_max is cut
+    short at lam >= 1. t_max must be positive and within MAX_LEVELS' reach;
+    the default, 26214.4, is the hottest it reaches, and costs nothing at
+    the temperatures that need fewer levels.
     """
 
-    n_max: int = MAX_LEVELS
+    t_max: float = MAX_LEVELS / 40
 
     def __post_init__(self):
-        if not isinstance(self.n_max, numbers.Integral):
-            raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
-        if not 64 <= self.n_max <= MAX_LEVELS:
-            raise ValueError(f"n_max must be in [64, {MAX_LEVELS}], got {self.n_max}")
+        if not self.t_max > 0:  # also nan
+            raise ValueError(f"t_max must be positive, got {self.t_max!r}")
+        truncation_level(self.t_max)
 
     def potentials(self, lam: float, point: EnsemblePoint, *, h1: bool = True) -> ThermoPotentials:
         """Engine potentials of the truncated spectrum, one engine call with
         each temperature's own level count; h1 is ho_closed_potentials' <x^2/2>,
         or None with h1=False."""
-        levels = _truncation_levels(lam, point, self.n_max)
+        levels = _truncation_levels(lam, point, truncation_level(self.t_max))
         # max's initial keeps an empty grid valid: one level, no temperature
         numeric = potentials(ho_spectrum(lam, int(levels.max(initial=0))), point,
                              n_levels=levels + 1)

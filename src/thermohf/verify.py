@@ -26,7 +26,6 @@ from .models.ho import (
     ho_closed_potentials,
     ho_entropy_lambda_derivative,
     ho_spectrum,
-    truncation_level,
 )
 from .models.ising import IsingChain, ising_transfer
 from .models.lipkin import (
@@ -72,7 +71,7 @@ def verify_ho(config: DiffConfig = DiffConfig()) -> list[CheckResult]:
     checks = []
     t_grid = temperature_grid(0.05, 20.0, 200)
     # the oscillator `thermohf sweep --model ho` builds for this grid
-    model = HarmonicOscillator(n_max=truncation_level(float(t_grid.max())))
+    model = HarmonicOscillator(t_max=float(t_grid.max()))
     table = sweep(model, t_grid, config)
     point = EnsemblePoint.from_temperature(t_grid)
     closed = ho_closed_potentials(1.0, point)

@@ -20,7 +20,6 @@ from thermohf.models.ho import (
     HarmonicOscillator,
     ho_closed_potentials,
     ho_entropy_lambda_derivative,
-    truncation_level,
 )
 from thermohf.models.ising import IsingChain
 from thermohf.models.lipkin import (
@@ -45,7 +44,7 @@ def max_abs(values):
 def test_criterion_1_ho_closed_form_agreement():
     start = time.perf_counter()
     t_grid = temperature_grid(0.05, 20.0, 200)
-    model = HarmonicOscillator(n_max=truncation_level(20.0))
+    model = HarmonicOscillator(t_max=20.0)
     point = EnsemblePoint.from_temperature(t_grid)
     table = sweep(model, t_grid)
     closed = ho_closed_potentials(1.0, point)
@@ -69,7 +68,7 @@ def test_criterion_2_ho_paper_limits():
     ok_cold = abs(cold - 0.25) < 1e-12
 
     # dF/dlam from the sweep's T = 20 row, dS/dlam from its T = 50 row
-    model = HarmonicOscillator(n_max=truncation_level(50.0))
+    model = HarmonicOscillator(t_max=50.0)
     hf_rows = sweep(model, [20.0, 50.0])
     d_f = float(hf_rows.df_dlambda[0])
     ok_df = abs(d_f - 10.0) / 10.0 <= 0.02
@@ -79,7 +78,7 @@ def test_criterion_2_ho_paper_limits():
 
     # the closed-form <x^2/2> against the engine's E, on the 200-point grid
     t_grid = temperature_grid(0.05, 20.0, 200)
-    table = sweep(HarmonicOscillator(n_max=truncation_level(20.0)), t_grid)
+    table = sweep(HarmonicOscillator(t_max=20.0), t_grid)
     dev_virial = max_abs(table.h1_direct - 0.5 * table.energy)
     ok_virial = dev_virial <= 1e-10
     report(

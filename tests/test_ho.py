@@ -13,7 +13,7 @@ from thermohf.models.ho import (
     ho_spectrum,
     truncation_level,
 )
-from thermohf.sweep import sweep
+from thermohf.sweep import sweep, temperature_grid
 
 
 class TestSpectrumConstruction:
@@ -42,20 +42,21 @@ class TestSpectrumConstruction:
 
     def test_level_cap(self):
         assert truncation_level(MAX_LEVELS / 40.0) == MAX_LEVELS == 2**20
-        HarmonicOscillator(n_max=MAX_LEVELS)
+        assert HarmonicOscillator().t_max == MAX_LEVELS / 40.0
         for t_max in (math.nextafter(MAX_LEVELS / 40.0, math.inf), 1e7, 1e308):
             with pytest.raises(ValueError, match="oscillator levels"):
                 truncation_level(t_max)
-        with pytest.raises(ValueError, match="n_max"):
-            HarmonicOscillator(n_max=MAX_LEVELS + 1)
+            with pytest.raises(ValueError, match="oscillator levels"):
+                HarmonicOscillator(t_max=t_max)
 
-    def test_rejects_non_integer_level_cap(self):
-        with pytest.raises(ValueError, match="n_max must be an integer"):
-            HarmonicOscillator(n_max=100.5)
+    def test_rejects_nonpositive_t_max(self):
+        for t_max in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="t_max must be positive"):
+                HarmonicOscillator(t_max=t_max)
         point = EnsemblePoint.from_temperature(np.array([0.5, 2.0]))
-        numpy_capped = HarmonicOscillator(n_max=np.int64(100)).potentials(1.0, point)
+        numpy_capped = HarmonicOscillator(t_max=np.float64(2.5)).potentials(1.0, point)
         assert np.array_equal(numpy_capped.energy,
-                              HarmonicOscillator(n_max=100).potentials(1.0, point).energy)
+                              HarmonicOscillator(t_max=2.5).potentials(1.0, point).energy)
 
 
 class TestClosedForms:
@@ -78,7 +79,7 @@ class TestClosedForms:
         assert pots.free_energy == pytest.approx(-t * math.log(t), rel=1e-2)
 
     def test_matches_truncated_spectrum(self):
-        model = HarmonicOscillator(n_max=truncation_level(20.0))
+        model = HarmonicOscillator(t_max=20.0)
         for t in np.linspace(0.05, 20.0, 50):
             point = EnsemblePoint.from_temperature(float(t))
             for lam in (0.9, 1.0, 1.1):
@@ -106,7 +107,7 @@ class TestPotentialAverage:
 
     def test_virial_half_energy(self):
         # the closed-form <x^2/2> against the engine's E, not the closed form's
-        model = HarmonicOscillator(n_max=truncation_level(20.0))
+        model = HarmonicOscillator(t_max=20.0)
         for t in np.linspace(0.05, 20.0, 100):
             pots = model.potentials(1.0, EnsemblePoint.from_temperature(float(t)))
             assert pots.h1 == pytest.approx(0.5 * pots.energy, abs=1e-12)
@@ -137,18 +138,29 @@ class TestEntropyDerivative:
 
 class TestHellmannFeynman:
     def test_free_energy_derivative_equals_potential_average(self):
-        model = HarmonicOscillator(n_max=truncation_level(50.0))
+        model = HarmonicOscillator(t_max=50.0)
         table = sweep(model, np.geomspace(0.02, 50.0, 25))
         assert table.df_dlambda == pytest.approx(table.h1_direct, abs=1e-7)
 
     @pytest.mark.parametrize("lam", [0.4, 2.5])
     def test_closed_form_h1_off_unit_coupling(self, lam):
         # truncated for T = 20 at a coupling below every abscissa
-        model = HarmonicOscillator(n_max=truncation_level(20.0 / math.sqrt(0.3)))
+        model = HarmonicOscillator(t_max=20.0 / math.sqrt(0.3))
         point = EnsemblePoint.from_temperature(np.geomspace(0.02, 20.0, 25))
         deriv, _ = central_diff(lambda x: model.potentials(x, point, h1=False).free_energy, lam)
         h1 = model.potentials(lam, point).h1
         assert np.max(np.abs(deriv - h1) / np.maximum(1.0, np.abs(h1))) <= 1e-7
+
+    @pytest.mark.parametrize("t_min,t_max,steps", [(0.05, 20.0, 200), (0.02, 40.0, 2000)])
+    def test_energy_derivative_matches_closed_form(self, t_min, t_max, steps):
+        # E = w (1/2 + n) with w = sqrt(lam) and n = 1/(e^{beta w} - 1), so at
+        # lam = 1 dE/dlam = (1/2)(1/2 + n) - (beta/2) n (1 + n)
+        t_grid = temperature_grid(t_min, t_max, steps)
+        point = EnsemblePoint.from_temperature(t_grid)
+        occupation = 2.0 * ho_closed_potentials(1.0, point).h1 - 0.5
+        exact = 0.5 * (0.5 + occupation) - 0.5 * point.beta * occupation * (1.0 + occupation)
+        got = sweep(HarmonicOscillator(t_max=t_max), t_grid).de_dlambda
+        assert np.max(np.abs(got - exact) / np.maximum(1.0, np.abs(exact))) <= 1e-7
 
     def test_zero_temperature_ground_state(self):
         # dE0/dlam at lam=1 is 1/4, the ground-state average of x^2/2
@@ -163,14 +175,15 @@ def rule_levels(temperature, lam):
 
 class TestPerTemperatureTruncation:
     """Each temperature is summed over the levels the truncation rule asks for
-    at its own T and coupling, rounded up to 64 * 2^k and capped at n_max."""
+    at its own T and coupling, rounded up to 64 * 2^k and capped at the
+    rule's count at t_max."""
 
     GRID = np.geomspace(0.02, 40.0, 400)
 
-    @pytest.mark.parametrize("n_max", [truncation_level(40.0 / math.sqrt(0.3)), 700],
+    @pytest.mark.parametrize("t_max", [40.0 / math.sqrt(0.3), 17.5],
                              ids=["below-cap", "capped"])
     @pytest.mark.parametrize("lam", [0.3, 1.0, 1.0 + 1e-5, 2.5])
-    def test_levels_per_temperature(self, lam, n_max, monkeypatch):
+    def test_levels_per_temperature(self, lam, t_max, monkeypatch):
         calls = []
         engine = ho.potentials
 
@@ -179,22 +192,23 @@ class TestPerTemperatureTruncation:
             return engine(spec, point, *args, n_levels=n_levels)
 
         monkeypatch.setattr(ho, "potentials", counted)
-        HarmonicOscillator(n_max=n_max).potentials(lam, EnsemblePoint.from_temperature(self.GRID))
+        HarmonicOscillator(t_max=t_max).potentials(lam, EnsemblePoint.from_temperature(self.GRID))
+        cap = truncation_level(t_max)
         ((size, betas, n_levels),) = calls
         assert betas.size == n_levels.size == self.GRID.size and size == n_levels.max()
         for beta, count in zip(betas, n_levels):
             rule, n = rule_levels(1.0 / beta, lam), count - 1
-            assert min(rule, n_max) <= n <= n_max and n < 2 * rule
+            assert min(rule, cap) <= n <= cap and n < 2 * rule
 
     @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
     def test_row_below_cap_is_its_temperature_alone(self, lam):
-        n_max = 1000
-        model = HarmonicOscillator(n_max=n_max)
+        cap = 1000
+        model = HarmonicOscillator(t_max=cap / 40.0)
         grid = model.potentials(lam, EnsemblePoint.from_temperature(self.GRID))
         below_cap = 0
         for k, t in enumerate(self.GRID):
             single = model.potentials(lam, EnsemblePoint.from_temperature(float(t)))
-            if 2 * rule_levels(t, lam) > n_max:
+            if 2 * rule_levels(t, lam) > cap:
                 continue
             below_cap += 1
             for field, value in vars(single).items():
@@ -206,14 +220,14 @@ class TestPerTemperatureTruncation:
         edges = 64.0 * 2.0 ** np.arange(5) / 40.0
         temps = np.sort(np.concatenate([edges, np.nextafter(edges, 0.0),
                                         np.nextafter(edges, np.inf)]))
-        model = HarmonicOscillator(n_max=truncation_level(float(temps.max()) / math.sqrt(0.9)))
+        model = HarmonicOscillator(t_max=float(temps.max()) / math.sqrt(0.9))
         deriv = sweep(model, temps).df_dlambda
         closed = ho_closed_potentials(1.0, EnsemblePoint.from_temperature(temps)).h1
         assert np.max(np.abs(deriv - closed)) <= 1e-7
 
     @pytest.mark.parametrize("t", [30.0, 100.0, 1000.0])
     def test_default_model_is_not_cut_short(self, t):
-        # the default n_max is MAX_LEVELS, so no temperature up to 26214.4 is capped
+        # the default t_max is 26214.4, so no temperature up to it is capped
         point = EnsemblePoint.from_temperature(t)
         numeric = HarmonicOscillator().potentials(1.0, point)
         closed = ho_closed_potentials(1.0, point)
@@ -222,7 +236,7 @@ class TestPerTemperatureTruncation:
             assert abs(got - want) <= 1e-12 * abs(want), name
 
     def test_scalar_point_gives_floats(self):
-        model = HarmonicOscillator(n_max=2000)
+        model = HarmonicOscillator(t_max=50.0)
         for t in (0.03, 1.6, 30.0):
             pots = model.potentials(1.0, EnsemblePoint.from_temperature(t))
             assert all(isinstance(x, float) for x in vars(pots).values())

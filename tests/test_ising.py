@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from thermohf import EnsemblePoint
 from thermohf.models.ising import IsingChain, ising_transfer
 from thermohf.oracles import ising_enumerate
+from thermohf.sweep import sweep, temperature_grid
 
 
 class TestParams:
@@ -197,6 +198,37 @@ class TestTotalEnergy:
                 pots.energy - t * pots.entropy, rel=1e-12, abs=1e-10
             )
             assert pots.entropy >= -1e-12
+
+
+def enumerated_energy_moments(n_spins, coupling_j, field_h, beta):
+    """Mean and variance of E over all 2^N configurations at each beta,
+    the variance by the two-pass sum."""
+    states = np.arange(2**n_spins)
+    spins = 2 * ((states[:, None] >> np.arange(n_spins)) & 1) - 1
+    energy = (-coupling_j * np.sum(spins * np.roll(spins, -1, axis=1), axis=1)
+              - field_h * np.sum(spins, axis=1))
+    weights = np.exp(-np.outer(beta, energy - energy.min()))
+    prob = weights / weights.sum(axis=1, keepdims=True)
+    mean = prob @ energy
+    return mean, np.sum(prob * (energy - mean[:, None]) ** 2, axis=1)
+
+
+class TestCouplingDerivatives:
+    """With lam on both terms, Z(lam, beta) = Z(1, lam beta), so at lam = 1
+    dE/dlam = E - beta Var(E) and dS/dlam = -beta^2 Var(E)."""
+
+    @pytest.mark.parametrize("params", [
+        IsingChain(2.0, 1.0, 10), IsingChain(-1.3, 0.7, 9), IsingChain(1.0, 0.0, 12),
+    ], ids=["ferro", "odd-antiferro", "zero-field"])
+    def test_match_energy_fluctuations(self, params):
+        t_grid = temperature_grid(0.1, 30.0, 40)
+        beta = 1.0 / t_grid
+        table = sweep(params, t_grid)
+        energy, variance = enumerated_energy_moments(
+            params.n_spins, params.coupling_j, params.field_h, beta)
+        for got, want, bound in ((table.de_dlambda, energy - beta * variance, 1e-9),
+                                 (table.ds_dlambda, -beta * beta * variance, 1e-7)):
+            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= bound
 
 
 class TestGrid:

@@ -343,6 +343,23 @@ class TestDirectAverage:
         direct = table.h1_direct
         assert np.all(np.abs(table.df_dlambda - direct) <= 1e-6 * np.maximum(1.0, np.abs(direct)))
 
+    @pytest.mark.parametrize("n,epsilon,v", [(10, 1.0, 3.0), (25, 0.7, -3.0),
+                                              (37, 1.0, 4.7), (200, 1.0, 3.0)])
+    def test_energy_derivative_by_fluctuations(self, n, epsilon, v):
+        # dE/dlam = <H1> - beta cov(E, H1), the covariance by the two-pass sum
+        model = LipkinModel(n, epsilon, v)
+        t_grid = temperature_grid(0.1, 100.0, 200, "geometric")
+        beta = 1.0 / t_grid[:, None]
+        spectrum, h1 = lipkin_levels(model)
+        log_w = spectrum.log_degeneracies - beta * spectrum.energies
+        prob = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+        prob /= prob.sum(axis=1, keepdims=True)
+        mean_e, mean_h1 = prob @ spectrum.energies, prob @ h1
+        cov = np.sum(prob * (spectrum.energies - mean_e[:, None]) * (h1 - mean_h1[:, None]), axis=1)
+        want = mean_h1 - beta[:, 0] * cov
+        got = sweep(model, t_grid).de_dlambda
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-8
+
     def test_entropy_corollary(self):
         model = LipkinModel(8, 1.0, 3.0)
         temps = np.array([1.0, 5.0, 20.0])

@@ -52,7 +52,7 @@ class TestCentralDiff:
 
     def test_oscillator_free_energy_derivative(self):
         # dF/dlam at lam=1, beta=1 equals 1/4 + (1/2) e^-1/(1-e^-1)
-        model = HarmonicOscillator(n_max=1024)
+        model = HarmonicOscillator(t_max=25.6)
         point = EnsemblePoint(beta=1.0)
         deriv, _ = central_diff(
             lambda lam: model.potentials(lam, point).free_energy, 1.0
@@ -100,7 +100,7 @@ class TestLambdaDerivative:
         assert deriv == pytest.approx(0.0, abs=1e-10)
 
     def test_entropy_derivative_matches_closed_form(self):
-        model = HarmonicOscillator(n_max=1024)
+        model = HarmonicOscillator(t_max=25.6)
         point = EnsemblePoint(beta=1.0)
         (deriv,) = sweep(model, [1.0]).ds_dlambda
         assert deriv == pytest.approx(ho_entropy_lambda_derivative(point), abs=1e-6)
@@ -109,7 +109,7 @@ class TestLambdaDerivative:
 
     def test_chain_consistency(self):
         # dF/dlam = dE/dlam - T dS/dlam
-        model = HarmonicOscillator(n_max=2048)
+        model = HarmonicOscillator(t_max=51.2)
         table = sweep(model, [0.5, 2.0, 10.0])
         assert table.df_dlambda == pytest.approx(
             table.de_dlambda - table.temperature * table.ds_dlambda, abs=1e-7

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from thermohf.models import lipkin
-from thermohf.models.ho import HarmonicOscillator, truncation_level
+from thermohf.models.ho import HarmonicOscillator
 from thermohf.models.ising import IsingChain
 from thermohf.ensemble import EnsemblePoint, potentials
 from thermohf.models.lipkin import LipkinModel
@@ -25,7 +25,7 @@ from thermohf.sweep import (
 
 def sweep_ho(t_grid):
     """Oscillator sweep truncated for the grid's largest temperature."""
-    return sweep(HarmonicOscillator(n_max=truncation_level(float(t_grid.max()))), t_grid)
+    return sweep(HarmonicOscillator(t_max=float(t_grid.max())), t_grid)
 
 
 class TestTemperatureGrid:
@@ -124,7 +124,7 @@ class TestSweeps:
         assert len({lam for lam, _ in calls}) == len(calls)
 
     @pytest.mark.parametrize("model,t_grid", [
-        (HarmonicOscillator(n_max=1600), temperature_grid(0.02, 40.0, 2000)),
+        (HarmonicOscillator(t_max=40.0), temperature_grid(0.02, 40.0, 2000)),
         (IsingChain(-1.3, 0.7, 9), temperature_grid(0.05, 30.0, 300, "geometric")),
         (IsingChain(2.0, 1.0, 10), temperature_grid(0.1, 30.0, 200)),
         (LipkinModel(12, 1.0, 3.0), temperature_grid(0.1, 100.0, 200, "geometric")),
@@ -174,7 +174,7 @@ class TestOscillatorRowsStandAlone:
                              ids=["linear", "geometric"])
     def test_grid_row_equals_its_temperature_swept_alone(self, t_grid):
         # 2 * max(64, 40 T / sqrt(lam)) < 4096 at every abscissa: no group is capped
-        model = HarmonicOscillator(n_max=4096)
+        model = HarmonicOscillator(t_max=102.4)
         rows = sweep(model, t_grid)
         for k in range(0, t_grid.size, 23):
             (single,) = sweep(model, t_grid[k:k + 1])
@@ -188,7 +188,7 @@ class TestPotentialsWithoutH1:
     POINT = EnsemblePoint.from_temperature(temperature_grid(0.05, 30.0, 300, "geometric"))
 
     @pytest.mark.parametrize("model", [
-        HarmonicOscillator(n_max=1600), IsingChain(-1.3, 0.7, 9), IsingChain(2.0, 1.0, 10),
+        HarmonicOscillator(t_max=40.0), IsingChain(-1.3, 0.7, 9), IsingChain(2.0, 1.0, 10),
     ], ids=["ho", "ising-odd-antiferro", "ising"])
     @pytest.mark.parametrize("lam", [1.0, 1.0 + 1e-5, 1.0 - 5e-6])
     def test_same_bits_as_default(self, model, lam):
