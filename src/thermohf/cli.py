@@ -42,6 +42,8 @@ _MODELS = {
     "lipkin": _Model(LipkinModel, {"N": "n_particles", "epsilon": "epsilon", "V": "v_coupling"},
                      {"t_min": 0.1, "t_max": 100.0, "t_steps": 200, "grid": "geometric"}),
 }
+# the verify suites by scope; each takes the DiffConfig, ising and lipkin also --N
+_SUITES = {"all": verify_all, "ho": verify_ho, "ising": verify_ising, "lipkin": verify_lipkin}
 # every model parameter flag, grid keys left out; a model refuses those it does not read
 _MODEL_FLAGS = tuple(dict.fromkeys(flag for model in _MODELS.values() for flag in model.fields
                                    if flag not in model.grid))
@@ -56,7 +58,7 @@ def _read_config_file(path: str) -> list[str]:
     """Flat key/value file as `--key=value` flags; keys are flag names without dashes."""
     flags = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -69,7 +71,7 @@ def _read_config_file(path: str) -> list[str]:
                         raise UsageError(f"{path}:{lineno}: expected 'key = value'")
                     key, val = parts
                 flags.append(f"--{key.strip()}={val.strip()}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
     return flags
 
@@ -88,11 +90,12 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def _tolerance_override(item: str) -> tuple[str, float]:
-    """NAME=VALUE of --tolerance as (NAME, VALUE); VALUE is a number >= 0
-    (inf included), since a check passes when its deviation is at most VALUE."""
-    name, sep, value = item.partition("=")
+    """NAME=VALUE of --tolerance as (NAME, VALUE), split at the last `=` (check
+    names hold " = "). A blank NAME, which every check name contains, is refused.
+    VALUE is a number >= 0 (inf included): a check passes when its deviation is at most it."""
+    name, _, value = item.rpartition("=")
     try:
-        tolerance = float(value if sep else "")
+        tolerance = float(value if name.strip() else "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {item!r}") from None
     if not tolerance >= 0.0:  # also nan
@@ -143,8 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sweep_flags(fig)
 
     verify = sub.add_parser("verify", help="run the cross-check suites")
-    verify.add_argument("--scope", choices=("all", "ho", "ising", "lipkin"),
-                        default="all")
+    verify.add_argument("--scope", choices=tuple(_SUITES), default="all")
     verify.add_argument("--N", type=int, help="system size for the oracles")
     _add_diff_flags(verify)
     verify.add_argument("--tolerance", action="append", default=[],
@@ -171,11 +173,6 @@ def _parse_args(argv) -> argparse.Namespace:
             if flag in unknown or key.replace("-", "_") not in vars(args):
                 raise UsageError(f"{args.config}: {key!r} is not a {args.command} setting")
     return args
-
-
-def _given(**params) -> dict:
-    """The parameters that were given; the others keep the callee's defaults."""
-    return {name: value for name, value in params.items() if value is not None}
 
 
 def _run_sweep(args) -> int:
@@ -208,15 +205,21 @@ def _run_sweep(args) -> int:
     rows = sweep(backend, t_grid, config)
 
     text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows, echo)
-    if args.out:
-        try:
-            with open(args.out, "w", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write output file: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return 0
+
+
+def _write(text: str, path: str | None = None) -> None:
+    """Write text to the file at path, else to the current sys.stdout, flushed."""
+    try:
+        if path:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise UsageError(f"cannot write output: {exc}") from exc
 
 
 def _use_color() -> bool:
@@ -234,20 +237,14 @@ def _run_verify(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    if args.scope == "ho":
-        checks = verify_ho(config)
-    elif args.scope == "ising":
-        checks = verify_ising(config=config, **_given(n_spins=args.N))
-    elif args.scope == "lipkin":
-        checks = verify_lipkin(config=config, **_given(n_oracle=args.N))
-    else:
-        checks = verify_all(config)
+    checks = _SUITES[args.scope](config, *(() if args.N is None else (args.N,)))
     for key, _ in args.tolerance:
         if not any(key in check.name for check in checks):
             raise UsageError(f"--tolerance {key}: no check of scope {args.scope} "
                              f"has it in its name")
 
     color = _use_color()
+    lines = []
     n_passed = 0
     for check in checks:
         tolerance = check.tolerance
@@ -259,9 +256,10 @@ def _run_verify(args) -> int:
         tag = "PASS" if passed else "FAIL"
         if color:
             tag = f"\033[32m{tag}\033[0m" if passed else f"\033[31m{tag}\033[0m"
-        print(f"{tag}  {check.name}: deviation {check.deviation:.3e} "
-              f"(tolerance {tolerance:.3e})")
-    print(f"{n_passed}/{len(checks)} checks passed")
+        lines.append(f"{tag}  {check.name}: deviation {check.deviation:.3e} "
+                     f"(tolerance {tolerance:.3e})\n")
+    lines.append(f"{n_passed}/{len(checks)} checks passed\n")
+    _write("".join(lines))
     return 0 if n_passed == len(checks) else 1
 
 

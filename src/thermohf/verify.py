@@ -118,7 +118,7 @@ def _ising_hf_terms(params: IsingChain, point: EnsemblePoint, config: DiffConfig
             for name in ("coupling_j", "field_h")]
 
 
-def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig()) -> list[CheckResult]:
+def verify_ising(config: DiffConfig = DiffConfig(), n_spins: int = 12) -> list[CheckResult]:
     """Ising: enumeration oracle, HF term decomposition, symmetry, limits."""
     check_oracle_size("ising", n_spins)
     checks = []
@@ -176,7 +176,7 @@ def verify_ising(n_spins: int = 12, config: DiffConfig = DiffConfig()) -> list[C
     return checks
 
 
-def verify_lipkin(n_oracle: int = 8, config: DiffConfig = DiffConfig()) -> list[CheckResult]:
+def verify_lipkin(config: DiffConfig = DiffConfig(), n_oracle: int = 8) -> list[CheckResult]:
     """Lipkin: dimension identity, Fock oracle, HF identity, corollary, limits."""
     check_oracle_size("lipkin", n_oracle)
     checks = []
@@ -260,4 +260,4 @@ def verify_lipkin(n_oracle: int = 8, config: DiffConfig = DiffConfig()) -> list[
 
 
 def verify_all(config: DiffConfig = DiffConfig()) -> list[CheckResult]:
-    return verify_ho(config) + verify_ising(config=config) + verify_lipkin(config=config)
+    return verify_ho(config) + verify_ising(config) + verify_lipkin(config)

@@ -1,7 +1,11 @@
+import errno
+import io
 import json
 import math
+import os
 import re
 import shlex
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -143,6 +147,15 @@ class TestSweepCommand:
         code, _, err = run(["sweep", "--model", "ho", "--config", str(cfg)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_undecodable_config_is_usage_error(self, command, tmp_path, capsys):
+        # a UnicodeDecodeError is a ValueError, and once exited 3
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"t-steps = 4\n\xff\n")
+        code, out, err = run([command, "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot read config file")
+
     @pytest.mark.parametrize("flag,value,model", [
         ("--J", "-1e-3", "ising"),
         ("--h", "-2.5E-1", "ising"),
@@ -179,8 +192,9 @@ class TestUsageErrors:
         def must_not_run(*args, **kwargs):
             raise AssertionError("computation started before the parameters were checked")
 
-        for name in ("sweep", "verify_ising", "verify_lipkin"):
-            monkeypatch.setattr(cli, name, must_not_run)
+        monkeypatch.setattr(cli, "sweep", must_not_run)
+        for scope in cli._SUITES:
+            monkeypatch.setitem(cli._SUITES, scope, must_not_run)
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -203,6 +217,24 @@ class TestUsageErrors:
                               "--out", str(out_path)], capsys)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: cannot write")
+
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    @pytest.mark.parametrize("argv", [["sweep", "--model", "ho", "--t-steps", "3"],
+                                      ["verify", "--scope", "ho"]], ids=["sweep", "verify"])
+    def test_unwritable_stdout_is_usage_error(self, argv, method, monkeypatch, capsys):
+        # stdout on a full disk once ended in a traceback with exit 1
+        no_space = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def full(*args):
+            raise no_space
+
+        stdout = io.StringIO()
+        setattr(stdout, method, full)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(argv)
+        _, err = capsys.readouterr()
+        assert code == 2
+        assert err == f"error: cannot write output: {no_space}\n"
 
 
 class TestIgnoredFlags:
@@ -237,8 +269,9 @@ class TestIgnoredFlags:
         def must_not_run(*args, **kwargs):
             raise AssertionError("computation started before the flags were checked")
 
-        for name in ("sweep", "verify_ho", "verify_ising", "verify_lipkin", "verify_all"):
-            monkeypatch.setattr(cli, name, must_not_run)
+        monkeypatch.setattr(cli, "sweep", must_not_run)
+        for scope in cli._SUITES:
+            monkeypatch.setitem(cli._SUITES, scope, must_not_run)
         head = command.split()
         self.refused([*head, *(f"--{k}={v}" for k, v in settings.items())], message, capsys)
         cfg = write_config(tmp_path / "run.cfg", settings)
@@ -373,10 +406,23 @@ class TestVerifyCommand:
         assert "FAIL" in out
 
     def test_bad_tolerance_is_usage_error(self, capsys):
-        # inf and 0 are tolerances; nan and a negative value would fail every check
-        for item in ("oops", "virial=nan", "virial=-1", "virial=-1e-300"):
+        # inf and 0 are tolerances; nan and a negative value would fail every
+        # check, and a blank NAME, which every check name contains, would set all
+        for item in ("oops", "virial=nan", "virial=-1", "virial=-1e-300", "=1", "=0", " =0"):
             code, out, err = run(["verify", "--scope", "ho", "--tolerance", item], capsys)
             assert code == 2 and out == "" and repr(item) in err
+
+    def test_tolerance_name_holding_equals_sign(self, tmp_path, capsys):
+        # NAME=VALUE splits at the last `=`, so a whole check name can be given
+        name = "ho zero-T dE0/dlam = 1/4"
+        cfg = write_config(tmp_path / "verify.cfg", {"scope": "ho", "tolerance": f"{name}=0"})
+        for argv in (["verify", "--scope", "ho", "--tolerance", f"{name}=0"],
+                     ["verify", "--config", cfg]):
+            code, out, _ = run(argv, capsys)
+            assert code == 1
+            (failed,) = [line for line in out.splitlines() if line.startswith("FAIL")]
+            assert failed.startswith(f"FAIL  {name}: ")
+            assert failed.endswith("(tolerance 0.000e+00)")
 
     def test_verify_lipkin_reads_the_sweep_table(self, capsys):
         # the deviation verify prints is the one of the table `sweep` prints
