@@ -18,7 +18,7 @@ differently. Results are bit for bit those of exp on every weight.
 
 A point may hold one temperature or a 1-D grid of them. A grid is
 evaluated as one (temperatures x levels) log-sum-exp, formed a block of
-temperatures at a time; a single temperature gives floats, a grid arrays.
+temperatures at a time; one temperature gives float64 scalars, a grid arrays.
 Each temperature may sum its own number of lowest levels, in a full row of
 that length, so one call serves a grid whose truncation varies with T.
 The block buffers are views of one scratch array per thread, allocated at
@@ -151,7 +151,7 @@ class EnsemblePoint:
     @classmethod
     def from_temperature(cls, temperature) -> "EnsemblePoint":
         t = _check_positive("temperature", temperature)
-        return cls(beta=1.0 / t if t.ndim else 1.0 / float(t))
+        return cls(beta=1.0 / t)
 
     @property
     def temperature(self):
@@ -173,6 +173,12 @@ class ThermoPotentials:
     energy: float | np.ndarray
     entropy: float | np.ndarray
     h1: float | np.ndarray | None = None
+
+    @classmethod
+    def from_ln_z(cls, beta, ln_z, energy, h1=None) -> "ThermoPotentials":
+        """The bundle at beta from lnZ and E: F = -lnZ/beta, S = beta (E - F)."""
+        free_energy = -ln_z / beta
+        return cls(ln_z, free_energy, energy, beta * (energy - free_energy), h1)
 
 
 def _block_buffers(rows: int, columns: int):
@@ -298,12 +304,9 @@ def potentials(spectrum: Spectrum, point: EnsemblePoint, h1=None, *,
             raise ValueError(f"n_levels must give one integer in [1, {len(spectrum)}] "
                              "per temperature")
     sums = _boltzmann_sums(spectrum, beta, values, counts)
+    if np.ndim(point.beta) == 0:
+        beta, sums = point.beta, sums[:, 0]
     z0 = sums[0]
     sums[1:] /= z0  # E, then <H1>
     ln_z = -beta * spectrum.energies[0] + np.log(z0)
-    free_energy = -ln_z / beta
-    entropy = beta * (sums[1] - free_energy)
-    fields = (ln_z, free_energy, sums[1], entropy, *sums[2:])
-    if np.ndim(point.beta) == 0:
-        fields = [float(x[0]) for x in fields]
-    return ThermoPotentials(*fields)
+    return ThermoPotentials.from_ln_z(beta, ln_z, *sums[1:])

@@ -71,12 +71,9 @@ def ho_closed_potentials(lam: float, point: EnsemblePoint) -> ThermoPotentials:
     bw = beta * w
     # lnZ = -bw/2 - ln(1 - e^{-bw})
     ln_z = -0.5 * bw - np.log1p(-np.exp(-bw))
-    free_energy = -ln_z / beta
     occupation = np.exp(-bw) / (-np.expm1(-bw))  # 1/(e^{bw}-1)
-    energy = w * (0.5 + occupation)
-    entropy = beta * (energy - free_energy)
-    return ThermoPotentials(ln_z=ln_z, free_energy=free_energy, energy=energy, entropy=entropy,
-                            h1=(0.5 + occupation) / (2.0 * w))
+    return ThermoPotentials.from_ln_z(beta, ln_z, w * (0.5 + occupation),
+                                      (0.5 + occupation) / (2.0 * w))
 
 
 def ho_entropy_lambda_derivative(point: EnsemblePoint):

@@ -53,14 +53,11 @@ class IsingChain:
         H0 = 0 here, so h1 = <H1> = dF/dlam = E(lam)/lam: at lam = 1 it is E
         itself. With h1=False the result's h1 is None.
         """
-        beta = point.beta
         ln_z, h_j, h_h = ising_transfer(self.n_spins, lam * self.coupling_j,
-                                        lam * self.field_h, beta)
-        free_energy = -ln_z / beta
+                                        lam * self.field_h, point.beta)
         energy = h_j + h_h
-        entropy = beta * (energy - free_energy)
-        return ThermoPotentials(ln_z=ln_z, free_energy=free_energy, energy=energy,
-                                entropy=entropy, h1=energy / lam if h1 else None)
+        return ThermoPotentials.from_ln_z(point.beta, ln_z, energy,
+                                          energy / lam if h1 else None)
 
 
 def ising_transfer(n_spins: int, coupling, field, beta):

@@ -45,7 +45,8 @@ MAX_GRID_POINTS = 10**6
 def temperature_grid(t_min: float, t_max: float, steps: int, kind: str = "linear") -> np.ndarray:
     """Strictly increasing temperature grid, linear or geometric, of 2 to
     MAX_GRID_POINTS points, whose every 1/T is a finite float (t_min at
-    least about 5.6e-309); raises ValueError before allocating otherwise."""
+    least about 5.6e-309); raises ValueError before allocating otherwise, and
+    after it where rounding leaves the grid not strictly increasing."""
     if not (0.0 < t_min < t_max < np.inf):
         raise ValueError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
     if math.isinf(1.0 / float(t_min)):
@@ -57,10 +58,14 @@ def temperature_grid(t_min: float, t_max: float, steps: int, kind: str = "linear
     if steps > MAX_GRID_POINTS:
         raise ValueError(f"need at most {MAX_GRID_POINTS} grid points, got {steps}")
     if kind == "linear":
-        return np.linspace(t_min, t_max, steps)
-    if kind == "geometric":
-        return np.geomspace(t_min, t_max, steps)
-    raise ValueError(f"unknown grid kind {kind!r}")
+        grid = np.linspace(t_min, t_max, steps)
+    elif kind == "geometric":
+        grid = np.geomspace(t_min, t_max, steps)
+    else:
+        raise ValueError(f"unknown grid kind {kind!r}")
+    if not np.all(np.diff(grid) > 0):
+        raise ValueError(f"{steps} {kind} points in [{t_min}, {t_max}] are not strictly increasing")
+    return grid
 
 
 def sweep(model, t_grid, config: DiffConfig = DiffConfig()) -> np.recarray:

@@ -106,18 +106,6 @@ def verify_ho(config: DiffConfig = DiffConfig()) -> list[CheckResult]:
     return checks
 
 
-def _ising_hf_terms(params: IsingChain, point: EnsemblePoint, config: DiffConfig):
-    """<H_J>, <H_h> of a chain as the derivatives of F in factors lam1 and
-    lam2 on J and h, at lam1 = lam2 = 1."""
-
-    def free_energy(name, lam):
-        scaled = replace(params, **{name: lam * getattr(params, name)})
-        return scaled.potentials(1.0, point, h1=False).free_energy
-
-    return [central_diff(lambda lam: free_energy(name, lam), 1.0, config)[0]
-            for name in ("coupling_j", "field_h")]
-
-
 def verify_ising(config: DiffConfig = DiffConfig(), n_spins: int = 12) -> list[CheckResult]:
     """Ising: enumeration oracle, HF term decomposition, symmetry, limits."""
     check_oracle_size("ising", n_spins)
@@ -145,12 +133,19 @@ def verify_ising(config: DiffConfig = DiffConfig(), n_spins: int = 12) -> list[C
     checks.append(CheckResult("ising lnZ vs enumeration (relative)", dev_lnz, 1e-12))
     checks.append(CheckResult("ising <H_J>, <H_h> vs enumeration", dev_avg, 1e-12))
 
-    # the HF side: term averages as coupling derivatives of F, and the
-    # sweep table's dF/dlam against its direct <H1>
+    # the HF side: <H_J>, <H_h> as one central_diff of the stacked F of the
+    # chains (lam J, h) and (J, lam h), and the sweep's dF/dlam against <H1>
     base = IsingChain(coupling_j=2.0, field_h=1.0, n_spins=10)
     t_grid = temperature_grid(0.1, 30.0, 40)
     table = sweep(base, t_grid, config)
-    hj, hh = _ising_hf_terms(base, EnsemblePoint.from_temperature(t_grid), config)
+    point = EnsemblePoint.from_temperature(t_grid)
+
+    def split_free_energies(lam):
+        chains = (replace(base, coupling_j=lam * base.coupling_j),
+                  replace(base, field_h=lam * base.field_h))
+        return np.array([chain.potentials(1.0, point, h1=False).free_energy for chain in chains])
+
+    (hj, hh), _ = central_diff(split_free_energies, 1.0, config)
     dev_terms = _max_abs(hj + hh - table.energy)
     checks.append(CheckResult(
         "ising <H_J> + <H_h> = E over sweep", dev_terms, 1e-6 * base.n_spins

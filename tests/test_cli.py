@@ -184,10 +184,16 @@ class TestUsageErrors:
         # 1/t-min overflows; these once exited 3
         *(["sweep", "--model", model, "--t-min", "1e-310", "--t-max", "1e-300",
            "--t-steps", "3"] for model in ("ho", "ising", "lipkin")),
+        # grids rounding leaves not strictly increasing; these once exited 0
+        ["sweep", "--model", "ho", "--t-min", "1", "--t-max", "1.0000000000000002",
+         "--t-steps", "5"],
+        ["sweep", "--model", "ho", "--t-min", "0.05", "--t-max", "0.05000000000000001",
+         "--t-steps", "4", "--grid", "geometric"],
     ], ids=["ising-N1", "lipkin-N0", "lipkin-negative-epsilon", "lipkin-V-nan",
             "ising-J-nan", "t-max-inf", "verify-lipkin-N13", "verify-ising-N21",
             "verify-ising-N1", "ho-t-max-1e7", "ho-t-max-1e308", "ho-t-min-1e-310",
-            "ising-t-min-1e-310", "lipkin-t-min-1e-310"])
+            "ising-t-min-1e-310", "lipkin-t-min-1e-310", "linear-grid-repeats-T",
+            "geometric-grid-below-t-min"])
     def test_invalid_parameter_is_usage_error(self, argv, monkeypatch, capsys):
         def must_not_run(*args, **kwargs):
             raise AssertionError("computation started before the parameters were checked")

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from thermohf import EnsemblePoint, Spectrum, potentials
 from thermohf import ensemble
 from thermohf.ensemble import _BLOCK_ELEMENTS, _EXP_ZERO_BELOW
+from thermohf.models.ho import HarmonicOscillator, ho_closed_potentials
+from thermohf.models.ising import IsingChain
+from thermohf.models.lipkin import LipkinModel
 
 
 class TestSpectrum:
@@ -68,6 +71,48 @@ class TestEnsemblePoint:
     def test_rejects_two_dimensional_grid(self):
         with pytest.raises(ValueError):
             EnsemblePoint(beta=np.ones((2, 2)))
+
+
+# Every route to a ThermoPotentials bundle, each at a coupling other than 1.
+ROUTES = {
+    "engine-ho": lambda point: HarmonicOscillator(t_max=50.0).potentials(1.3, point),
+    "engine-lipkin": lambda point: LipkinModel(n_particles=7, v_coupling=2.5).potentials(
+        0.8, point),
+    "ho-closed-form": lambda point: ho_closed_potentials(1.3, point),
+    "ising": lambda point: IsingChain(coupling_j=2.0, field_h=1.0, n_spins=10).potentials(
+        0.9, point),
+    "ising-odd-antiferromagnet": lambda point: IsingChain(
+        coupling_j=-1.5, field_h=0.3, n_spins=9).potentials(1.1, point),
+}
+
+
+class TestFromLnZ:
+    """F and S of every route are formed once, from its lnZ and E."""
+
+    @pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES)
+    @pytest.mark.parametrize("point", [
+        EnsemblePoint(beta=1.4),
+        EnsemblePoint.from_temperature(0.7),
+        EnsemblePoint.from_temperature(np.geomspace(0.05, 40.0, 25)),
+    ], ids=["python-float-beta", "scalar", "grid"])
+    def test_free_energy_and_entropy_from_ln_z(self, route, point):
+        pots = route(point)
+        free_energy = -pots.ln_z / point.beta
+        assert np.array_equal(pots.free_energy, free_energy)
+        assert np.array_equal(pots.entropy, point.beta * (pots.energy - free_energy))
+        for value in vars(pots).values():
+            assert np.shape(value) == np.shape(point.beta)
+            if np.ndim(point.beta) == 0:
+                assert isinstance(value, np.float64)
+
+    def test_scalar_point_is_the_grid_entry(self):
+        grid = np.geomspace(0.05, 40.0, 25)
+        for route in ROUTES.values():
+            whole = route(EnsemblePoint.from_temperature(grid))
+            for k in (0, 12, 24):
+                alone = route(EnsemblePoint.from_temperature(grid[k]))
+                for name, value in vars(alone).items():
+                    assert value == getattr(whole, name)[k]
 
 
 class TestLogPartition:

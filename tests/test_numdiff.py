@@ -10,6 +10,7 @@ from thermohf.models.ho import (
     ho_entropy_lambda_derivative,
     ho_spectrum,
 )
+from thermohf.models.ising import IsingChain
 from thermohf.sweep import sweep
 
 
@@ -90,6 +91,28 @@ class TestCentralDiff:
     def test_non_finite_entry_propagates(self):
         with pytest.raises(ValueError):
             central_diff(lambda x: np.where(x > 0, x, np.inf), np.array([1.0, -2.0]))
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_stacked_function_matches_separate_calls(self, levels):
+        # sweep's (F, E, S) and verify's split-chain F are each one such call
+        config = DiffConfig(richardson_levels=levels)
+        point = EnsemblePoint.from_temperature(np.geomspace(0.1, 30.0, 40))
+        chain = IsingChain(coupling_j=-1.5, field_h=0.7, n_spins=9)
+        model = HarmonicOscillator(t_max=30.0)
+        functions = [
+            lambda lam: IsingChain(-1.5 * lam, 0.7, 9).potentials(1.0, point).free_energy,
+            lambda lam: IsingChain(-1.5, 0.7 * lam, 9).potentials(1.0, point).free_energy,
+            lambda lam: chain.potentials(lam, point).entropy,
+            lambda lam: model.potentials(lam, point, h1=False).energy,
+        ]
+        stacked, stacked_err = central_diff(lambda lam: np.array([f(lam) for f in functions]),
+                                            1.0, config)
+        for k, f in enumerate(functions):
+            alone, alone_err = central_diff(f, 1.0, config)
+            assert np.array_equal(stacked[k], alone)
+            # one level has no error estimate: nan
+            assert np.array_equal(stacked_err if levels == 1 else stacked_err[k], alone_err,
+                                  equal_nan=True)
 
 
 class TestLambdaDerivative:

@@ -66,6 +66,26 @@ class TestTemperatureGrid:
         with pytest.raises(ValueError, match="at most"):
             temperature_grid(0.1, 1.0, MAX_GRID_POINTS + 1)
 
+    @pytest.mark.parametrize("t_min,t_max,steps,kind", [
+        # more points than floats in [1, 1 + 2^-52]: rows T = 1, 1, 1, ...
+        (1.0, 1.0000000000000002, 5, "linear"),
+        # one point below t_min, and not monotone
+        (0.05, 0.05000000000000001, 4, "geometric"),
+        (1.0, 1.0000000000000002, 3, "linear"),
+        (1.0, 1.0000000000000002, 3, "geometric"),
+    ])
+    def test_rejects_grid_not_strictly_increasing(self, t_min, t_max, steps, kind):
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            temperature_grid(t_min, t_max, steps, kind)
+
+    @pytest.mark.parametrize("kind", ["linear", "geometric"])
+    @pytest.mark.parametrize("t_min,t_max,steps", [
+        (1e-3, 100.0, 2000), (0.1, 1.0, MAX_GRID_POINTS), (1.0, 1.0000000000000002, 2),
+    ])
+    def test_accepted_grids_strictly_increase(self, t_min, t_max, steps, kind):
+        grid = temperature_grid(t_min, t_max, steps, kind)
+        assert grid[0] == t_min and grid[-1] == t_max and np.all(grid[1:] > grid[:-1])
+
 
 class TestSweeps:
     def test_ho_rows_consistent(self):
