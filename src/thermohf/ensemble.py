@@ -1,7 +1,8 @@
 """Canonical-ensemble potentials and averages from a discrete spectrum.
 
 All thermodynamics here is derived from a list of (energy, degeneracy)
-levels -- the only representation of the density operator used anywhere.
+levels -- the only representation of the density operator used anywhere,
+and every model's levels pass the one Spectrum constructor's checks.
 Conventions: k_B = 1, beta = 1/T, energies in the model's natural units.
 
 Numerical stability: every Boltzmann sum is anchored at the ground-state
@@ -107,26 +108,14 @@ class Spectrum:
         object.__setattr__(self, "degeneracies", g)
         object.__setattr__(self, "log_degeneracies", log_g)
 
-    @classmethod
-    def _from_valid_levels(cls, energies, degeneracies, log_degeneracies) -> "Spectrum":
-        """A spectrum from arrays that are valid by construction: energies
-        finite and ascending, degeneracies positive integers (int64 or Python
-        ints), log_degeneracies their logarithms. Nothing is checked; the
-        arrays are made read-only and kept without a copy."""
-        spectrum = object.__new__(cls)
-        for name, value in (("energies", energies), ("degeneracies", degeneracies),
-                            ("log_degeneracies", log_degeneracies)):
-            value.flags.writeable = False
-            object.__setattr__(spectrum, name, value)
-        return spectrum
-
     def __len__(self):
         return self.energies.size
 
 
 def _check_positive(name: str, value):
     v = np.asarray(value, dtype=float)
-    if v.ndim > 1 or not (np.isfinite(v) & (v > 0)).all():
+    # min and max propagate NaN and, unlike elementwise tests, allocate nothing
+    if v.ndim > 1 or not (0 < v.min(initial=math.inf) and v.max(initial=0.0) < math.inf):
         raise ValueError(f"{name} must be finite and positive, got {value}")
     return v
 
@@ -136,7 +125,8 @@ class EnsemblePoint:
     """One temperature or a 1-D grid of them; beta is the internal variable.
 
     Every entry must be finite and positive. A grid is stored as a
-    read-only float array.
+    read-only float array: a read-only array that owns its data is kept as
+    it is, and any other is copied, so the caller cannot write the grid.
     """
 
     beta: float | np.ndarray
@@ -144,14 +134,17 @@ class EnsemblePoint:
     def __post_init__(self):
         beta = _check_positive("beta", self.beta)
         if beta.ndim == 1:
-            beta = beta.copy()
-            beta.flags.writeable = False
+            if beta.flags.writeable or beta.base is not None:
+                beta = beta.copy()
+                beta.flags.writeable = False
             object.__setattr__(self, "beta", beta)
 
     @classmethod
     def from_temperature(cls, temperature) -> "EnsemblePoint":
-        t = _check_positive("temperature", temperature)
-        return cls(beta=1.0 / t)
+        beta = 1.0 / _check_positive("temperature", temperature)
+        if np.ndim(beta):  # a fresh grid no caller holds: kept, not copied
+            beta.flags.writeable = False
+        return cls(beta=beta)
 
     @property
     def temperature(self):

@@ -8,18 +8,18 @@ multiplicity-weighted union of the block spectra.
 A block couples only m <-> m+2, so it falls into two tridiagonal m-parity
 sectors. The sectors come in batches of at most _BATCH_ELEMENTS padded
 matrix elements, each built once per model at its own largest sector size
-(with the per-level multiplicities and their logarithms, kept read-only on
-the model), and diagonalized by one stacked LAPACK call per batch: each
+(with the per-level multiplicities, but no ln g, kept read-only on the
+model), and diagonalized by one stacked LAPACK call per batch: each
 sector is padded to the batch's largest with decoupled diagonal entries
 above the batch's Gershgorin bound, so its eigenvalues come out bit for bit
 as from its own call. One generator, ``_padded_stacks``, writes the stacks
 of H(lam); ``lipkin_levels`` solves them: with h1 it calls ``eigh``, and
 each eigenvector's <H1> is 2 sum_i o_i v_i v_i+1 over the sector's
 off-diagonal o, O(n) per vector; without, it calls ``eigvalsh`` and forms
-no eigenvectors.
+no eigenvectors. The sorted levels make a checked Spectrum like any other.
 
 Half-integer j is carried as twice-j integers so all bookkeeping is exact.
-Multiplicities stay exact integers at any N: int64 while they fit, Python
+Multiplicities stay exact integers at any N: int64 to N = 62, Python
 ints from N = 63 on.
 """
 
@@ -39,6 +39,9 @@ __all__ = ["LipkinModel", "multiplicity", "lipkin_levels"]
 
 # Most matrix elements in one stacked LAPACK call; bounds its memory at large N.
 _BATCH_ELEMENTS = 2**18
+# Largest particle number: the spectrum has about N^2/4 levels, and the
+# default grid at this N takes about 40 s and 73 MB.
+MAX_PARTICLES = 1040
 
 
 def multiplicity(n_particles: int, two_j: int) -> int:
@@ -94,13 +97,11 @@ class _SectorLayout(NamedTuple):
 
     batches: a _Batch per run of m-parity sectors diagonalized together, in
     order.
-    degeneracies and log_degeneracies: each sector level's block multiplicity
-    g and ln g, sector after sector.
+    degeneracies: each sector level's block multiplicity, sector after sector.
     """
 
     batches: tuple
     degeneracies: np.ndarray
-    log_degeneracies: np.ndarray
 
 
 def _batches(sizes: np.ndarray):
@@ -143,18 +144,19 @@ def _sector_layout(model: LipkinModel) -> _SectorLayout:
     """Sectors come by ascending j, even m-offset before odd."""
     n = model.n_particles
     mults = [multiplicity(n, two_j) for two_j in _block_j_values(n)]
-    g_dtype = np.int64 if max(mults) <= np.iinfo(np.int64).max else object
+    # Python ints from N = 63, where the total 2^N outgrows int64; Spectrum
+    # takes math.log of those, and np.log of int64 ones, which gives the same
+    # bits for every multiplicity to N = 62 (not for one at N = 69)
+    g_dtype = np.int64 if n <= 62 else object
     two_j = np.array(_block_j_values(n)).repeat(2)
     parity = np.arange(two_j.size) % 2
     sizes = (two_j + 2 - parity) // 2
     level_block = np.repeat(np.arange(sizes.size) // 2, sizes)  # two sectors per block
     degeneracies = np.array(mults, dtype=g_dtype)[level_block]
-    # math.log takes integers of any size; one call per block
-    log_degeneracies = np.array([math.log(x) for x in mults])[level_block]
-    degeneracies.flags.writeable = log_degeneracies.flags.writeable = False
+    degeneracies.flags.writeable = False
     batches = tuple(_batch(model, two_j[start:stop], parity[start:stop], sizes[start:stop])
                     for start, stop in _batches(sizes))
-    return _SectorLayout(batches, degeneracies, log_degeneracies)
+    return _SectorLayout(batches, degeneracies)
 
 
 def _padded_stacks(model: LipkinModel, lam: float):
@@ -195,8 +197,8 @@ class LipkinModel:
     def __post_init__(self):
         if not isinstance(self.n_particles, numbers.Integral):
             raise ValueError(f"n_particles must be an integer, got {self.n_particles!r}")
-        if self.n_particles < 1:
-            raise ValueError(f"need at least one particle, got {self.n_particles}")
+        if not 1 <= self.n_particles <= MAX_PARTICLES:
+            raise ValueError(f"need 1 to {MAX_PARTICLES} particles, got {self.n_particles}")
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"level splitting must be positive and finite, got {self.epsilon}")
         if not math.isfinite(self.v_coupling):
@@ -228,7 +230,6 @@ def lipkin_levels(model: LipkinModel, lam: float = 1.0, *, h1: bool = True):
     a sector's eigenvalues are simple (nonzero off-diagonal); without,
     eigvalsh's levels may differ from eigh's by rounding.
     """
-    layout = model._layout
     energies, h1_values = [], []
     for batch, stack in _padded_stacks(model, lam):
         if h1:
@@ -240,7 +241,5 @@ def lipkin_levels(model: LipkinModel, lam: float = 1.0, *, h1: bool = True):
         energies.append(values[batch.rows])
     energies = np.concatenate(energies)
     order = energies.argsort(kind="stable")
-    spectrum = Spectrum._from_valid_levels(
-        energies.take(order), layout.degeneracies.take(order), layout.log_degeneracies.take(order)
-    )
+    spectrum = Spectrum(energies.take(order), model._layout.degeneracies.take(order))
     return spectrum, np.concatenate(h1_values).take(order) if h1 else None

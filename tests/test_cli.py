@@ -14,7 +14,7 @@ import pytest
 
 from thermohf import Spectrum, cli, verify
 from thermohf.cli import main
-from thermohf.models import ising
+from thermohf.models import ising, lipkin
 from thermohf.sweep import CSV_HEADER, rows_to_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -215,6 +215,17 @@ class TestUsageErrors:
             code, out, err = run(argv, capsys)
             assert code == 2 and out == ""
             assert err == "error: need at most 1000000 grid points, got %s\n" % steps
+
+    def test_lipkin_past_particle_cap_is_usage_error(self, monkeypatch, tmp_path, capsys):
+        # N = 10^5 once went on to build a layout of tens of GB
+        monkeypatch.setattr(cli, "sweep", lambda *args: pytest.fail("sweep started"))
+        monkeypatch.setattr(lipkin, "_sector_layout", lambda *args: pytest.fail("layout built"))
+        flags = ["sweep", "--model", "lipkin", "--N", "1041"]
+        cfg = write_config(tmp_path / "run.cfg", {"model": "lipkin", "N": "1041"})
+        for argv in (flags, ["sweep", "--config", cfg]):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == ""
+            assert err == "error: need 1 to 1040 particles, got 1041\n"
 
     @pytest.mark.parametrize("target", ["missing-dir/x.csv", "."], ids=["no-dir", "is-dir"])
     def test_unwritable_out_is_usage_error(self, target, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,30 @@ class TestEnsemblePoint:
         assert np.array_equal(p.beta, 1.0 / grid)
         with pytest.raises(ValueError):
             p.beta[0] = 3.0
+
+    def test_grid_kept_without_second_copy(self):
+        # 1/T is the one array a grid's point allocates; the point once
+        # copied it again and peaked at two grids' worth
+        grid = np.linspace(0.1, 1.0, 10**6)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            p = EnsemblePoint.from_temperature(grid)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert p.beta.nbytes == 8 * 10**6 and not p.beta.flags.writeable
+        assert peak <= 1.01 * 8 * 2**20
+
+    def test_copies_any_grid_a_caller_can_write(self):
+        grid = np.array([0.5, 1.0, 2.0])
+        read_only_view = grid.view()
+        read_only_view.flags.writeable = False
+        points = [EnsemblePoint(beta=grid), EnsemblePoint(beta=read_only_view)]
+        grid[0] = 7.0
+        for p in points:
+            assert p.beta[0] == 0.5 and not p.beta.flags.writeable
 
     def test_rejects_two_dimensional_grid(self):
         with pytest.raises(ValueError):

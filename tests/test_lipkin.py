@@ -7,6 +7,7 @@ from thermohf import DiffConfig, EnsemblePoint, central_diff, potentials
 from thermohf.cli import main as cli_main
 from thermohf.models import lipkin
 from thermohf.models.lipkin import (
+    MAX_PARTICLES,
     LipkinModel,
     lipkin_levels,
     multiplicity,
@@ -383,10 +384,42 @@ class TestDirectAverage:
         assert np.max(np.abs(p / uniform - 1.0)) < 1e-3
 
 
+class TestCheckedSpectrum:
+    @pytest.mark.parametrize("n", [62, 63, 64, 69])
+    def test_log_degeneracies_are_math_log(self, n):
+        # multiplicities are int64 up to N = 62 and Python ints from 63; the
+        # spectrum's ln g is math.log of each level's multiplicity either way
+        spectrum, _ = lipkin_levels(LipkinModel(n, 1.0, 3.0), h1=False)
+        g = spectrum.degeneracies
+        assert g.dtype == (np.int64 if n <= 62 else object)
+        assert sum(g.tolist()) == 2**n
+        assert np.array_equal(spectrum.log_degeneracies, [math.log(x) for x in g.tolist()])
+
+    @pytest.mark.parametrize("h1,name", [(True, "eigh"), (False, "eigvalsh")])
+    def test_nan_level_is_refused(self, h1, name, monkeypatch):
+        # the levels pass the spectrum's own checks; a NaN was once kept
+        solve = getattr(np.linalg, name)
+
+        def with_nan(a):
+            result = solve(a)
+            (result[0] if h1 else result)[0, 0] = np.nan
+            return result
+
+        monkeypatch.setattr(np.linalg, name, with_nan)
+        with pytest.raises(ValueError, match="spectrum energies must be finite"):
+            lipkin_levels(LipkinModel(16, 1.0, 3.0), h1=h1)
+
+
 class TestModelValidation:
     def test_rejects_zero_particles(self):
         with pytest.raises(ValueError):
             LipkinModel(0, 1.0, 1.0)
+
+    def test_particle_cap(self):
+        assert LipkinModel(MAX_PARTICLES).n_particles == MAX_PARTICLES == 1040
+        for n in (MAX_PARTICLES + 1, 10**5):
+            with pytest.raises(ValueError, match=f"need 1 to 1040 particles, got {n}"):
+                LipkinModel(n)
 
     def test_rejects_non_integer_size(self):
         with pytest.raises(ValueError, match="n_particles must be an integer"):

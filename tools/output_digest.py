@@ -9,7 +9,7 @@ and OpenMP pools on one thread, and its argv, exit code, stdout and stderr
 go into the digest in order. The list is both benchmark pools at seeds
 1-3 (from perfbench/workloads.py), `fig ho|ising|lipkin` as CSV and JSON,
 `verify` for every scope and for both oracles past their default sizes,
-and a few edge sweeps: one exits 2, one exits 3, and six reach the
+and a few edge sweeps: two exit 2, one exits 3, and six reach the
 float-text kernel's edge cases. --root names the checkout
 whose `src/` and `perfbench/` are imported (default: the one holding this
 script), so a change's digest can be compared with its parent's by running
@@ -59,6 +59,8 @@ FIXED = [
     # overflowing is a numerical error (exit 3)
     ["sweep", "--model", "ho", "--t-min", "1e-310", "--t-max", "1e-300", "--t-steps", "3"],
     ["sweep", "--model", "ising", "--t-min", "5.6e-309", "--t-max", "1", "--t-steps", "3"],
+    # a Lipkin N past the model's cap is a usage error (exit 2)
+    ["sweep", "--model", "lipkin", "--N", "1041"],
 ]
 
 
