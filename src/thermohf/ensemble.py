@@ -62,8 +62,9 @@ class Spectrum:
     energies : array_like
         Level energies, ascending.
     degeneracies : array_like, optional
-        Positive integer weight per level. Defaults to all ones. Weights
-        beyond the int64 range are kept as Python ints in an object array.
+        Positive integer weight per level, of a fixed-width integer dtype or
+        as Python ints in an object array (for weights beyond int64); no
+        other dtype is accepted. Defaults to all ones.
 
     ``log_degeneracies`` holds ln g per level, computed once, so Boltzmann
     weights never form g itself as a float.
@@ -77,9 +78,9 @@ class Spectrum:
         e = np.atleast_1d(np.asarray(self.energies, dtype=float))
         if e.size == 0:
             raise ValueError("spectrum must contain at least one level")
-        if not np.all(np.isfinite(e)):
+        if not np.isfinite(e).all():
             raise ValueError("spectrum energies must be finite")
-        if np.any(np.diff(e) < 0):
+        if (e[1:] < e[:-1]).any():
             raise ValueError("spectrum energies must be sorted ascending")
         if self.degeneracies is None:
             g = np.ones(e.shape, dtype=np.int64)
@@ -87,15 +88,10 @@ class Spectrum:
             g = np.atleast_1d(np.asarray(self.degeneracies))
             if g.shape != e.shape:
                 raise ValueError("degeneracies must align with energies")
-            if g.dtype == object:
-                if not all(isinstance(x, (int, np.integer)) for x in g):
-                    raise ValueError("degeneracies must be integers")
-            elif not np.issubdtype(g.dtype, np.integer):
-                gi = g.astype(np.int64)
-                if not np.array_equal(gi, g):
-                    raise ValueError("degeneracies must be integers")
-                g = gi
-            if np.any(g < 1):
+            if not (g.dtype.kind in "iu" or g.dtype == object
+                    and all(isinstance(x, (int, np.integer)) for x in g)):
+                raise ValueError("degeneracies must be integers")
+            if (g < 1).any():
                 raise ValueError("degeneracies must be >= 1")
         e = e.copy()
         e.flags.writeable = False
@@ -115,8 +111,8 @@ class Spectrum:
 def _check_positive(name: str, value):
     v = np.asarray(value, dtype=float)
     # min and max propagate NaN and, unlike elementwise tests, allocate nothing
-    if v.ndim > 1 or not (0 < v.min(initial=math.inf) and v.max(initial=0.0) < math.inf):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+    if v.ndim > 1 or not v.size or not (0 < v.min() and v.max() < math.inf):
+        raise ValueError(f"{name} must be finite, positive, scalar or non-empty 1-D, got {value}")
     return v
 
 
@@ -124,9 +120,9 @@ def _check_positive(name: str, value):
 class EnsemblePoint:
     """One temperature or a 1-D grid of them; beta is the internal variable.
 
-    Every entry must be finite and positive. A grid is stored as a
-    read-only float array: a read-only array that owns its data is kept as
-    it is, and any other is copied, so the caller cannot write the grid.
+    Entries are finite and positive, and a grid is non-empty. A grid is kept
+    as a read-only float array: a read-only array that owns its data is kept
+    as it is, any other is copied, so the caller cannot write the grid.
     """
 
     beta: float | np.ndarray
@@ -141,7 +137,10 @@ class EnsemblePoint:
 
     @classmethod
     def from_temperature(cls, temperature) -> "EnsemblePoint":
-        beta = 1.0 / _check_positive("temperature", temperature)
+        with np.errstate(over="ignore"):
+            beta = 1.0 / _check_positive("temperature", temperature)
+        if beta.max() == math.inf:  # 1/T overflowed; max, unlike isfinite, allocates nothing
+            raise ValueError(f"temperature must have a finite 1/T, got {temperature}")
         if np.ndim(beta):  # a fresh grid no caller holds: kept, not copied
             beta.flags.writeable = False
         return cls(beta=beta)
@@ -215,8 +214,6 @@ def _boltzmann_sums(spectrum: Spectrum, betas: np.ndarray, values, counts):
     log_g = spectrum.log_degeneracies
     gap = spectrum.energies - spectrum.energies[0]
     sums = np.empty((1 + len(values), betas.size))
-    if not betas.size:
-        return sums
     # ln g >= 0, so its maximum is 0 only where every level is non-degenerate.
     # An exponent is above _EXP_ZERO_BELOW for gap <= floor / beta (every
     # level) and below it for gap > reach / beta (every level).

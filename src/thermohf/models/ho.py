@@ -120,7 +120,5 @@ class HarmonicOscillator:
         each temperature's own level count; h1 is ho_closed_potentials' <x^2/2>,
         or None with h1=False."""
         levels = _truncation_levels(lam, point, truncation_level(self.t_max))
-        # max's initial keeps an empty grid valid: one level, no temperature
-        numeric = potentials(ho_spectrum(lam, int(levels.max(initial=0))), point,
-                             n_levels=levels + 1)
+        numeric = potentials(ho_spectrum(lam, int(levels.max())), point, n_levels=levels + 1)
         return replace(numeric, h1=ho_closed_potentials(lam, point).h1) if h1 else numeric

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from thermohf.ensemble import _BLOCK_ELEMENTS, _EXP_ZERO_BELOW
 from thermohf.models.ho import HarmonicOscillator, ho_closed_potentials
 from thermohf.models.ising import IsingChain
 from thermohf.models.lipkin import LipkinModel
+from thermohf.sweep import sweep
 
 
 class TestSpectrum:
@@ -41,6 +43,26 @@ class TestSpectrum:
         s = Spectrum([0.0, 1.0])
         with pytest.raises(ValueError):
             s.energies[0] = 5.0
+
+    @pytest.mark.parametrize("degeneracies", [[1.0, 2.0], [True, True], [1.5, 2.0]],
+                             ids=["integral-floats", "bools", "fractional-floats"])
+    def test_accepts_only_integer_dtypes(self, degeneracies):
+        # no conversion: a float or bool array is refused even where it is integral
+        with pytest.raises(ValueError, match="degeneracies must be integers"):
+            Spectrum([0.0, 1.0], degeneracies)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64])
+    def test_keeps_fixed_width_integers(self, dtype):
+        g = [1, 3, 2**31 - 1]
+        s = Spectrum([0.0, 1.0, 2.0], np.array(g, dtype=dtype))
+        assert s.degeneracies.dtype == dtype
+        assert np.array_equal(s.log_degeneracies, np.log(np.array(g, dtype=float)))
+
+    def test_keeps_python_integers_of_any_size(self):
+        g = [1, 3, math.comb(70, 35), 10**400]
+        s = Spectrum([0.0, 1.0, 2.0, 3.0], np.array(g, dtype=object))
+        assert s.degeneracies.dtype == object
+        assert np.array_equal(s.log_degeneracies, [math.log(x) for x in g])
 
 
 class TestEnsemblePoint:
@@ -96,6 +118,25 @@ class TestEnsemblePoint:
     def test_rejects_two_dimensional_grid(self):
         with pytest.raises(ValueError):
             EnsemblePoint(beta=np.ones((2, 2)))
+
+    @pytest.mark.parametrize("make", [
+        lambda: EnsemblePoint(beta=np.array([])),
+        lambda: EnsemblePoint.from_temperature(np.array([])),
+        lambda: sweep(HarmonicOscillator(), []),
+    ], ids=["beta", "temperature", "sweep"])
+    def test_rejects_empty_grid(self, make):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            make()
+
+    @pytest.mark.parametrize("temperature", [1e-310, np.array([1e-310, 1.0])],
+                             ids=["scalar", "grid"])
+    def test_refuses_temperature_whose_inverse_overflows(self, temperature):
+        # 1/T overflows below about 5.6e-309; the refusal names the
+        # temperature, and no overflow warning comes before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="temperature"):
+                EnsemblePoint.from_temperature(temperature)
 
 
 # Every route to a ThermoPotentials bundle, each at a coupling other than 1.

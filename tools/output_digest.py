@@ -1,4 +1,5 @@
-"""One sha256 over the output of a fixed list of `thermohf` invocations.
+"""One sha256 over the output of a fixed list of `thermohf` invocations and
+of the demos.
 
 Usage, from the root of a source checkout:
 
@@ -10,15 +11,18 @@ go into the digest in order. The list is both benchmark pools at seeds
 1-3 (from perfbench/workloads.py), `fig ho|ising|lipkin` as CSV and JSON,
 `verify` for every scope and for both oracles past their default sizes,
 and a few edge sweeps: two exit 2, one exits 3, and six reach the
-float-text kernel's edge cases. --root names the checkout
-whose `src/` and `perfbench/` are imported (default: the one holding this
-script), so a change's digest can be compared with its parent's by running
-this file once against each checkout. Equal digests mean byte-identical
-output and exit codes.
+float-text kernel's edge cases. After them, each `demos/*_demo.py` has its
+`main()` run in-process the same way, its path, return value, stdout and
+stderr going into the digest. --root names the checkout whose `src/`,
+`perfbench/` and `demos/` are used (default: the one holding this script),
+so a change's digest can be compared with its parent's by running this
+file once against each checkout. Equal digests mean byte-identical output
+and exit codes.
 
 Before the total, one line per invocation gives the first 16 hex digits of
-the sha256 of what that invocation put into the total, then its argv, so
-diffing the output of two checkouts names the invocations that moved.
+the sha256 of what that invocation put into the total, then its argv (a
+demo's path), so diffing the output of two checkouts names the invocations
+that moved.
 """
 
 import os
@@ -30,6 +34,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import importlib.util  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import shlex  # noqa: E402
@@ -70,11 +75,20 @@ def invocations(workloads) -> list[list[str]]:
     return pools + FIXED
 
 
-def run(main, argv: list[str]) -> tuple[int, str, str]:
+def run(call) -> tuple[object, str, str]:
+    """call()'s return value, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+        result = call()
+    return result, out.getvalue(), err.getvalue()
+
+
+def run_demo(path: Path):
+    """Load a demo script from its file and return what its main() returns."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main()
 
 
 def main() -> None:
@@ -86,14 +100,18 @@ def main() -> None:
     import workloads
     from thermohf.cli import main as cli_main
 
+    # (what goes first into the record, the line's label, the call)
+    jobs = [(argv, shlex.join(argv), lambda argv=argv: cli_main(argv))
+            for argv in invocations(workloads)]
+    for path in sorted((root / "demos").glob("*_demo.py")):
+        name = path.relative_to(root).as_posix()
+        jobs.append((name, name, lambda path=path: run_demo(path)))
     digest = hashlib.sha256()
-    argvs = invocations(workloads)
-    for argv in argvs:
-        code, out, err = run(cli_main, argv)
-        record = json.dumps([argv, code, out, err]).encode()
+    for key, label, call in jobs:
+        record = json.dumps([key, *run(call)]).encode()
         digest.update(record)
-        print(f"{hashlib.sha256(record).hexdigest()[:16]}  {shlex.join(argv)}")
-    print(f"{digest.hexdigest()}  {len(argvs)} invocations of {root}")
+        print(f"{hashlib.sha256(record).hexdigest()[:16]}  {label}")
+    print(f"{digest.hexdigest()}  {len(jobs)} invocations of {root}")
 
 
 if __name__ == "__main__":
