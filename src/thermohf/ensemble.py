@@ -63,8 +63,8 @@ class Spectrum:
         Level energies, ascending.
     degeneracies : array_like, optional
         Positive integer weight per level, of a fixed-width integer dtype or
-        as Python ints in an object array (for weights beyond int64); no
-        other dtype is accepted. Defaults to all ones.
+        as Python ints (not bools) in an object array (for weights beyond
+        int64); no other dtype is accepted. Defaults to all ones.
 
     ``log_degeneracies`` holds ln g per level, computed once, so Boltzmann
     weights never form g itself as a float.
@@ -89,7 +89,7 @@ class Spectrum:
             if g.shape != e.shape:
                 raise ValueError("degeneracies must align with energies")
             if not (g.dtype.kind in "iu" or g.dtype == object
-                    and all(isinstance(x, (int, np.integer)) for x in g)):
+                    and all(type(x) is int or isinstance(x, np.integer) for x in g)):
                 raise ValueError("degeneracies must be integers")
             if (g < 1).any():
                 raise ValueError("degeneracies must be >= 1")

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import shlex
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -639,3 +640,24 @@ class TestReadmeExamples:
                 argv[k] = str(tmp_path / argv[k])
             code = main(argv)
             assert code == 0, f"{shlex.join(argv)}: {capsys.readouterr().err}"
+
+
+class TestFreshProcess:
+    def test_no_command_loads_numpy_random(self, tmp_path):
+        # a fresh interpreter, since this one imports numpy.random for other
+        # tests: numpy.random costs a verify process about 6 MB
+        argvs = [["verify", "--scope", scope] for scope in ("ho", "ising", "lipkin")]
+        argvs += [["sweep", "--model", model, "--t-steps", "5", "--format", fmt,
+                   "--out", str(tmp_path / f"{model}.{fmt}")]
+                  for model in ("ho", "ising", "lipkin") for fmt in ("csv", "json")]
+        script = ("import contextlib, io, json, sys\n"
+                  "from thermohf.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    codes = [main(argv) for argv in {argvs!r}]\n"
+                  "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        assert json.loads(done.stdout) == [[0] * len(argvs), False]

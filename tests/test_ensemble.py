@@ -44,10 +44,14 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             s.energies[0] = 5.0
 
-    @pytest.mark.parametrize("degeneracies", [[1.0, 2.0], [True, True], [1.5, 2.0]],
-                             ids=["integral-floats", "bools", "fractional-floats"])
+    @pytest.mark.parametrize("degeneracies", [[1.0, 2.0], [True, True], [1.5, 2.0],
+                                              np.array([True, True], dtype=object),
+                                              np.array([1, True], dtype=object)],
+                             ids=["integral-floats", "bools", "fractional-floats",
+                                  "object-bools", "object-int-and-bool"])
     def test_accepts_only_integer_dtypes(self, degeneracies):
-        # no conversion: a float or bool array is refused even where it is integral
+        # no conversion: a float or bool array is refused even where it is
+        # integral, and so is a bool inside an object array (bool is an int)
         with pytest.raises(ValueError, match="degeneracies must be integers"):
             Spectrum([0.0, 1.0], degeneracies)
 
@@ -61,6 +65,12 @@ class TestSpectrum:
     def test_keeps_python_integers_of_any_size(self):
         g = [1, 3, math.comb(70, 35), 10**400]
         s = Spectrum([0.0, 1.0, 2.0, 3.0], np.array(g, dtype=object))
+        assert s.degeneracies.dtype == object
+        assert np.array_equal(s.log_degeneracies, [math.log(x) for x in g])
+
+    def test_keeps_numpy_integers_in_an_object_array(self):
+        g = [np.int64(1), np.int64(3)]
+        s = Spectrum([0.0, 1.0], np.array(g, dtype=object))
         assert s.degeneracies.dtype == object
         assert np.array_equal(s.log_degeneracies, [math.log(x) for x in g])
 

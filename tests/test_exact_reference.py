@@ -61,8 +61,9 @@ def worst_ulps(spectrum, h1, temperatures) -> dict[str, float]:
     return worst
 
 
-def _lipkin(n_particles, v_coupling):
-    return lipkin_levels(LipkinModel(n_particles=n_particles, v_coupling=v_coupling))
+def _lipkin(n_particles, v_coupling, epsilon=1.0):
+    return lipkin_levels(LipkinModel(n_particles=n_particles, epsilon=epsilon,
+                                     v_coupling=v_coupling))
 
 
 def _oscillator():
@@ -78,11 +79,19 @@ def _oscillator():
 # 2.48; the oscillator 5.39, 5.39, 2.22 and 2.22. S read 4.3e4, 2.9e5 and
 # 8.0e15 ulps. The oscillator's 2001-level reference costs about 50 ms a
 # temperature, so the test runs it at every sixth of the 25 (T = 0.01, 0.1,
-# 1, 10 and 100), which still hold its worst lnZ and F.
+# 1, 10 and 100), which still hold its worst lnZ and F. Lipkin N = 37,
+# eps = 0.856, V = -2.27 has a ground doublet split by 4.5e-12, so only the
+# doublet is populated from T = 6e-6 to 7e-5, where S = ln 2 (ROADMAP item
+# 1): on the grid it read 0.79, 1.55, 2.29 and 1.91 ulps, and at 9 geometric
+# temperatures from 6e-6 to 7e-5 0.84, 1.19, 1.0 and 1.0.
 GRID = np.geomspace(0.01, 100.0, 25)
+DOUBLET_T = np.geomspace(6e-6, 7e-5, 9)
 CASES = {
     "lipkin-N10-V3": (lambda: _lipkin(10, 3.0), GRID, (3.0, 3.2, 4.2, 4.3)),
     "lipkin-N37-V4.7": (lambda: _lipkin(37, 4.7), GRID, (2.8, 3.2, 3.5, 4.5)),
+    "lipkin-N37-doublet": (lambda: _lipkin(37, -2.27, 0.856), GRID, (2.8, 3.6, 4.3, 4.0)),
+    "lipkin-N37-doublet-low-T": (lambda: _lipkin(37, -2.27, 0.856), DOUBLET_T,
+                                 (2.9, 3.2, 3.1, 3.0)),
     "oscillator-2001": (_oscillator, GRID[::6], (7.4, 7.4, 4.3, 4.3)),
 }
 
