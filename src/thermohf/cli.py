@@ -19,8 +19,9 @@ from .models.ho import HarmonicOscillator
 from .models.ising import IsingChain
 from .models.lipkin import LipkinModel
 from .numdiff import DiffConfig
+from .oracles import check_oracle_size
 from .sweep import rows_to_csv, rows_to_json, sweep, temperature_grid
-from .verify import check_oracle_size, verify_all, verify_ho, verify_ising, verify_lipkin
+from .verify import verify_all, verify_ho, verify_ising, verify_lipkin
 
 __all__ = ["main"]
 

@@ -12,10 +12,18 @@ import numpy as np
 from .ensemble import Spectrum
 from .models.lipkin import LipkinModel
 
-__all__ = ["ising_enumerate", "lipkin_fock"]
+__all__ = ["check_oracle_size", "ising_enumerate", "lipkin_fock"]
 
 MAX_ENUM_SPINS = 20
 MAX_FOCK_PARTICLES = 12
+
+
+def check_oracle_size(scope: str, n: int) -> None:
+    """Raise ValueError unless the scope's oracle runs at size n: from the
+    smallest chain or particle number the model allows up to the oracle's cap."""
+    low, high = {"ising": (2, MAX_ENUM_SPINS), "lipkin": (1, MAX_FOCK_PARTICLES)}[scope]
+    if not low <= n <= high:
+        raise ValueError(f"{scope} oracle size must be in [{low}, {high}], got {n}")
 
 
 def ising_enumerate(n_spins: int, coupling, field, beta):
@@ -29,9 +37,8 @@ def ising_enumerate(n_spins: int, coupling, field, beta):
     ground-state-anchored weights are then formed and summed on their own,
     so large beta is safe and a chain's result does not depend on the others.
     """
+    check_oracle_size("ising", n_spins)
     n = n_spins
-    if not 2 <= n <= MAX_ENUM_SPINS:
-        raise ValueError(f"enumeration needs 2 to {MAX_ENUM_SPINS} spins, got {n}")
     states = np.arange(2**n, dtype=np.uint32)
     spins = ((states[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.int8)
     spins = 2 * spins - 1  # +-1 per site
@@ -66,9 +73,7 @@ def lipkin_fock(model: LipkinModel) -> Spectrum:
     of the block route: no angular-momentum structure or multiplicity enters.
     """
     n = model.n_particles
-    if n > MAX_FOCK_PARTICLES:
-        raise ValueError(f"Fock oracle capped at {MAX_FOCK_PARTICLES} particles, got {n}")
-
+    check_oracle_size("lipkin", n)
     states = np.arange(2**n)
     down = (states[:, None] >> np.arange(n)) & 1
     h = np.diag(model.epsilon * (n / 2 - down.sum(axis=1)))

@@ -10,7 +10,6 @@ average of the interaction term. A model is any object with
 from __future__ import annotations
 
 import json
-import math
 import numbers
 
 import numpy as np
@@ -49,8 +48,7 @@ def temperature_grid(t_min: float, t_max: float, steps: int, kind: str = "linear
     after it where rounding leaves the grid not strictly increasing."""
     if not (0.0 < t_min < t_max < np.inf):
         raise ValueError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
-    if math.isinf(1.0 / float(t_min)):
-        raise ValueError(f"need a t_min whose 1/t_min is a finite float, got {t_min}")
+    EnsemblePoint.from_temperature(t_min)  # refuses a t_min whose 1/t_min overflows
     if not isinstance(steps, numbers.Integral):
         raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 2:

@@ -36,11 +36,10 @@ from .models.lipkin import (
     multiplicity,
 )
 from .numdiff import DiffConfig, central_diff
-from .oracles import MAX_ENUM_SPINS, MAX_FOCK_PARTICLES, ising_enumerate, lipkin_fock
+from .oracles import check_oracle_size, ising_enumerate, lipkin_fock
 from .sweep import sweep, temperature_grid
 
-__all__ = ["CheckResult", "check_oracle_size", "verify_ho", "verify_ising", "verify_lipkin",
-           "verify_all"]
+__all__ = ["CheckResult", "verify_ho", "verify_ising", "verify_lipkin", "verify_all"]
 
 # Seeds the random chains of verify_ising.
 _SEED = 20260823
@@ -57,14 +56,6 @@ class CheckResult:
 
 def _max_abs(values) -> float:
     return float(np.max(np.abs(values)))
-
-
-def check_oracle_size(scope: str, n: int) -> None:
-    """Raise ValueError unless the scope's oracle runs at size n: from the
-    smallest chain or particle number the model allows up to the oracle's cap."""
-    low, high = {"ising": (2, MAX_ENUM_SPINS), "lipkin": (1, MAX_FOCK_PARTICLES)}[scope]
-    if not low <= n <= high:
-        raise ValueError(f"{scope} oracle size must be in [{low}, {high}], got {n}")
 
 
 def verify_ho(config: DiffConfig = DiffConfig()) -> list[CheckResult]:

@@ -13,9 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermohf import Spectrum, cli, verify
+from thermohf import EnsemblePoint, Spectrum, cli, verify
 from thermohf.cli import main
 from thermohf.models import ising, lipkin
+from thermohf.models.lipkin import LipkinModel
+from thermohf.oracles import ising_enumerate, lipkin_fock
 from thermohf.sweep import CSV_HEADER, rows_to_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -227,6 +229,32 @@ class TestUsageErrors:
             code, out, err = run(argv, capsys)
             assert code == 2 and out == ""
             assert err == "error: need 1 to 1040 particles, got 1041\n"
+
+    def test_reciprocal_of_t_min_has_the_ensemble_wording(self, capsys):
+        # the grid's 1/t-min refusal is EnsemblePoint.from_temperature's
+        with pytest.raises(ValueError) as refused:
+            EnsemblePoint.from_temperature(1e-310)
+        code, out, err = run(["sweep", "--model", "ho", "--t-min", "1e-310", "--t-max", "1e-300",
+                              "--t-steps", "3"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {refused.value}\n"
+
+    @pytest.mark.parametrize("scope,n,oracle,suite", [
+        ("ising", 21, lambda: ising_enumerate(21, 1.0, 0.5, 1.0),
+         lambda: verify.verify_ising(n_spins=21)),
+        ("lipkin", 13, lambda: lipkin_fock(LipkinModel(13)),
+         lambda: verify.verify_lipkin(n_oracle=13)),
+    ], ids=["ising-N21", "lipkin-N13"])
+    def test_oracle_size_has_the_oracles_wording(self, scope, n, oracle, suite, capsys):
+        # the library oracle, the verify suite and the CLI refuse with one message
+        with pytest.raises(ValueError) as refused:
+            oracle()
+        with pytest.raises(ValueError) as suite_refused:
+            suite()
+        assert str(suite_refused.value) == str(refused.value)
+        code, out, err = run(["verify", "--scope", scope, "--N", str(n)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {refused.value}\n"
 
     @pytest.mark.parametrize("target", ["missing-dir/x.csv", "."], ids=["no-dir", "is-dir"])
     def test_unwritable_out_is_usage_error(self, target, tmp_path, capsys):

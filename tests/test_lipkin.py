@@ -384,6 +384,49 @@ class TestDirectAverage:
         assert np.max(np.abs(p / uniform - 1.0)) < 1e-3
 
 
+# (epsilon, V, lam) of every case at N <= 37: both signs of V, and lam = 1
+# and lam != 1
+TRACE_CASES = [(eps, v, lam) for eps in (0.7, 1.0) for v in (-3.0, 3.0, 4.7) for lam in (1.0, 0.8)]
+
+
+class TestTraceMoments:
+    """Trace moments of H(lam) = eps*J0 + lam*H1 from single-site algebra,
+    with no SU(2) blocks: per 2^N, Tr H = 0, Tr H^2 = (N/4)(eps^2 +
+    lam^2 V^2 (N - 1)), Tr H1 = 0 and Tr(H1 H) = lam V^2 N(N - 1)/4. The
+    per-level h1 is the diagonal of H1 in the eigenbasis, so the g-weighted
+    sums over lipkin_levels' levels must give them, past the Fock oracle's
+    N = 12 as well."""
+
+    # Measured worst over N in {1, 2, 10, 37, 200} and every TRACE_CASES
+    # case: 5.9e-15 relative for the second moments (2.7e-15 up to N = 37;
+    # 6.6e-15 at N = 400, eps = 1, V = 3, lam = 0.8) and 8.4e-17 for the
+    # scaled zero moments (9.5e-17 at that N = 400 case). The bounds are
+    # about 3x and 4x those.
+    RELATIVE = 2e-14
+    ZERO = 4e-16
+
+    @pytest.mark.parametrize("n,cases", [
+        *((n, TRACE_CASES) for n in (1, 2, 10, 37)),
+        # about 0.1 s a case
+        (200, [(0.7, -3.0, 0.8), (1.0, 4.7, 1.0)]),
+    ], ids=["N1", "N2", "N10", "N37", "N200"])
+    def test_weighted_moments(self, n, cases):
+        for eps, v, lam in cases:
+            spectrum, h1 = lipkin_levels(LipkinModel(n, eps, v), lam)
+            e = spectrum.energies
+            # g / 2^N as floats overflows past N of about 1020
+            w = np.exp(spectrum.log_degeneracies - n * math.log(2))
+            tr_h2 = n / 4 * (eps**2 + lam**2 * v**2 * (n - 1))
+            tr_h1_sq = v**2 * n * (n - 1) / 4
+            assert abs(w @ e**2 / tr_h2 - 1) <= self.RELATIVE
+            assert abs(w @ e) <= self.ZERO * math.sqrt(tr_h2)
+            if n == 1:  # N(N - 1) = 0: H1 vanishes, compared absolutely
+                assert abs(w @ (h1 * e)) <= self.ZERO and abs(w @ h1) <= self.ZERO
+            else:
+                assert abs(w @ (h1 * e) / (lam * tr_h1_sq) - 1) <= self.RELATIVE
+                assert abs(w @ h1) <= self.ZERO * math.sqrt(tr_h1_sq)
+
+
 class TestCheckedSpectrum:
     @pytest.mark.parametrize("n", [62, 63, 64, 69])
     def test_log_degeneracies_are_math_log(self, n):

@@ -58,8 +58,16 @@ class TestTemperatureGrid:
         # the smallest t_min whose 1/t_min is finite, and the float below it
         assert 1.0 / temperature_grid(5.56268464626801e-309, 1.0, 2)[0] < math.inf
         for t_min in (5.562684646268003e-309, 1e-310, 5e-324):
-            with pytest.raises(ValueError, match="1/t_min"):
+            with pytest.raises(ValueError, match="finite 1/T"):
                 temperature_grid(t_min, 1.0, 2)
+
+    def test_reciprocal_refusal_is_ensemble_points(self):
+        # one rule, one wording: the grid asks EnsemblePoint.from_temperature
+        with pytest.raises(ValueError) as grid:
+            temperature_grid(1e-310, 1.0, 3)
+        with pytest.raises(ValueError) as point:
+            EnsemblePoint.from_temperature(1e-310)
+        assert str(grid.value) == str(point.value)
 
     def test_point_cap(self):
         assert temperature_grid(0.1, 1.0, MAX_GRID_POINTS).size == MAX_GRID_POINTS == 10**6

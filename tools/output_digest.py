@@ -9,9 +9,9 @@ Each invocation runs in-process through `thermohf.cli.main`, with the BLAS
 and OpenMP pools on one thread, and its argv, exit code, stdout and stderr
 go into the digest in order. The list is both benchmark pools at seeds
 1-3 (from perfbench/workloads.py), `fig ho|ising|lipkin` as CSV and JSON,
-`verify` for every scope and for both oracles past their default sizes,
-and a few edge sweeps: two exit 2, one exits 3, and six reach the
-float-text kernel's edge cases. After them, each `demos/*_demo.py` has its
+`verify` for every scope, for both oracles past their default sizes and
+for the Ising oracle past its cap (exit 2), and a few edge sweeps: two
+exit 2, one exits 3, and six reach the float-text kernel's edge cases. After them, each `demos/*_demo.py` has its
 `main()` run in-process the same way, its path, return value, stdout and
 stderr going into the digest. --root names the checkout whose `src/`,
 `perfbench/` and `demos/` are used (default: the one holding this script),
@@ -66,6 +66,8 @@ FIXED = [
     ["sweep", "--model", "ising", "--t-min", "5.6e-309", "--t-max", "1", "--t-steps", "3"],
     # a Lipkin N past the model's cap is a usage error (exit 2)
     ["sweep", "--model", "lipkin", "--N", "1041"],
+    # so is an oracle size past the oracle's cap
+    ["verify", "--scope", "ising", "--N", "21"],
 ]
 
 
